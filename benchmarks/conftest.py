@@ -2,7 +2,7 @@
 
 Every bench prints the table/series of its paper figure so
 ``pytest benchmarks/ --benchmark-only -s`` regenerates the evaluation
-section row by row. EXPERIMENTS.md records paper-vs-measured.
+section row by row. docs/benchmarks.md records paper-vs-measured.
 """
 
 import pathlib

@@ -107,5 +107,5 @@ def test_act_throughput(benchmark, table):
     # Paper shape 3 (weak): the fast path stays within noise of regular
     # define-by-run dispatch — in CPython the meta-graph replay costs
     # about as much as plain method dispatch, so the paper's fast-path
-    # win does not reproduce at this scale (recorded in EXPERIMENTS.md).
+    # win does not reproduce at this scale (recorded in docs/benchmarks.md).
     assert np.mean(fast) >= 0.7 * np.mean(xtape)

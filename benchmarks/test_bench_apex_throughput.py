@@ -89,7 +89,7 @@ def test_apex_distributed_throughput(benchmark, table):
     # which case aggregate throughput saturates immediately — the analogue
     # of the paper's own "16 workers is highest due to better resource
     # utilization" saturation note). Assert no *collapse* under added
-    # workers; the slope itself is recorded in EXPERIMENTS.md.
+    # workers; the slope itself is recorded in docs/benchmarks.md.
     import os
     first = results[("rlgraph", WORKER_COUNTS[0])].env_frames_per_second
     last = results[("rlgraph", WORKER_COUNTS[-1])].env_frames_per_second

@@ -7,7 +7,7 @@ queue, staging area, v-trace learner.
 Paper shape: RLgraph ~10-15% ahead at low actor counts; both converge
 as the learner becomes the bottleneck at scale. Actor counts {1, 2, 4}
 map to the paper's {16, 64, 256} (laptop scale; one core here, see
-EXPERIMENTS.md for the scaling caveat).
+docs/benchmarks.md for the scaling caveat).
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ def test_impala_throughput(benchmark, table):
     assertion: on a single core, enabling updates couples actor
     throughput to how many updates the learner happens to win from the
     scheduler, swamping the 10-15% actor-efficiency effect the figure
-    isolates (see EXPERIMENTS.md). The updates-on sweep is reported as a
+    isolates (see docs/benchmarks.md). The updates-on sweep is reported as a
     supplementary table."""
     results = {}
 

@@ -3,19 +3,16 @@ worker-collected rollouts with host-side discounted returns."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.agents.agent import AGENTS, Agent
-from repro.backend import functional as F
+from repro.agents.agent import AGENTS, Agent, LearnerRoot
 from repro.components.loss_functions import ActorCriticLoss
-from repro.components.optimizers import OPTIMIZERS
 from repro.components.policies import Policy
 from repro.components.preprocessing import PreprocessorStack
-from repro.core import Component, graph_fn, rlgraph_api
-from repro.spaces import BoolBox, FloatBox, IntBox
-from repro.utils.errors import RLGraphError
+from repro.core import Component, rlgraph_api
+from repro.spaces import FloatBox, IntBox
 
 _UINT31 = 2**31 - 1
 
@@ -35,7 +32,9 @@ def discounted_returns(rewards, terminals, discount: float,
     return out
 
 
-class ActorCriticRoot(Component):
+class ActorCriticRoot(LearnerRoot):
+    STEP_API = "update_from_batch"
+
     def __init__(self, agent: "ActorCriticAgent", scope="a2c-agent", **kwargs):
         super().__init__(scope=scope, **kwargs)
         cfg = agent.config
@@ -46,10 +45,7 @@ class ActorCriticRoot(Component):
         self.loss = ActorCriticLoss(value_coeff=cfg["value_coeff"],
                                     entropy_coeff=cfg["entropy_coeff"],
                                     scope="loss")
-        self.optimizer = OPTIMIZERS.from_spec(cfg["optimizer_spec"])
-        self.optimizer.set_variables_provider(
-            lambda: list(self.policy.variable_registry().values()))
-        self.optimizer.build_dependencies = [self.policy]
+        self.add_optimizer(cfg["optimizer_spec"], self.policy)
         self.add_components(self.preprocessor, self.policy, self.loss,
                             self.optimizer)
 
@@ -65,82 +61,44 @@ class ActorCriticRoot(Component):
         actions = self.policy.get_deterministic_action(preprocessed)
         return actions, preprocessed
 
-    @rlgraph_api
-    def update_from_batch(self, next_states, actions, returns):
-        # `next_states` carries the already-preprocessed rollout states
-        # (naming matches the shared agent input-space convention).
+    def compose_loss(self, next_states, actions, returns):
+        """``(total, policy_loss, value_loss)``. `next_states` carries
+        the already-preprocessed rollout states (naming matches the
+        shared agent input-space convention)."""
         log_probs = self.policy.get_action_log_probs(next_states, actions)
         values = self.policy.get_state_values(next_states)
         entropies = self.policy.get_entropy(next_states)
-        total, policy_loss, value_loss = self.loss.get_loss(
-            log_probs, values, returns, entropies)
-        step_op = self.optimizer.step(total)
-        return self._graph_fn_result(total, policy_loss, value_loss, step_op)
-
-    @rlgraph_api
-    def compute_gradients(self, next_states, actions, returns):
-        log_probs = self.policy.get_action_log_probs(next_states, actions)
-        values = self.policy.get_state_values(next_states)
-        entropies = self.policy.get_entropy(next_states)
-        total, policy_loss, value_loss = self.loss.get_loss(
-            log_probs, values, returns, entropies)
-        flat_grads = self.optimizer.compute_flat_grads(total)
-        return flat_grads, total, policy_loss, value_loss
-
-    @rlgraph_api
-    def apply_gradients(self, flat_grads):
-        return self.optimizer.apply_flat_grads(flat_grads)
-
-    @graph_fn(returns=3, requires_variables=False)
-    def _graph_fn_result(self, total, policy_loss, value_loss, step_op):
-        if step_op is not None:
-            total = F.with_deps(total, step_op)
-        return total, policy_loss, value_loss
+        return self.loss.get_loss(log_probs, values, returns, entropies)
 
 
 @AGENTS.register("a2c", aliases=["actor_critic"])
 class ActorCriticAgent(Agent):
     """A2C with host-side return computation (GAE omitted for clarity)."""
 
-    def __init__(self, state_space, action_space, **kwargs):
-        config = {
-            "network_spec": [{"type": "dense", "units": 128,
-                              "activation": "tanh"}],
-            "preprocessing_spec": [],
-            "value_coeff": 0.5,
-            "entropy_coeff": 0.01,
-            "optimizer_spec": {"type": "adam", "learning_rate": 1e-3},
-        }
-        agent_kwargs = {}
-        for key in ("backend", "discount", "observe_flush_size", "seed",
-                    "auto_build", "device_map", "optimize"):
-            if key in kwargs:
-                agent_kwargs[key] = kwargs.pop(key)
-        unknown = set(kwargs) - set(config)
-        if unknown:
-            raise RLGraphError(f"Unknown A2C config keys: {sorted(unknown)}")
-        config.update(kwargs)
-        self.config = config
-        super().__init__(state_space, action_space, **agent_kwargs)
+    DEFAULT_CONFIG = {
+        "network_spec": [{"type": "dense", "units": 128,
+                          "activation": "tanh"}],
+        "preprocessing_spec": [],
+        "value_coeff": 0.5,
+        "entropy_coeff": 0.01,
+        "optimizer_spec": {"type": "adam", "learning_rate": 1e-3},
+    }
+    #: On-policy update from a rollout batch with precomputed returns
+    #: (``states`` already preprocessed).
+    UPDATE_FEED = (("states", None), ("actions", None),
+                   ("returns", np.float32))
 
     def build_root(self) -> Component:
         return ActorCriticRoot(self)
 
-    def preprocessed_space(self):
-        stack = PreprocessorStack(self.config["preprocessing_spec"])
-        return stack.transformed_space(self.state_space)
-
     def input_spaces(self) -> Dict[str, Any]:
-        spaces = {
+        return {
             "states": self.state_space.with_batch_rank(),
             "time_step": IntBox(low=0, high=_UINT31),
             "next_states": self.preprocessed_space().with_batch_rank(),
             "actions": self.action_space.with_batch_rank(),
             "returns": FloatBox(add_batch_rank=True),
         }
-        if self.optimize != "none":
-            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
-        return spaces
 
     def get_actions(self, states, explore: bool = True, preprocess: bool = True):
         states, single = self._batch_states(states)
@@ -151,29 +109,3 @@ class ActorCriticAgent(Agent):
         if single:
             return np.asarray(actions)[0], preprocessed[0]
         return np.asarray(actions), preprocessed
-
-    def update(self, batch: Optional[Dict] = None):
-        """On-policy update from a rollout batch with precomputed returns.
-
-        ``batch``: states (preprocessed), actions, returns.
-        """
-        if batch is None:
-            raise RLGraphError("A2C is on-policy; pass a rollout batch")
-        total, policy_loss, value_loss = self.call_api(
-            "update_from_batch", np.asarray(batch["states"]),
-            np.asarray(batch["actions"]),
-            np.asarray(batch["returns"], np.float32))
-        self.updates += 1
-        return (float(np.asarray(total)), float(np.asarray(policy_loss)),
-                float(np.asarray(value_loss)))
-
-    def _compute_gradients(self, batch: Dict):
-        flat_grads, total, policy_loss, value_loss = self.call_api(
-            "compute_gradients", np.asarray(batch["states"]),
-            np.asarray(batch["actions"]),
-            np.asarray(batch["returns"], np.float32))
-        return np.asarray(flat_grads), {
-            "losses": (float(np.asarray(total)),
-                       float(np.asarray(policy_loss)),
-                       float(np.asarray(value_loss))),
-        }

@@ -1,23 +1,41 @@
-"""The abstract agent API (paper Listing 2).
+"""The abstract agent API (paper Listing 2) and the learner step.
 
 Agents own a root component, build it through the GraphBuilder for the
 chosen backend, and serve the general-purpose API (get_actions / observe /
 update / weights / import / export) by dispatching to the built graph's
 op registry — one executor call per API request.
+
+The learner step is declared once per agent and everything else derives
+from the declaration. In-graph, a :class:`LearnerRoot` subclass writes
+its loss composition as one plain ``compose_loss`` method; the in-graph
+step, ``compute_gradients`` and ``apply_gradients`` endpoints are
+generated from its signature. Host-side, an :class:`Agent` subclass
+declares its update feed (``UPDATE_FEED``) and :meth:`Agent.update` and
+:meth:`Agent.get_gradients` marshal every batch through it.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import pickle
 import time
 from collections import defaultdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import XGRAPH
-from repro.core import BuiltGraph, Component, GraphBuilder
-from repro.spaces import Space
+from repro.backend import XGRAPH, functional as F
+from repro.components.optimizers import OPTIMIZERS
+from repro.components.preprocessing import PreprocessorStack
+from repro.core import (
+    BuiltGraph,
+    Component,
+    GraphBuilder,
+    graph_fn,
+    rlgraph_api,
+)
+from repro.spaces import FloatBox, Space
 from repro.spaces.space_utils import space_from_spec
 from repro.utils.errors import RLGraphError
 from repro.utils.registry import Registry
@@ -26,12 +44,107 @@ from repro.utils.seeding import SeedStream
 AGENTS = Registry("agent")
 
 
+def api_like(compose_loss: Callable, name: str, body: Callable):
+    """An API method ``name`` that takes exactly the named inputs of the
+    ``compose_loss`` declaration (parameter names select the input
+    spaces) and returns ``body(self, *inputs)``."""
+    def method(self, *inputs):
+        return body(self, *inputs)
+    method.__name__ = name
+    method.__signature__ = inspect.signature(compose_loss)
+    return rlgraph_api(method)
+
+
+class LearnerRoot(Component):
+    """Root-component base: the loss is declared once, the learner
+    endpoints derive from it.
+
+    A subclass writes :meth:`compose_loss` — a plain method composing
+    its sub-components' API methods, from *named* inputs to
+    ``(total, *extras)`` — names its in-graph step endpoint in
+    :attr:`STEP_API` and binds its optimizer with :meth:`add_optimizer`.
+    ``total`` is the scalar the optimizer minimizes; for an optimizer
+    over several variable groups it is a tuple with one scalar per
+    group, reported as their sum. Generated per subclass, with the
+    signature of ``compose_loss``:
+
+    * ``<STEP_API>(*inputs)`` — :meth:`loss_and_step`:
+      ``(total after the optimizer step, *extras)``;
+    * ``compute_gradients(*inputs)`` — :meth:`loss_and_grads`: the same
+      composition, but the optimizer only extracts the flat gradient
+      slab: ``(flat_grads, total, *extras)``.
+
+    ``apply_gradients(flat_grads)`` completes the triplet.
+    """
+
+    STEP_API = "update_from_external"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "compose_loss" in vars(cls):
+            setattr(cls, cls.STEP_API, api_like(
+                cls.compose_loss, cls.STEP_API,
+                lambda self, *inputs: self.loss_and_step(*inputs)))
+            cls.compute_gradients = api_like(
+                cls.compose_loss, "compute_gradients",
+                LearnerRoot.loss_and_grads)
+
+    def add_optimizer(self, spec, *groups) -> None:
+        """Build ``self.optimizer`` over the trainables of ``groups`` —
+        each a component or a tuple of them, one variable group each."""
+        groups = [g if isinstance(g, tuple) else (g,) for g in groups]
+        self.optimizer = OPTIMIZERS.from_spec(spec)
+        self.optimizer.set_variables_provider(*[
+            lambda comps=comps: [v for c in comps
+                                 for v in c.variable_registry().values()]
+            for comps in groups])
+        self.optimizer.build_dependencies = [c for g in groups for c in g]
+
+    def compose_loss(self, *inputs):
+        raise NotImplementedError
+
+    def loss_and_step(self, *inputs):
+        total, *extras = self.compose_loss(*inputs)
+        step_op = self.optimizer.step(total)
+        return (self._graph_fn_total(total, step_op), *extras)
+
+    def loss_and_grads(self, *inputs):
+        total, *extras = self.compose_loss(*inputs)
+        flat_grads = self.optimizer.compute_flat_grads(total)
+        if isinstance(total, tuple):
+            total = self._graph_fn_total(total)
+        return (flat_grads, total, *extras)
+
+    @rlgraph_api
+    def apply_gradients(self, flat_grads):
+        return self.optimizer.apply_flat_grads(flat_grads)
+
+    @graph_fn(requires_variables=False)
+    def _graph_fn_total(self, total, *deps):
+        """The reported loss (per-group objectives summed), sequenced
+        after ``deps`` — the optimizer step, a priority update — so
+        that fetching it is what runs them."""
+        if isinstance(total, tuple):
+            total = functools.reduce(F.add, total)
+        deps = [d for d in deps if d is not None]
+        return F.with_deps(total, *deps) if deps else total
+
+
+def _to_host(outputs) -> Tuple:
+    """Learner fetches on the host: loss scalars become floats,
+    per-row extras (TD errors) stay arrays."""
+    return tuple(float(x) if np.ndim(x) == 0 else np.asarray(x)
+                 for x in outputs)
+
+
 class Agent:
     """Base agent: spaces + root component + executor plumbing.
 
     Subclasses implement :meth:`build_root` (component composition) and
-    :meth:`input_spaces` (spaces for the root API), then expose their
-    algorithm through the generic API below.
+    :meth:`input_spaces` (spaces for the root API), declare their
+    algorithm config (:attr:`DEFAULT_CONFIG`) and update feed
+    (:attr:`UPDATE_FEED`), then expose their algorithm through the
+    generic API below.
 
     ``optimize`` selects the graph-compiler level for every session the
     agent builds: ``"none"`` (paper-faithful interpreter), ``"basic"``
@@ -41,11 +154,27 @@ class Agent:
     a one-time warning when no C toolchain is available).
     """
 
+    #: Algorithm config keys with their defaults. Constructor keywords
+    #: other than these and the agent-level ones below are rejected.
+    DEFAULT_CONFIG: Dict[str, Any] = {}
+    #: The update feed, declared once: ``(batch key, dtype)`` in the
+    #: order of the root's ``compose_loss`` inputs (dtype ``None``: as given).
+    UPDATE_FEED: Sequence[Tuple[str, Any]] = ()
+    #: Root endpoint syncing the target networks every
+    #: ``config["sync_interval"]`` updates (``None``: no targets).
+    SYNC_API: Optional[str] = None
+
     def __init__(self, state_space, action_space, backend: str = XGRAPH,
                  discount: float = 0.99, observe_flush_size: int = 64,
                  seed: Optional[int] = None, auto_build: bool = True,
                  device_map: Optional[Dict[str, str]] = None,
-                 optimize: str = "fused"):
+                 optimize: str = "fused", **config):
+        unknown = set(config) - set(self.DEFAULT_CONFIG)
+        if unknown:
+            raise RLGraphError(
+                f"Unknown {type(self).__name__.removesuffix('Agent')} "
+                f"config keys: {sorted(unknown)}")
+        self.config = {**self.DEFAULT_CONFIG, **config}
         self.state_space: Space = space_from_spec(state_space)
         self.action_space: Space = space_from_spec(action_space)
         self.backend = backend
@@ -79,6 +208,10 @@ class Agent:
     def input_spaces(self) -> Dict[str, Any]:
         raise NotImplementedError
 
+    def preprocessed_space(self) -> Space:
+        stack = PreprocessorStack(self.config["preprocessing_spec"])
+        return stack.transformed_space(self.state_space)
+
     # -- build ------------------------------------------------------------------
     def build(self, options: Optional[Dict] = None) -> "Agent":
         """Build the component graph for the configured backend."""
@@ -88,7 +221,13 @@ class Agent:
         builder = GraphBuilder(backend=self.backend,
                                seed=self.seeds.spawn("graph"),
                                optimize=self.optimize)
-        self.graph = builder.build(self.root, self.input_spaces(),
+        spaces = dict(self.input_spaces())
+        if self.optimize != "none":
+            # The apply_gradients endpoint needs the fused flat-slab
+            # construction; omitting the space skips its assembly in
+            # the per-variable ablation build.
+            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
+        self.graph = builder.build(self.root, spaces,
                                    device_map=self.device_map)
         return self
 
@@ -229,55 +368,81 @@ class Agent:
         raise NotImplementedError(
             f"{type(self).__name__} has no memory to observe into")
 
-    def update(self, batch: Optional[Dict] = None):
-        raise NotImplementedError
+    # -- the learner step (derived from UPDATE_FEED) -----------------------------
+    def update_feed(self, batch: Dict) -> List[np.ndarray]:
+        """Marshal an update batch into the positional feed of the
+        root's ``compose_loss`` inputs — the one place batch keys, order and
+        dtypes are written; every learner endpoint goes through it."""
+        batch = self._prepare_batch(batch)
+        return [np.asarray(batch[key], dtype)
+                for key, dtype in self.UPDATE_FEED]
 
-    # -- gradient extraction (data-parallel learner groups) -------------------
-    def update_from_batch(self, batch: Dict, apply: bool = True):
-        """Update from an external batch, or — with ``apply=False`` —
-        run only the gradient half of the fused step and return
-        ``(flat_grads, stats)`` without touching any variable.
+    def _prepare_batch(self, batch: Dict) -> Dict:
+        """Fill in the feed keys a caller may leave out (defaults,
+        noise, derived targets)."""
+        return batch
+
+    def _memory_feed(self) -> Sequence[np.ndarray]:
+        """Feed of the root's ``update_from_memory`` endpoint."""
+        raise RLGraphError(
+            f"{type(self).__name__} has no replay memory; pass a batch "
+            f"to update()")
+
+    def update(self, batch: Optional[Dict] = None):
+        """One training step from ``batch`` (the keys of
+        :attr:`UPDATE_FEED`), or with ``batch=None`` from the agent's
+        own replay memory. Returns the root's ``(total, *extras)``:
+        loss scalars as floats, per-row TD errors as an array."""
+        if batch is None:
+            out = self.call_api("update_from_memory", *self._memory_feed())
+        else:
+            out = self.call_api(self.root.STEP_API, *self.update_feed(batch))
+        self._count_update()
+        return _to_host(out)
+
+    def get_gradients(self, batch: Dict):
+        """Run only the gradient half of the fused step on ``batch``:
+        ``(flat_grads, stats)``, no variable touched.
 
         ``flat_grads`` is ONE contiguous float32 vector in the
         optimizer's ParamSlab order (sorted by name), ready for a
         shared-memory all-reduce; feeding the (averaged) vector back
         through :meth:`apply_gradients` reuses the exact fused lowering
         of the in-graph step, so extract-then-apply is
-        bitwise-comparable to a plain :meth:`update`.
+        bitwise-comparable to a plain :meth:`update`. ``stats`` carries
+        the loss scalars (``stats["losses"]``, in the order
+        :meth:`update` returns them) and, for TD-based agents, the
+        per-row TD errors (``stats["td"]``).
         """
-        if apply:
-            return self.update(batch)
-        return self.get_gradients(batch, flat=True)
-
-    def get_gradients(self, batch: Dict, flat: bool = True):
-        """Flat gradient slab for ``batch``: ``(flat_grads, stats)``.
-
-        ``stats`` carries the loss scalars (``stats["losses"]``, in the
-        same order the agent's :meth:`update` returns them) and, for
-        TD-based agents, the per-row TD errors (``stats["td"]``).
-        """
-        if not flat:
-            raise RLGraphError(
-                "get_gradients: only flat=True is supported — per-variable "
-                "gradient dicts never leave the graph (the flat slab is the "
-                "transport format)")
-        return self._compute_gradients(batch)
-
-    def _compute_gradients(self, batch: Dict):
-        raise NotImplementedError(
-            f"{type(self).__name__} has no gradient-extraction build path")
+        flat_grads, *out = self.call_api("compute_gradients",
+                                         *self.update_feed(batch))
+        out = _to_host(out)
+        stats: Dict[str, Any] = {
+            "losses": tuple(x for x in out if isinstance(x, float))}
+        for x in out:
+            if not isinstance(x, float):
+                stats["td"] = x
+        return np.asarray(flat_grads), stats
 
     def apply_gradients(self, flat_grads: np.ndarray) -> bool:
         """Apply a flat gradient vector through the fused optimizer step.
 
-        Advances :attr:`updates` exactly like :meth:`update` (including
-        any target-network sync cadence — see subclass overrides).
-        Returns True when the apply crossed a target-sync boundary, so
-        group drivers can mirror the sync on replicas.
+        Advances :attr:`updates` exactly like :meth:`update`, target
+        sync cadence included. Returns True when the apply crossed a
+        target-sync boundary, so group drivers can mirror the sync on
+        replicas.
         """
         self.call_api("apply_gradients",
                       np.ascontiguousarray(flat_grads, dtype=np.float32))
+        return self._count_update()
+
+    def _count_update(self) -> bool:
+        """Advance the update counter; sync the targets on its cadence."""
         self.updates += 1
+        if self.SYNC_API and self.config["sync_interval"] and \
+                self.updates % self.config["sync_interval"] == 0:
+            self.call_api(self.SYNC_API)
+            return True
         return False
 
     def flat_grad_size(self) -> int:

@@ -9,20 +9,19 @@ splits the record, feeds the loss, steps the optimizer).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.backend import XGRAPH, functional as F
+from repro.backend import functional as F
 from repro.components.common import ContainerSplitter, Synchronizer
 from repro.components.explorations import EpsilonGreedy
 from repro.components.loss_functions import DQNLoss
 from repro.components.memories import PrioritizedReplay, ReplayMemory
-from repro.components.optimizers import OPTIMIZERS
 from repro.components.policies import Policy
 from repro.components.preprocessing import PreprocessorStack
 from repro.core import Component, graph_fn, rlgraph_api
-from repro.agents.agent import AGENTS, Agent
+from repro.agents.agent import AGENTS, Agent, LearnerRoot, api_like
 from repro.spaces import BoolBox, Dict as DictSpace, FloatBox, IntBox
 from repro.utils.errors import RLGraphError
 
@@ -32,7 +31,13 @@ DEFAULT_NETWORK = [{"type": "dense", "units": 256, "activation": "relu"},
                    {"type": "dense", "units": 256, "activation": "relu"}]
 
 
-class DQNRoot(Component):
+#: Keys of a transition record / of a tower's shard, in the order of
+#: the loss inputs.
+RECORD_KEYS = ("states", "actions", "rewards", "terminals", "next_states")
+SHARD_KEYS = (*RECORD_KEYS, "importance_weights")
+
+
+class DQNRoot(LearnerRoot):
     """Root component wiring preprocessor, policies, memory, loss, opt."""
 
     def __init__(self, agent: "DQNAgent", scope: str = "dqn-agent", **kwargs):
@@ -57,18 +62,14 @@ class DQNRoot(Component):
         if cfg["prioritized_replay"]:
             memory_kwargs.update(alpha=cfg["alpha"], beta=cfg["beta"])
         self.memory = memory_cls(**memory_kwargs)
-        self.splitter = ContainerSplitter(
-            "states", "actions", "rewards", "terminals", "next_states",
-            scope="record-splitter")
+        self.splitter = ContainerSplitter(*RECORD_KEYS,
+                                          scope="record-splitter")
         self.dqn_loss = DQNLoss(
             num_actions=agent.action_space.num_categories,
             discount=agent.discount, double_q=cfg["double_q"],
             huber_delta=cfg["huber_delta"], n_step=cfg["n_step"],
             scope="loss")
-        self.optimizer = OPTIMIZERS.from_spec(cfg["optimizer_spec"])
-        self.optimizer.set_variables_provider(
-            lambda: list(self.policy.variable_registry().values()))
-        self.optimizer.build_dependencies = [self.policy]
+        self.add_optimizer(cfg["optimizer_spec"], self.policy)
         self.synchronizer = Synchronizer(self.policy, self.target_policy,
                                          scope="target-synchronizer")
         components = [self.preprocessor, self.policy, self.target_policy,
@@ -82,12 +83,10 @@ class DQNRoot(Component):
             from repro.components.common import BatchSplitter
             self.batch_splitter = BatchSplitter(self.num_devices,
                                                 scope="device-batch-splitter")
-            self.tower_splitters = []
-            for i in range(self.num_devices):
-                splitter = ContainerSplitter(
-                    "states", "actions", "rewards", "terminals", "next_states",
-                    scope=f"tower-{i}-splitter", device=f"/sim:gpu:{i}")
-                self.tower_splitters.append(splitter)
+            self.tower_splitters = [
+                ContainerSplitter(*SHARD_KEYS, scope=f"tower-{i}-splitter",
+                                  device=f"/sim:gpu:{i}")
+                for i in range(self.num_devices)]
             components.append(self.batch_splitter)
             components.extend(self.tower_splitters)
         self.add_components(*components)
@@ -118,71 +117,50 @@ class DQNRoot(Component):
         return self.memory.insert_records(records)
 
     # -- updating ----------------------------------------------------------------
+    def compose_loss(self, preprocessed_states, actions, rewards, terminals,
+                     next_states, importance_weights):
+        """The DQN loss composition — ``(loss, td)`` — that every
+        learner endpoint of this root goes through."""
+        q_values = self.policy.get_q_values(preprocessed_states)
+        q_next = self.policy.get_q_values(next_states)
+        q_next_target = self.target_policy.get_q_values(next_states)
+        return self.dqn_loss.get_loss(q_values, actions, rewards, terminals,
+                                      q_next, q_next_target,
+                                      importance_weights)
+
+    # TD errors without an optimizer step (worker-side prioritization,
+    # Ape-X heuristic).
+    get_td_errors = api_like(
+        compose_loss, "get_td_errors",
+        lambda self, *inputs: self.compose_loss(*inputs)[1])
+
     @rlgraph_api
     def update_from_memory(self, batch_size):
         sample, indices, importance_weights = self.memory.get_records(
             batch_size)
-        s, a, r, t, next_s = self.splitter.split(sample)
-        loss, td = self._loss_and_step(s, a, r, t, next_s, importance_weights)
+        loss, td = self.compose_loss(*self.splitter.split(sample),
+                                     importance_weights)
+        step_op = self.optimizer.step(loss)
         prio = (self.memory.update_records(indices, td)
                 if self.agent.config["prioritized_replay"] else None)
-        return self._graph_fn_result(loss, td, prio)
+        return self._graph_fn_total(loss, step_op, prio), td
 
-    @rlgraph_api
-    def get_td_errors(self, preprocessed_states, actions, rewards, terminals,
-                      next_states, importance_weights):
-        """TD errors without an optimizer step (worker-side
-        prioritization, Ape-X heuristic)."""
-        q_values = self.policy.get_q_values(preprocessed_states)
-        q_next = self.policy.get_q_values(next_states)
-        q_next_target = self.target_policy.get_q_values(next_states)
-        _, td = self.dqn_loss.get_loss(q_values, actions, rewards, terminals,
-                                       q_next, q_next_target,
-                                       importance_weights)
-        return td
-
-    @rlgraph_api
-    def update_from_external(self, preprocessed_states, actions, rewards,
-                             terminals, next_states, importance_weights):
-        if self.num_devices > 1:
-            return self._update_multi_device(
-                preprocessed_states, actions, rewards, terminals, next_states,
-                importance_weights)
-        loss, td = self._loss_and_step(preprocessed_states, actions, rewards,
-                                       terminals, next_states,
-                                       importance_weights)
-        return self._graph_fn_result(loss, td, None)
-
-    def _update_multi_device(self, states, actions, rewards, terminals,
-                             next_states, importance_weights):
-        """Split the batch over simulated devices; average tower grads."""
-        record = self._graph_fn_pack(states, actions, rewards, terminals,
-                                     next_states)
-        shards = self.batch_splitter.split(record)
-        tower_losses, tower_tds = [], []
-        for i, shard in enumerate(shards if self.num_devices > 1 else [shards]):
-            s, a, r, t, ns = self.tower_splitters[i].split(shard)
-            q = self.policy.get_q_values(s)
-            qn = self.policy.get_q_values(ns)
-            qt = self.target_policy.get_q_values(ns)
-            loss_i, td_i = self.dqn_loss.get_loss(
-                q, a, r, t, qn, qt, self._graph_fn_ones_like(r))
-            tower_losses.append(loss_i)
-            tower_tds.append(td_i)
-        step_op = self.optimizer.step_towers(*tower_losses)
-        loss = self._graph_fn_mean_losses(*tower_losses)
-        td = self._graph_fn_concat_tds(*tower_tds)
-        loss = self._graph_fn_after_step(loss, step_op)
-        return self._graph_fn_result(loss, td, None)
+    def loss_and_step(self, *inputs):
+        if self.num_devices == 1:
+            return super().loss_and_step(*inputs)
+        # Split the batch over simulated devices; average tower grads.
+        shards = self.batch_splitter.split(self._graph_fn_pack(*inputs))
+        losses, tds = zip(*[
+            self.compose_loss(*splitter.split(shard))
+            for splitter, shard in zip(self.tower_splitters, shards)])
+        step_op = self.optimizer.step_towers(*losses)
+        loss = self._graph_fn_mean_losses(*losses)
+        return (self._graph_fn_total(loss, step_op),
+                self._graph_fn_concat_tds(*tds))
 
     @graph_fn(requires_variables=False)
-    def _graph_fn_pack(self, states, actions, rewards, terminals, next_states):
-        return {"states": states, "actions": actions, "rewards": rewards,
-                "terminals": terminals, "next_states": next_states}
-
-    @graph_fn(requires_variables=False)
-    def _graph_fn_ones_like(self, rewards):
-        return F.ones_like(rewards, dtype=np.float32)
+    def _graph_fn_pack(self, *inputs):
+        return dict(zip(SHARD_KEYS, inputs))
 
     @graph_fn(requires_variables=False)
     def _graph_fn_mean_losses(self, *losses):
@@ -194,48 +172,6 @@ class DQNRoot(Component):
     @graph_fn(requires_variables=False)
     def _graph_fn_concat_tds(self, *tds):
         return F.concat(list(tds), axis=0)
-
-    # -- gradient extraction (learner groups) ---------------------------------
-    @rlgraph_api
-    def compute_gradients(self, preprocessed_states, actions, rewards,
-                          terminals, next_states, importance_weights):
-        """Same loss composition as ``update_from_external`` but the
-        optimizer only *extracts* the flat gradient slab — no step."""
-        q_values = self.policy.get_q_values(preprocessed_states)
-        q_next = self.policy.get_q_values(next_states)
-        q_next_target = self.target_policy.get_q_values(next_states)
-        loss, td = self.dqn_loss.get_loss(q_values, actions, rewards,
-                                          terminals, q_next, q_next_target,
-                                          importance_weights)
-        flat_grads = self.optimizer.compute_flat_grads(loss)
-        return flat_grads, loss, td
-
-    @rlgraph_api
-    def apply_gradients(self, flat_grads):
-        return self.optimizer.apply_flat_grads(flat_grads)
-
-    def _loss_and_step(self, s, a, r, t, next_s, importance_weights):
-        """Shared composition (plain helper called from API methods)."""
-        q_values = self.policy.get_q_values(s)
-        q_next = self.policy.get_q_values(next_s)
-        q_next_target = self.target_policy.get_q_values(next_s)
-        loss, td = self.dqn_loss.get_loss(q_values, a, r, t, q_next,
-                                          q_next_target, importance_weights)
-        step_op = self.optimizer.step(loss)
-        loss = self._graph_fn_after_step(loss, step_op)
-        return loss, td
-
-    @graph_fn(requires_variables=False)
-    def _graph_fn_after_step(self, loss, step_op):
-        if step_op is None:
-            return loss
-        return F.with_deps(loss, step_op)
-
-    @graph_fn(returns=2, requires_variables=False)
-    def _graph_fn_result(self, loss, td, prio_op):
-        if prio_op is not None:
-            loss = F.with_deps(loss, prio_op)
-        return loss, td
 
     # -- target sync -----------------------------------------------------------
     @rlgraph_api
@@ -264,47 +200,37 @@ class DQNAgent(Agent):
     """
 
     ROOT_SCOPE = "dqn-agent"
+    DEFAULT_CONFIG = {
+        "network_spec": DEFAULT_NETWORK,
+        "preprocessing_spec": [],
+        "dueling": False,
+        "double_q": True,
+        "prioritized_replay": False,
+        "alpha": 0.6,
+        "beta": 0.4,
+        "n_step": 1,
+        "memory_capacity": 10_000,
+        "batch_size": 32,
+        "optimizer_spec": {"type": "adam", "learning_rate": 1e-3},
+        "epsilon_spec": {"type": "linear", "from_": 1.0, "to_": 0.05,
+                         "num_timesteps": 10_000},
+        "sync_interval": 10,
+        "huber_delta": 1.0,
+        "num_devices": 1,
+    }
+    UPDATE_FEED = (("states", None), ("actions", None),
+                   ("rewards", np.float32), ("terminals", bool),
+                   ("next_states", None), ("importance_weights", np.float32))
+    SYNC_API = "sync_target"
 
     def __init__(self, state_space, action_space, **kwargs):
-        config = {
-            "network_spec": DEFAULT_NETWORK,
-            "preprocessing_spec": [],
-            "dueling": False,
-            "double_q": True,
-            "prioritized_replay": False,
-            "alpha": 0.6,
-            "beta": 0.4,
-            "n_step": 1,
-            "memory_capacity": 10_000,
-            "batch_size": 32,
-            "optimizer_spec": {"type": "adam", "learning_rate": 1e-3},
-            "epsilon_spec": {"type": "linear", "from_": 1.0, "to_": 0.05,
-                             "num_timesteps": 10_000},
-            "sync_interval": 10,
-            "huber_delta": 1.0,
-            "num_devices": 1,
-        }
-        agent_kwargs = {}
-        for key in ("backend", "discount", "observe_flush_size", "seed",
-                    "auto_build", "device_map", "optimize"):
-            if key in kwargs:
-                agent_kwargs[key] = kwargs.pop(key)
-        unknown = set(kwargs) - set(config)
-        if unknown:
-            raise RLGraphError(f"Unknown DQN config keys: {sorted(unknown)}")
-        config.update(kwargs)
-        self.config = config
-        super().__init__(state_space, action_space, **agent_kwargs)
+        super().__init__(state_space, action_space, **kwargs)
         if not isinstance(self.action_space, IntBox):
             raise RLGraphError("DQN requires a discrete (IntBox) action space")
 
     # -- wiring ---------------------------------------------------------------
     def build_root(self) -> Component:
         return DQNRoot(self, scope=self.ROOT_SCOPE)
-
-    def preprocessed_space(self):
-        stack = PreprocessorStack(self.config["preprocessing_spec"])
-        return stack.transformed_space(self.state_space)
 
     def input_spaces(self) -> Dict[str, Any]:
         preprocessed = self.preprocessed_space().with_batch_rank()
@@ -316,7 +242,7 @@ class DQNAgent(Agent):
             next_states=preprocessed.strip_ranks(),
             add_batch_rank=True,
         )
-        spaces = {
+        return {
             "states": self.state_space.with_batch_rank(),
             "preprocessed_states": preprocessed,
             "time_step": IntBox(low=0, high=_UINT31),
@@ -328,12 +254,6 @@ class DQNAgent(Agent):
             "terminals": BoolBox(add_batch_rank=True),
             "next_states": preprocessed,
         }
-        if self.optimize != "none":
-            # Gradient-extraction/apply endpoints need the fused flat-slab
-            # construction; omitting the space skips their assembly in the
-            # per-variable ablation build.
-            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
-        return spaces
 
     # -- API ----------------------------------------------------------------------
     def get_actions(self, states, explore: bool = True,
@@ -351,55 +271,14 @@ class DQNAgent(Agent):
     def _insert_records(self, records: Dict[str, np.ndarray]) -> None:
         self.call_api("insert_records", records)
 
-    def update(self, batch: Optional[Dict] = None):
-        """One training step.
+    def _memory_feed(self):
+        return (np.asarray(self.config["batch_size"]),)
 
-        With ``batch=None`` samples from the internal memory; otherwise
-        ``batch`` must contain states/actions/rewards/terminals/
-        next_states (+ optional importance_weights). Returns (loss, td).
-        """
-        if batch is None:
-            loss, td = self.call_api("update_from_memory",
-                                     np.asarray(self.config["batch_size"]))
-        else:
-            weights = batch.get("importance_weights")
-            if weights is None:
-                weights = np.ones(len(batch["rewards"]), np.float32)
-            loss, td = self.call_api(
-                "update_from_external", batch["states"], batch["actions"],
-                np.asarray(batch["rewards"], np.float32),
-                np.asarray(batch["terminals"], bool), batch["next_states"],
-                np.asarray(weights, np.float32))
-        self.updates += 1
-        if self.config["sync_interval"] and \
-                self.updates % self.config["sync_interval"] == 0:
-            self.sync_target()
-        return float(np.asarray(loss)), np.asarray(td)
-
-    def _compute_gradients(self, batch: Dict):
-        weights = batch.get("importance_weights")
-        if weights is None:
-            weights = np.ones(len(batch["rewards"]), np.float32)
-        flat_grads, loss, td = self.call_api(
-            "compute_gradients", batch["states"], batch["actions"],
-            np.asarray(batch["rewards"], np.float32),
-            np.asarray(batch["terminals"], bool), batch["next_states"],
-            np.asarray(weights, np.float32))
-        return np.asarray(flat_grads), {
-            "losses": (float(np.asarray(loss)),),
-            "td": np.asarray(td),
-        }
-
-    def apply_gradients(self, flat_grads) -> bool:
-        """Fused apply + the same target-sync cadence as :meth:`update`."""
-        self.call_api("apply_gradients",
-                      np.ascontiguousarray(flat_grads, dtype=np.float32))
-        self.updates += 1
-        if self.config["sync_interval"] and \
-                self.updates % self.config["sync_interval"] == 0:
-            self.sync_target()
-            return True
-        return False
+    def _prepare_batch(self, batch: Dict) -> Dict:
+        if batch.get("importance_weights") is None:
+            batch = {**batch, "importance_weights":
+                     np.ones(len(batch["rewards"]), np.float32)}
+        return batch
 
     def sync_target(self):
         self.call_api("sync_target")
@@ -417,11 +296,9 @@ class ApexAgent(DQNAgent):
     """
 
     ROOT_SCOPE = "apex-agent"
-
-    def __init__(self, state_space, action_space, **kwargs):
-        kwargs.setdefault("dueling", True)
-        kwargs.setdefault("double_q", True)
-        kwargs.setdefault("n_step", 3)
-        kwargs.setdefault("prioritized_replay", False)  # shards hold priorities
-        kwargs.setdefault("memory_capacity", 4)  # in-graph memory unused
-        super().__init__(state_space, action_space, **kwargs)
+    DEFAULT_CONFIG = {
+        **DQNAgent.DEFAULT_CONFIG, "dueling": True, "double_q": True,
+        "n_step": 3,
+        "prioritized_replay": False,  # shards hold priorities
+        "memory_capacity": 4,  # in-graph memory unused
+    }

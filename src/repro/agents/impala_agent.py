@@ -9,15 +9,14 @@ FIFO queue and the staging area live in the execution layer
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.agents.agent import AGENTS, Agent
+from repro.agents.agent import AGENTS, Agent, LearnerRoot
 from repro.backend import functional as F
 from repro.backend.ops import handle_shape
 from repro.components.loss_functions import IMPALALoss
-from repro.components.optimizers import OPTIMIZERS
 from repro.components.policies import Policy
 from repro.components.preprocessing import PreprocessorStack
 from repro.core import Component, graph_fn, rlgraph_api
@@ -27,7 +26,9 @@ from repro.utils.errors import RLGraphError
 _UINT31 = 2**31 - 1
 
 
-class IMPALARoot(Component):
+class IMPALARoot(LearnerRoot):
+    STEP_API = "update_from_rollout"
+
     def __init__(self, agent: "IMPALAAgent", scope="impala-agent", **kwargs):
         super().__init__(scope=scope, **kwargs)
         cfg = agent.config
@@ -40,10 +41,7 @@ class IMPALARoot(Component):
             entropy_coeff=cfg["entropy_coeff"],
             clip_rho_threshold=cfg["clip_rho_threshold"],
             clip_pg_rho_threshold=cfg["clip_pg_rho_threshold"], scope="loss")
-        self.optimizer = OPTIMIZERS.from_spec(cfg["optimizer_spec"])
-        self.optimizer.set_variables_provider(
-            lambda: list(self.policy.variable_registry().values()))
-        self.optimizer.build_dependencies = [self.policy]
+        self.add_optimizer(cfg["optimizer_spec"], self.policy)
         self.add_components(self.preprocessor, self.policy, self.loss,
                             self.optimizer)
 
@@ -62,11 +60,11 @@ class IMPALARoot(Component):
         return actions, preprocessed
 
     # -- learner side -------------------------------------------------------------
-    @rlgraph_api
-    def update_from_rollout(self, rollout_states, rollout_actions,
-                            behaviour_log_probs, rewards, terminals,
-                            bootstrap_states):
-        """One v-trace update from a time-major rollout batch."""
+    def compose_loss(self, rollout_states, rollout_actions,
+                     behaviour_log_probs, rewards, terminals,
+                     bootstrap_states):
+        """The v-trace loss of a time-major rollout batch (or shard):
+        ``(total, policy_loss, value_loss)``."""
         flat_states, flat_actions = self._graph_fn_fold_time(
             rollout_states, rollout_actions)
         log_probs_flat = self.policy.get_action_log_probs(flat_states,
@@ -76,36 +74,9 @@ class IMPALARoot(Component):
         bootstrap_values = self.policy.get_state_values(bootstrap_states)
         log_probs, values, entropies = self._graph_fn_unfold_time(
             log_probs_flat, values_flat, entropies_flat, rewards)
-        total, policy_loss, value_loss = self.loss.get_loss(
+        return self.loss.get_loss(
             log_probs, behaviour_log_probs, values, bootstrap_values,
             rewards, terminals, entropies)
-        step_op = self.optimizer.step(total)
-        return self._graph_fn_result(total, policy_loss, value_loss, step_op)
-
-    @rlgraph_api
-    def compute_gradients(self, rollout_states, rollout_actions,
-                          behaviour_log_probs, rewards, terminals,
-                          bootstrap_states):
-        """V-trace loss composition minus the step: extract the flat
-        gradient slab for a (time-major) rollout shard."""
-        flat_states, flat_actions = self._graph_fn_fold_time(
-            rollout_states, rollout_actions)
-        log_probs_flat = self.policy.get_action_log_probs(flat_states,
-                                                          flat_actions)
-        values_flat = self.policy.get_state_values(flat_states)
-        entropies_flat = self.policy.get_entropy(flat_states)
-        bootstrap_values = self.policy.get_state_values(bootstrap_states)
-        log_probs, values, entropies = self._graph_fn_unfold_time(
-            log_probs_flat, values_flat, entropies_flat, rewards)
-        total, policy_loss, value_loss = self.loss.get_loss(
-            log_probs, behaviour_log_probs, values, bootstrap_values,
-            rewards, terminals, entropies)
-        flat_grads = self.optimizer.compute_flat_grads(total)
-        return flat_grads, total, policy_loss, value_loss
-
-    @rlgraph_api
-    def apply_gradients(self, flat_grads):
-        return self.optimizer.apply_flat_grads(flat_grads)
 
     @graph_fn(returns=2, requires_variables=False)
     def _graph_fn_fold_time(self, states, actions):
@@ -122,52 +93,37 @@ class IMPALARoot(Component):
         return (F.reshape_like(log_probs, ref), F.reshape_like(values, ref),
                 F.reshape_like(entropies, ref))
 
-    @graph_fn(returns=3, requires_variables=False)
-    def _graph_fn_result(self, total, policy_loss, value_loss, step_op):
-        if step_op is not None:
-            total = F.with_deps(total, step_op)
-        return total, policy_loss, value_loss
-
 
 @AGENTS.register("impala")
 class IMPALAAgent(Agent):
     """Importance-weighted actor-learner agent."""
 
-    def __init__(self, state_space, action_space, **kwargs):
-        config = {
-            "network_spec": [{"type": "dense", "units": 128,
-                              "activation": "relu"}],
-            "preprocessing_spec": [],
-            "value_coeff": 0.5,
-            "entropy_coeff": 0.01,
-            "clip_rho_threshold": 1.0,
-            "clip_pg_rho_threshold": 1.0,
-            "rollout_length": 20,
-            "optimizer_spec": {"type": "rmsprop", "learning_rate": 1e-3},
-        }
-        agent_kwargs = {}
-        for key in ("backend", "discount", "observe_flush_size", "seed",
-                    "auto_build", "device_map", "optimize"):
-            if key in kwargs:
-                agent_kwargs[key] = kwargs.pop(key)
-        unknown = set(kwargs) - set(config)
-        if unknown:
-            raise RLGraphError(f"Unknown IMPALA config keys: {sorted(unknown)}")
-        config.update(kwargs)
-        self.config = config
-        super().__init__(state_space, action_space, **agent_kwargs)
+    DEFAULT_CONFIG = {
+        "network_spec": [{"type": "dense", "units": 128,
+                          "activation": "relu"}],
+        "preprocessing_spec": [],
+        "value_coeff": 0.5,
+        "entropy_coeff": 0.01,
+        "clip_rho_threshold": 1.0,
+        "clip_pg_rho_threshold": 1.0,
+        "rollout_length": 20,
+        "optimizer_spec": {"type": "rmsprop", "learning_rate": 1e-3},
+    }
+    #: A time-major rollout dict: states (T,B,...), actions (T,B),
+    #: behaviour_log_probs (T,B), rewards (T,B), terminals (T,B),
+    #: bootstrap_states (B,...).
+    UPDATE_FEED = (("states", None), ("actions", None),
+                   ("behaviour_log_probs", np.float32),
+                   ("rewards", np.float32), ("terminals", bool),
+                   ("bootstrap_states", None))
 
     def build_root(self) -> Component:
         return IMPALARoot(self)
 
-    def preprocessed_space(self):
-        stack = PreprocessorStack(self.config["preprocessing_spec"])
-        return stack.transformed_space(self.state_space)
-
     def input_spaces(self) -> Dict[str, Any]:
         preprocessed = self.preprocessed_space()
         tm = dict(add_batch_rank=True, add_time_rank=True, time_major=True)
-        spaces = {
+        return {
             "states": self.state_space.with_batch_rank(),
             "time_step": IntBox(low=0, high=_UINT31),
             "rollout_states": preprocessed.strip_ranks().with_extra_ranks(**tm),
@@ -178,9 +134,6 @@ class IMPALAAgent(Agent):
             "terminals": BoolBox(**tm),
             "bootstrap_states": preprocessed.with_batch_rank(),
         }
-        if self.optimize != "none":
-            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
-        return spaces
 
     def get_actions(self, states, explore: bool = True, preprocess: bool = True):
         """Returns (actions, log_probs, preprocessed)."""
@@ -195,42 +148,8 @@ class IMPALAAgent(Agent):
         self.timesteps += len(states)
         return out
 
-    def update(self, batch: Optional[Dict] = None):
-        """V-trace update from a time-major rollout dict:
-        states (T,B,...), actions (T,B), behaviour_log_probs (T,B),
-        rewards (T,B), terminals (T,B), bootstrap_states (B,...)."""
-        if batch is None:
-            raise RLGraphError("IMPALA updates require a rollout batch")
-        total, policy_loss, value_loss = self.call_api(
-            "update_from_rollout", np.asarray(batch["states"]),
-            np.asarray(batch["actions"]),
-            np.asarray(batch["behaviour_log_probs"], np.float32),
-            np.asarray(batch["rewards"], np.float32),
-            np.asarray(batch["terminals"], bool),
-            np.asarray(batch["bootstrap_states"]))
-        self.updates += 1
-        return (float(np.asarray(total)), float(np.asarray(policy_loss)),
-                float(np.asarray(value_loss)))
-
     def shard_spec(self):
         """Rollout tensors are time-major (T, B, ...): learner groups
         shard along axis 1; ``bootstrap_states`` is (B, ...) and shards
         along axis 0 with the same boundaries."""
         return 1, {"bootstrap_states": 0}
-
-    def _compute_gradients(self, batch: Dict):
-        """Gradient extraction for a time-major rollout dict (same keys
-        as :meth:`update`).  Learner groups shard rollouts along the
-        batch axis (axis 1 of the (T, B, ...) tensors)."""
-        flat_grads, total, policy_loss, value_loss = self.call_api(
-            "compute_gradients", np.asarray(batch["states"]),
-            np.asarray(batch["actions"]),
-            np.asarray(batch["behaviour_log_probs"], np.float32),
-            np.asarray(batch["rewards"], np.float32),
-            np.asarray(batch["terminals"], bool),
-            np.asarray(batch["bootstrap_states"]))
-        return np.asarray(flat_grads), {
-            "losses": (float(np.asarray(total)),
-                       float(np.asarray(policy_loss)),
-                       float(np.asarray(value_loss))),
-        }

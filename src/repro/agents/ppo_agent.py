@@ -6,21 +6,21 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.agents.agent import AGENTS, Agent
+from repro.agents.agent import AGENTS, Agent, LearnerRoot
 from repro.agents.actor_critic_agent import discounted_returns
-from repro.backend import functional as F
 from repro.components.loss_functions import PPOLoss
-from repro.components.optimizers import OPTIMIZERS
 from repro.components.policies import Policy
 from repro.components.preprocessing import PreprocessorStack
-from repro.core import Component, graph_fn, rlgraph_api
+from repro.core import Component, rlgraph_api
 from repro.spaces import FloatBox, IntBox
 from repro.utils.errors import RLGraphError
 
 _UINT31 = 2**31 - 1
 
 
-class PPORoot(Component):
+class PPORoot(LearnerRoot):
+    STEP_API = "update_from_batch"
+
     def __init__(self, agent: "PPOAgent", scope="ppo-agent", **kwargs):
         super().__init__(scope=scope, **kwargs)
         cfg = agent.config
@@ -31,10 +31,7 @@ class PPORoot(Component):
         self.loss = PPOLoss(clip_ratio=cfg["clip_ratio"],
                             value_coeff=cfg["value_coeff"],
                             entropy_coeff=cfg["entropy_coeff"], scope="loss")
-        self.optimizer = OPTIMIZERS.from_spec(cfg["optimizer_spec"])
-        self.optimizer.set_variables_provider(
-            lambda: list(self.policy.variable_registry().values()))
-        self.optimizer.build_dependencies = [self.policy]
+        self.add_optimizer(cfg["optimizer_spec"], self.policy)
         self.add_components(self.preprocessor, self.policy, self.loss,
                             self.optimizer)
 
@@ -54,76 +51,43 @@ class PPORoot(Component):
         actions = self.policy.get_deterministic_action(preprocessed)
         return actions, preprocessed
 
-    @rlgraph_api
-    def update_from_batch(self, next_states, actions, old_log_probs,
-                          advantages, returns):
+    def compose_loss(self, next_states, actions, old_log_probs, advantages,
+                     returns):
+        """The clipped-surrogate loss: ``(total, policy_loss)``."""
         log_probs = self.policy.get_action_log_probs(next_states, actions)
         values = self.policy.get_state_values(next_states)
         entropies = self.policy.get_entropy(next_states)
-        total, policy_loss = self.loss.get_loss(
+        return self.loss.get_loss(
             log_probs, old_log_probs, advantages, values, returns, entropies)
-        step_op = self.optimizer.step(total)
-        return self._graph_fn_result(total, policy_loss, step_op)
-
-    @rlgraph_api
-    def compute_gradients(self, next_states, actions, old_log_probs,
-                          advantages, returns):
-        log_probs = self.policy.get_action_log_probs(next_states, actions)
-        values = self.policy.get_state_values(next_states)
-        entropies = self.policy.get_entropy(next_states)
-        total, policy_loss = self.loss.get_loss(
-            log_probs, old_log_probs, advantages, values, returns, entropies)
-        flat_grads = self.optimizer.compute_flat_grads(total)
-        return flat_grads, total, policy_loss
-
-    @rlgraph_api
-    def apply_gradients(self, flat_grads):
-        return self.optimizer.apply_flat_grads(flat_grads)
-
-    @graph_fn(returns=2, requires_variables=False)
-    def _graph_fn_result(self, total, policy_loss, step_op):
-        if step_op is not None:
-            total = F.with_deps(total, step_op)
-        return total, policy_loss
 
 
 @AGENTS.register("ppo")
 class PPOAgent(Agent):
     """PPO (Schulman et al. 2017) with multi-epoch minibatch updates."""
 
-    def __init__(self, state_space, action_space, **kwargs):
-        config = {
-            "network_spec": [{"type": "dense", "units": 128,
-                              "activation": "tanh"}],
-            "preprocessing_spec": [],
-            "clip_ratio": 0.2,
-            "value_coeff": 0.5,
-            "entropy_coeff": 0.01,
-            "epochs": 4,
-            "minibatch_size": 64,
-            "optimizer_spec": {"type": "adam", "learning_rate": 3e-4},
-        }
-        agent_kwargs = {}
-        for key in ("backend", "discount", "observe_flush_size", "seed",
-                    "auto_build", "device_map", "optimize"):
-            if key in kwargs:
-                agent_kwargs[key] = kwargs.pop(key)
-        unknown = set(kwargs) - set(config)
-        if unknown:
-            raise RLGraphError(f"Unknown PPO config keys: {sorted(unknown)}")
-        config.update(kwargs)
-        self.config = config
-        super().__init__(state_space, action_space, **agent_kwargs)
+    DEFAULT_CONFIG = {
+        "network_spec": [{"type": "dense", "units": 128,
+                          "activation": "tanh"}],
+        "preprocessing_spec": [],
+        "clip_ratio": 0.2,
+        "value_coeff": 0.5,
+        "entropy_coeff": 0.01,
+        "epochs": 4,
+        "minibatch_size": 64,
+        "optimizer_spec": {"type": "adam", "learning_rate": 3e-4},
+    }
+    #: ``batch``: states (preprocessed), actions, old_log_probs, and
+    #: either returns/advantages or what :meth:`_prepare_batch` derives
+    #: them from (rewards + terminals, values).
+    UPDATE_FEED = (("states", None), ("actions", None),
+                   ("old_log_probs", np.float32),
+                   ("advantages", np.float32), ("returns", np.float32))
 
     def build_root(self) -> Component:
         return PPORoot(self)
 
-    def preprocessed_space(self):
-        stack = PreprocessorStack(self.config["preprocessing_spec"])
-        return stack.transformed_space(self.state_space)
-
     def input_spaces(self) -> Dict[str, Any]:
-        spaces = {
+        return {
             "states": self.state_space.with_batch_rank(),
             "time_step": IntBox(low=0, high=_UINT31),
             "next_states": self.preprocessed_space().with_batch_rank(),
@@ -132,9 +96,6 @@ class PPOAgent(Agent):
             "advantages": FloatBox(add_batch_rank=True),
             "returns": FloatBox(add_batch_rank=True),
         }
-        if self.optimize != "none":
-            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
-        return spaces
 
     def get_actions(self, states, explore: bool = True, preprocess: bool = True):
         """Returns (actions, log_probs, values, preprocessed)."""
@@ -150,29 +111,31 @@ class PPOAgent(Agent):
         self.timesteps += len(states)
         return out
 
-    def update(self, batch: Optional[Dict] = None):
-        """Multi-epoch minibatch PPO update.
-
-        ``batch``: states (preprocessed), actions, old_log_probs, rewards,
-        terminals (or precomputed returns/advantages), values.
-        """
-        if batch is None:
-            raise RLGraphError("PPO is on-policy; pass a rollout batch")
-        states = np.asarray(batch["states"])
-        actions = np.asarray(batch["actions"])
-        old_log_probs = np.asarray(batch["old_log_probs"], np.float32)
+    def _prepare_batch(self, batch: Dict) -> Dict:
+        """Returns and normalized advantages. The normalization is a
+        statistic of *this* batch — when a learner group shards the
+        batch it becomes per-shard (documented group semantics)."""
         if "returns" in batch:
             returns = np.asarray(batch["returns"], np.float32)
         else:
             returns = discounted_returns(batch["rewards"], batch["terminals"],
-                                          self.discount)
+                                         self.discount)
         if "advantages" in batch:
             advantages = np.asarray(batch["advantages"], np.float32)
         else:
             advantages = returns - np.asarray(batch["values"], np.float32)
-        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        advantages = ((advantages - advantages.mean())
+                      / (advantages.std() + 1e-8))
+        return {**batch, "returns": returns, "advantages": advantages}
 
-        n = len(states)
+    def update(self, batch: Optional[Dict] = None):
+        """Multi-epoch minibatch PPO update; returns the mean total
+        loss. (:meth:`get_gradients` is one pass over the whole prepared
+        batch — learner groups shard it instead of looping.)"""
+        if batch is None:
+            raise RLGraphError("PPO is on-policy; pass a rollout batch")
+        feed = self.update_feed(batch)
+        n = len(feed[0])
         mb = min(self.config["minibatch_size"], n)
         rng = self.seeds.rng("ppo-minibatch", self.updates)
         losses = []
@@ -180,38 +143,8 @@ class PPOAgent(Agent):
             order = rng.permutation(n)
             for start in range(0, n, mb):
                 idx = order[start:start + mb]
-                total, _ = self.call_api(
-                    "update_from_batch", states[idx], actions[idx],
-                    old_log_probs[idx], advantages[idx], returns[idx])
+                total, _ = self.call_api("update_from_batch",
+                                         *[x[idx] for x in feed])
                 losses.append(float(np.asarray(total)))
-        self.updates += 1
+        self._count_update()
         return float(np.mean(losses))
-
-    def _compute_gradients(self, batch: Dict):
-        """Single-step gradient extraction (one pass over the batch — no
-        epoch/minibatch loop; learner groups shard the prepared batch
-        instead).  Advantage normalization mirrors :meth:`update` and is
-        therefore a statistic of *this* batch — when sharded across a
-        learner group it becomes per-shard (documented group semantics).
-        """
-        states = np.asarray(batch["states"])
-        actions = np.asarray(batch["actions"])
-        old_log_probs = np.asarray(batch["old_log_probs"], np.float32)
-        if "returns" in batch:
-            returns = np.asarray(batch["returns"], np.float32)
-        else:
-            returns = discounted_returns(batch["rewards"], batch["terminals"],
-                                          self.discount)
-        if "advantages" in batch:
-            advantages = np.asarray(batch["advantages"], np.float32)
-        else:
-            advantages = returns - np.asarray(batch["values"], np.float32)
-        advantages = ((advantages - advantages.mean())
-                      / (advantages.std() + 1e-8))
-        flat_grads, total, policy_loss = self.call_api(
-            "compute_gradients", states, actions, old_log_probs,
-            advantages, returns)
-        return np.asarray(flat_grads), {
-            "losses": (float(np.asarray(total)),
-                       float(np.asarray(policy_loss))),
-        }

@@ -13,13 +13,13 @@ temperature α is learned against an entropy target.
 
 Unlike the discrete agents, SAC's update cannot be phrased as gradients
 of one scalar loss over one variable list — the actor loss must not
-update the critics and vice versa. The root therefore computes each
-group's gradients itself (``grads_of(actor_loss, policy_vars)``, ...)
-and feeds the assembled per-variable list through the optimizer's
-precomputed-gradient entry points (``step_from_grads`` /
-``flatcat_grads``), which reuse the exact fused/per-variable lowering of
-``step`` — so SAC inherits every ``optimize`` level and the flat-slab
-learner-group machinery unchanged.
+update the critics and vice versa. The root therefore binds its
+optimizer to three variable groups (policy, twin critics, temperature)
+and its loss composition returns one objective per group; the optimizer
+differentiates each objective w.r.t. its own group only and takes ONE
+step over the joint list — so SAC goes through the same derived learner
+endpoints as every other agent and inherits every ``optimize`` level and
+the flat-slab learner-group machinery unchanged.
 
 Reparameterization noise is generated HOST-side (``SeedStream`` keyed on
 the update counter, or passed in the batch as ``noise``/``next_noise``)
@@ -41,17 +41,15 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.backend import functional as F
-from repro.backend.gradients import grads_of
 from repro.backend.ops import handle_shape
 from repro.components.common import ContainerSplitter, Synchronizer
 from repro.components.memories import ReplayMemory
 from repro.components.neural_networks.neural_network import NeuralNetwork
-from repro.components.optimizers import OPTIMIZERS
 from repro.components.policies import Policy, SquashedGaussian
 from repro.components.policies.policy import ValueHead
 from repro.components.preprocessing import PreprocessorStack
 from repro.core import Component, graph_fn, rlgraph_api
-from repro.agents.agent import AGENTS, Agent
+from repro.agents.agent import AGENTS, Agent, LearnerRoot
 from repro.spaces import BoolBox, Dict as DictSpace, FloatBox, IntBox
 from repro.spaces.space_utils import space_from_spec
 from repro.utils.errors import RLGraphError
@@ -101,7 +99,7 @@ class Temperature(Component):
             initializer=float(np.log(self.initial_alpha)))
 
 
-class SACRoot(Component):
+class SACRoot(LearnerRoot):
     """Root component wiring policy, twin critics, targets, α, memory."""
 
     def __init__(self, agent: "SACAgent", scope: str = "sac-agent", **kwargs):
@@ -128,10 +126,9 @@ class SACRoot(Component):
         self.splitter = ContainerSplitter(
             "states", "actions", "rewards", "terminals", "next_states",
             scope="record-splitter")
-        self.optimizer = OPTIMIZERS.from_spec(cfg["optimizer_spec"])
-        self.optimizer.set_variables_provider(self._trainables)
-        self.optimizer.build_dependencies = [
-            self.policy, self.q1, self.q2, self.temperature]
+        # One variable group per objective compose_loss returns.
+        self.add_optimizer(cfg["optimizer_spec"], self.policy,
+                           (self.q1, self.q2), self.temperature)
         # Per-critic Polyak trackers. flat=False: each critic's variable
         # set is a subset of the joint optimizer slab and cannot
         # re-coalesce into its own (see Synchronizer docstring).
@@ -150,14 +147,6 @@ class SACRoot(Component):
                             self.target_q1, self.target_q2, self.temperature,
                             self.memory, self.splitter, self.optimizer,
                             self.sync1, self.sync2)
-
-    def _trainables(self):
-        """Joint optimizer variable list — order is the contract between
-        the provider and the gradient groups in the update graph fns."""
-        out = []
-        for comp in (self.policy, self.q1, self.q2, self.temperature):
-            out.extend(comp.variable_registry().values())
-        return out
 
     # -- acting --------------------------------------------------------------
     @rlgraph_api
@@ -182,48 +171,28 @@ class SACRoot(Component):
     def update_from_memory(self, batch_size, noise, next_noise):
         sample, indices, importance_weights = self.memory.get_records(
             batch_size)
-        s, a, r, t, next_s = self.splitter.split(sample)
-        return self._update(s, a, r, t, next_s, noise, next_noise)
+        return self.loss_and_step(*self.splitter.split(sample), noise,
+                                  next_noise)
 
-    @rlgraph_api
-    def update_from_external(self, preprocessed_states, actions, rewards,
-                             terminals, next_states, noise, next_noise):
-        return self._update(preprocessed_states, actions, rewards, terminals,
-                            next_states, noise, next_noise)
-
-    @rlgraph_api
-    def compute_gradients(self, preprocessed_states, actions, rewards,
-                          terminals, next_states, noise, next_noise):
-        """Same loss composition as ``update_from_external`` but the
-        grouped gradients only flatcat into the slab vector — no step."""
-        parts = self._forward(preprocessed_states, actions, rewards, terminals,
-                              next_states, noise, next_noise)
-        return self._graph_fn_extract_grads(*parts)
-
-    @rlgraph_api
-    def apply_gradients(self, flat_grads):
-        return self.optimizer.apply_flat_grads(flat_grads)
-
-    def _update(self, s, a, r, t, next_s, noise, next_noise):
-        parts = self._forward(s, a, r, t, next_s, noise, next_noise)
-        return self._graph_fn_losses_and_step(*parts)
-
-    def _forward(self, s, a, r, t, next_s, noise, next_noise):
-        """Shared forward composition (plain helper called from APIs):
-        squashed samples for both state batches, the five Q evaluations,
-        and the tensors the loss functions need."""
-        params = self.policy.get_logits(s)
-        next_params = self.policy.get_logits(next_s)
+    def compose_loss(self, preprocessed_states, actions, rewards, terminals,
+                     next_states, noise, next_noise):
+        """``((actor, critic, alpha) objectives, td)``: squashed samples
+        for both state batches, the five Q evaluations, then the loss
+        trio over them."""
+        params = self.policy.get_logits(preprocessed_states)
+        next_params = self.policy.get_logits(next_states)
         new_a, log_pi, next_a, next_log_pi = self._graph_fn_policy_sample(
             params, next_params, noise, next_noise)
-        q1_pred = self.q1.get_q_value(s, a)
-        q2_pred = self.q2.get_q_value(s, a)
-        q1_new = self.q1.get_q_value(s, new_a)
-        q2_new = self.q2.get_q_value(s, new_a)
-        q1_target = self.target_q1.get_q_value(next_s, next_a)
-        q2_target = self.target_q2.get_q_value(next_s, next_a)
-        return (r, t, q1_pred, q2_pred, q1_new, q2_new, q1_target, q2_target,
-                log_pi, next_log_pi)
+        q1_pred = self.q1.get_q_value(preprocessed_states, actions)
+        q2_pred = self.q2.get_q_value(preprocessed_states, actions)
+        q1_new = self.q1.get_q_value(preprocessed_states, new_a)
+        q2_new = self.q2.get_q_value(preprocessed_states, new_a)
+        q1_target = self.target_q1.get_q_value(next_states, next_a)
+        q2_target = self.target_q2.get_q_value(next_states, next_a)
+        actor, critic, alpha, td = self._graph_fn_losses(
+            rewards, terminals, q1_pred, q2_pred, q1_new, q2_new, q1_target,
+            q2_target, log_pi, next_log_pi)
+        return (actor, critic, alpha), td
 
     @graph_fn(returns=4, requires_variables=False)
     def _graph_fn_policy_sample(self, params, next_params, noise, next_noise):
@@ -250,10 +219,11 @@ class SACRoot(Component):
             return np.zeros((pshape[0], self.agent.action_dim), np.float32)
         return noise
 
-    def _sac_losses(self, r, t, q1_pred, q2_pred, q1_new, q2_new, q1_target,
-                    q2_target, log_pi, next_log_pi):
-        """Loss trio + grouped gradients in optimizer-variable order.
-        Called from inside a graph function (needs a backend context)."""
+    @graph_fn(returns=4, requires_variables=False)
+    def _graph_fn_losses(self, r, t, q1_pred, q2_pred, q1_new, q2_new,
+                         q1_target, q2_target, log_pi, next_log_pi):
+        """Actor / critic / temperature losses (the optimizer's
+        variable-group order) and the TD errors."""
         log_alpha = self.temperature.log_alpha.read()
         alpha = F.exp(F.stop_gradient(log_alpha))
         # Critic: y = r + γ(1-t)·(min(Q1t,Q2t)(s',a') − α·logπ(a'|s'))
@@ -274,29 +244,7 @@ class SACRoot(Component):
         entropy_err = F.stop_gradient(
             F.add(log_pi, float(self.agent.target_entropy)))
         alpha_loss = F.neg(F.reduce_mean(F.mul(log_alpha, entropy_err)))
-
-        policy_vars = list(self.policy.variable_registry().values())
-        q_vars = (list(self.q1.variable_registry().values())
-                  + list(self.q2.variable_registry().values()))
-        alpha_vars = list(self.temperature.variable_registry().values())
-        grads = (grads_of(actor_loss, policy_vars)
-                 + grads_of(critic_loss, q_vars)
-                 + grads_of(alpha_loss, alpha_vars))
-        total = F.add(F.add(critic_loss, actor_loss), alpha_loss)
-        return total, td, grads
-
-    @graph_fn(returns=2, requires_variables=False)
-    def _graph_fn_losses_and_step(self, *parts):
-        total, td, grads = self._sac_losses(*parts)
-        step_op = self.optimizer.step_from_grads(grads)
-        if step_op is not None:
-            total = F.with_deps(total, step_op)
-        return total, td
-
-    @graph_fn(returns=3, requires_variables=False)
-    def _graph_fn_extract_grads(self, *parts):
-        total, td, grads = self._sac_losses(*parts)
-        return self.optimizer.flatcat_grads(grads), total, td
+        return actor_loss, critic_loss, alpha_loss, td
 
     # -- target sync -----------------------------------------------------------
     @rlgraph_api
@@ -323,30 +271,25 @@ class SACAgent(Agent):
     """
 
     ROOT_SCOPE = "sac-agent"
+    DEFAULT_CONFIG = {
+        "network_spec": DEFAULT_NETWORK,
+        "q_network_spec": None,
+        "preprocessing_spec": [],
+        "memory_capacity": 10_000,
+        "batch_size": 64,
+        "optimizer_spec": {"type": "adam", "learning_rate": 3e-4},
+        "tau": 0.005,
+        "sync_interval": 1,
+        "initial_alpha": 1.0,
+        "target_entropy": None,
+    }
+    UPDATE_FEED = (("states", None), ("actions", np.float32),
+                   ("rewards", np.float32), ("terminals", bool),
+                   ("next_states", None), ("noise", np.float32),
+                   ("next_noise", np.float32))
+    SYNC_API = "sync_targets"
 
     def __init__(self, state_space, action_space, **kwargs):
-        config = {
-            "network_spec": DEFAULT_NETWORK,
-            "q_network_spec": None,
-            "preprocessing_spec": [],
-            "memory_capacity": 10_000,
-            "batch_size": 64,
-            "optimizer_spec": {"type": "adam", "learning_rate": 3e-4},
-            "tau": 0.005,
-            "sync_interval": 1,
-            "initial_alpha": 1.0,
-            "target_entropy": None,
-        }
-        agent_kwargs = {}
-        for key in ("backend", "discount", "observe_flush_size", "seed",
-                    "auto_build", "device_map", "optimize"):
-            if key in kwargs:
-                agent_kwargs[key] = kwargs.pop(key)
-        unknown = set(kwargs) - set(config)
-        if unknown:
-            raise RLGraphError(f"Unknown SAC config keys: {sorted(unknown)}")
-        config.update(kwargs)
-        self.config = config
         # Space checks + derived sizes must precede build() in the base
         # constructor (build_root reads them).
         action = space_from_spec(action_space)
@@ -358,19 +301,16 @@ class SACAgent(Agent):
                 "SAC requires bounded actions (the tanh squash maps onto "
                 "[low, high])")
         self.action_dim = int(action.shape[0])
-        if config["target_entropy"] is None:
-            self.target_entropy = -float(self.action_dim)
-        else:
-            self.target_entropy = float(config["target_entropy"])
-        super().__init__(state_space, action_space, **agent_kwargs)
+        super().__init__(state_space, action_space, **kwargs)
+
+    @property
+    def target_entropy(self) -> float:
+        target = self.config["target_entropy"]
+        return -float(self.action_dim) if target is None else float(target)
 
     # -- wiring ---------------------------------------------------------------
     def build_root(self) -> Component:
         return SACRoot(self, scope=self.ROOT_SCOPE)
-
-    def preprocessed_space(self):
-        stack = PreprocessorStack(self.config["preprocessing_spec"])
-        return stack.transformed_space(self.state_space)
 
     def input_spaces(self) -> Dict[str, Any]:
         preprocessed = self.preprocessed_space().with_batch_rank()
@@ -383,7 +323,7 @@ class SACAgent(Agent):
             add_batch_rank=True,
         )
         noise_space = FloatBox(shape=(self.action_dim,), add_batch_rank=True)
-        spaces = {
+        return {
             "states": self.state_space.with_batch_rank(),
             "preprocessed_states": preprocessed,
             "time_step": IntBox(low=0, high=_UINT31),
@@ -397,12 +337,6 @@ class SACAgent(Agent):
             "next_noise": FloatBox(shape=(self.action_dim,),
                                    add_batch_rank=True),
         }
-        if self.optimize != "none":
-            # Gradient-apply endpoint needs the fused flat-slab
-            # construction; omitting the space skips its assembly in the
-            # per-variable ablation build.
-            spaces["flat_grads"] = FloatBox(add_batch_rank=True)
-        return spaces
 
     # -- API ----------------------------------------------------------------------
     def get_actions(self, states, explore: bool = True,
@@ -426,68 +360,26 @@ class SACAgent(Agent):
         self.call_api("insert_records", records)
 
     # -- noise plumbing -----------------------------------------------------------
-    def _update_noise(self, batch_size: int, batch: Optional[Dict] = None):
-        """Reparameterization noise for one update: taken from the batch
-        when the caller supplies it (learner groups shard it with the
-        data), else drawn from the seed stream keyed on the update
-        counter — deterministic across backends and across
-        checkpoint/resume."""
-        if batch is not None and "noise" in batch:
-            return (np.asarray(batch["noise"], np.float32),
-                    np.asarray(batch["next_noise"], np.float32))
+    def _noise(self, batch_size: int):
+        """Reparameterization noise for one update, drawn from the seed
+        stream keyed on the update counter — deterministic across
+        backends and across checkpoint/resume."""
         rng = self.seeds.rng("sac-noise", self.updates)
         shape = (int(batch_size), self.action_dim)
         return (rng.standard_normal(shape).astype(np.float32),
                 rng.standard_normal(shape).astype(np.float32))
 
-    def _maybe_sync(self) -> bool:
-        if self.config["sync_interval"] and \
-                self.updates % self.config["sync_interval"] == 0:
-            self.sync_targets()
-            return True
-        return False
+    def _prepare_batch(self, batch: Dict) -> Dict:
+        """Noise is taken from the batch when the caller supplies it
+        (learner groups shard it with the data)."""
+        if "noise" in batch:
+            return batch
+        noise, next_noise = self._noise(len(batch["rewards"]))
+        return {**batch, "noise": noise, "next_noise": next_noise}
 
-    def update(self, batch: Optional[Dict] = None):
-        """One SAC step (critics + actor + α through one fused update),
-        then the Polyak target sync on its cadence. Returns (loss, td)."""
-        if batch is None:
-            batch_size = self.config["batch_size"]
-            noise, next_noise = self._update_noise(batch_size)
-            loss, td = self.call_api("update_from_memory",
-                                     np.asarray(batch_size), noise,
-                                     next_noise)
-        else:
-            noise, next_noise = self._update_noise(len(batch["rewards"]),
-                                                   batch)
-            loss, td = self.call_api(
-                "update_from_external", batch["states"],
-                np.asarray(batch["actions"], np.float32),
-                np.asarray(batch["rewards"], np.float32),
-                np.asarray(batch["terminals"], bool), batch["next_states"],
-                noise, next_noise)
-        self.updates += 1
-        self._maybe_sync()
-        return float(np.asarray(loss)), np.asarray(td)
-
-    def _compute_gradients(self, batch: Dict):
-        noise, next_noise = self._update_noise(len(batch["rewards"]), batch)
-        flat_grads, loss, td = self.call_api(
-            "compute_gradients", batch["states"],
-            np.asarray(batch["actions"], np.float32),
-            np.asarray(batch["rewards"], np.float32),
-            np.asarray(batch["terminals"], bool), batch["next_states"],
-            noise, next_noise)
-        return np.asarray(flat_grads), {
-            "losses": (float(np.asarray(loss)),),
-            "td": np.asarray(td),
-        }
-
-    def apply_gradients(self, flat_grads) -> bool:
-        """Fused apply + the same Polyak cadence as :meth:`update`."""
-        self.call_api("apply_gradients",
-                      np.ascontiguousarray(flat_grads, dtype=np.float32))
-        self.updates += 1
-        return self._maybe_sync()
+    def _memory_feed(self):
+        batch_size = self.config["batch_size"]
+        return (np.asarray(batch_size), *self._noise(batch_size))
 
     def sync_targets(self):
         self.call_api("sync_targets")

@@ -19,11 +19,18 @@ Two update constructions exist:
   the slab, and the whole update is ONE multi-tensor op
   (``fused_adam``/``fused_rmsprop``/``fused_sgd``) — O(1) graph nodes
   regardless of the number of variables K, vs O(10·K) per-variable.
-* **per-variable** (``optimize="none"``, or ``fused=False``) — the seed
-  construction, kept as the paper-faithful ablation baseline.
+* **per-variable** (``optimize="none"`` only) — the seed construction,
+  kept as the paper-faithful ablation baseline and as the reference the
+  tests compare the fused path against.
 
 Both produce identical weights (bitwise without clipping; the flat
 global-norm reduction reorders one summation).
+
+The optimizer may be bound to several variable *groups* (one provider
+each). The objective handed to ``step`` / ``compute_flat_grads`` is then
+a tuple with one scalar per group, and each scalar is differentiated
+w.r.t. its own group only — how SAC keeps the actor loss out of the
+critic weights while still taking ONE fused step over one slab.
 """
 
 from __future__ import annotations
@@ -52,31 +59,32 @@ class Optimizer(Component):
     """
 
     def __init__(self, learning_rate: float = 1e-3, clip_grad_norm: Optional[float] = None,
-                 fused: Optional[bool] = None, scope: str = "optimizer",
-                 **kwargs):
+                 scope: str = "optimizer", **kwargs):
         super().__init__(scope=scope, **kwargs)
         self.learning_rate = float(learning_rate)
         self.clip_grad_norm = clip_grad_norm
-        # None = auto: fused unless the build runs at optimize="none"
-        # (the paper-faithful per-variable ablation).
-        self.fused = fused
         self._use_fused: Optional[bool] = None
         self._param_slab: Optional[ParamSlab] = None
+        # One list per variable group; self._variables is their
+        # concatenation (the order per-variable gradients travel in).
+        self._groups: List[List[Variable]] = []
         self._variables: List[Variable] = []
-        self._variables_provider = None
+        self._providers: Sequence = ()
         self._step_var = None
         # Nodes added by the update construction itself (everything past
         # the gradient computation) — the O(10·K) vs O(1) metric.
         self.update_node_count: Optional[int] = None
 
     def set_variables(self, variables: Sequence[Variable]) -> None:
-        self._variables = list(variables)
+        variables = list(variables)
+        self.set_variables_provider(lambda: variables)
 
-    def set_variables_provider(self, provider) -> None:
-        """Defer the variable list to build time (``provider`` is called
+    def set_variables_provider(self, *providers) -> None:
+        """Defer the variable list to build time (a provider is called
         when the update ops are created, after the owning policy has made
-        its variables)."""
-        self._variables_provider = provider
+        its variables). Several providers bind one variable group each
+        (see the module docstring)."""
+        self._providers = providers
 
     def create_variables(self, input_spaces):
         self._step_var = self.get_variable("step", shape=(), dtype=np.int64,
@@ -103,7 +111,7 @@ class Optimizer(Component):
     @graph_fn
     def _graph_fn_step(self, *losses):
         self._resolve_variables()
-        tower_grads = [grads_of(loss, self._variables) for loss in losses]
+        tower_grads = [self._gradients(loss) for loss in losses]
         graph = context.current_graph() if context.is_symbolic() else None
         base_nodes = len(graph.nodes) if graph is not None else 0
         if self._resolve_fused():
@@ -124,10 +132,7 @@ class Optimizer(Component):
         exactly as the single-learner in-graph step clips the full-batch
         gradient."""
         self._resolve_variables()
-        grads = grads_of(loss, self._variables)
-        by_var = {id(v): g for v, g in zip(self._variables, grads)}
-        members = self._flat_members()
-        return F.flatcat([by_var[id(m)] for m in members])
+        return self._flatcat(self._gradients(loss))
 
     @graph_fn
     def _graph_fn_apply_flat(self, flat_grads):
@@ -155,48 +160,29 @@ class Optimizer(Component):
             flat_grads = np.zeros(self.flat_grad_size(), np.float32)
         return self._apply_flat(flat_grads)
 
-    # -- precomputed-gradient entry points ---------------------------------------
-    # Some agents (SAC) cannot express their update as gradients of one
-    # scalar loss over the full variable list: the actor loss must not
-    # touch critic weights and vice versa, so the root computes each
-    # group's gradients itself (``grads_of(actor_loss, policy_vars)``,
-    # ...) and hands the assembled per-variable list here. These helpers
-    # are called from inside the agent's graph functions (like
-    # ``grads_of``), not as API methods.
-
-    def step_from_grads(self, grads):
-        """Apply ONE update from precomputed per-variable gradients
-        (ordered like ``self._variables``), routed through the exact
-        fused or per-variable lowering :meth:`step` would build."""
-        self._resolve_variables()
-        grads = list(grads)
-        if len(grads) != len(self._variables):
+    def _gradients(self, loss):
+        """Per-variable gradients in ``self._variables`` order: of the
+        scalar ``loss`` w.r.t. every variable, or — for a tuple with one
+        scalar per variable group — of each scalar w.r.t. its group."""
+        if not isinstance(loss, tuple):
+            return grads_of(loss, self._variables)
+        if len(loss) != len(self._groups):
             raise RLGraphError(
-                f"Optimizer {self.global_scope}: step_from_grads got "
-                f"{len(grads)} gradients for {len(self._variables)} "
-                f"variables")
-        if self._resolve_fused():
-            return self._fused_step([grads])
-        return self._per_variable_step([grads])
+                f"Optimizer {self.global_scope}: got {len(loss)} objectives "
+                f"for {len(self._groups)} variable groups")
+        return [g for part, group in zip(loss, self._groups)
+                for g in grads_of(part, group)]
 
-    def flatcat_grads(self, grads):
-        """Collapse precomputed per-variable gradients into the flat
-        slab vector (members sorted by name), *unclipped* — the
-        extraction half for precomputed-grad agents, mirroring
-        :meth:`compute_flat_grads`."""
-        self._resolve_variables()
-        grads = list(grads)
-        if len(grads) != len(self._variables):
-            raise RLGraphError(
-                f"Optimizer {self.global_scope}: flatcat_grads got "
-                f"{len(grads)} gradients for {len(self._variables)} "
-                f"variables")
+    def _flatcat(self, grads):
+        """Collapse per-variable gradients (``self._variables`` order)
+        through ONE ``flatcat`` node into the flat slab vector."""
         by_var = {id(v): g for v, g in zip(self._variables, grads)}
         return F.flatcat([by_var[id(m)] for m in self._flat_members()])
 
     def _resolve_variables(self) -> None:
-        if not self._variables and self._variables_provider is not None:
-            self._variables = list(self._variables_provider())
+        if not self._variables and self._providers:
+            self._groups = [list(provider()) for provider in self._providers]
+            self._variables = [v for group in self._groups for v in group]
         if not self._variables:
             raise RLGraphError(
                 f"Optimizer {self.global_scope}: set_variables() was never "
@@ -219,20 +205,15 @@ class Optimizer(Component):
     def _resolve_fused(self) -> bool:
         """Decide (once) between the fused and per-variable paths.
 
-        Explicit ``fused=`` wins; otherwise fused unless the owning
-        build runs at ``optimize="none"``. Falls back to per-variable
-        when the subclass has no fused rule or a variable cannot
-        coalesce (non-float32)."""
+        Fused unless the owning build runs at ``optimize="none"`` (the
+        paper-faithful per-variable ablation). Falls back to
+        per-variable when the subclass has no fused rule or a variable
+        cannot coalesce (non-float32)."""
         if self._use_fused is not None:
             return self._use_fused
-        if self.fused is not None:
-            use = bool(self.fused)
-        else:
-            from repro.core.component import get_current_build
-            build = get_current_build()
-            level = getattr(build, "optimize", "fused") \
-                if build is not None else "fused"
-            use = level != "none"
+        from repro.core.component import get_current_build
+        build = get_current_build()
+        use = getattr(build, "optimize", "fused") != "none"
         if use and type(self)._apply_fused_update \
                 is Optimizer._apply_fused_update:
             use = False
@@ -243,13 +224,9 @@ class Optimizer(Component):
 
     # -- fused (flat-parameter) construction ------------------------------------
     def _fused_step(self, tower_grads):
-        slab = self._ensure_param_slab()
         # Gradients arrive in self._variables order; the slab layout is
-        # sorted by name — reorder so segment i belongs to member i.
-        by_var = [{id(v): g for v, g in zip(self._variables, tg)}
-                  for tg in tower_grads]
-        flats = [F.flatcat([bv[id(m)] for m in slab.members])
-                 for bv in by_var]
+        # sorted by name — _flatcat reorders so segment i is member i.
+        flats = [self._flatcat(tg) for tg in tower_grads]
         if len(flats) == 1:
             flat = flats[0]
         else:

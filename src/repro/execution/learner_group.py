@@ -8,7 +8,7 @@ semantics, applied to the *update* side of the loop):
    :func:`~repro.components.common.batch_splitter.split_batch` (the last
    shard absorbs ``B % K`` rows — nothing is dropped);
 2. every replica runs only the gradient half of the fused optimizer step
-   (``Agent.get_gradients(flat=True)``) and writes its flat gradient
+   (``Agent.get_gradients``) and writes its flat gradient
    slab — pre-scaled by ``n_k / B`` so the all-reduce SUM equals the
    full-batch mean — into its persistent pooled shared-memory block;
 3. the slabs are all-reduced in place over those blocks
@@ -164,7 +164,7 @@ class LearnerReplicaActor:
         shards included) and written into this rank's block; only the
         small loss/TD stats return over the pipe.  Without a ring the
         scaled slab itself rides back in the stats dict (fallback)."""
-        flat, stats = self.agent.get_gradients(shard, flat=True)
+        flat, stats = self.agent.get_gradients(shard)
         scaled = flat * np.float32(scale)
         if self._member is not None:
             self._member.write(scaled)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.agents import ApexAgent, DQNAgent
-from repro.backend import XGRAPH, XTAPE
+from repro.backend import XGRAPH, XTAPE, native
 from repro.environments import GridWorld
 from repro.spaces import FloatBox, IntBox
 from repro.utils import RLGraphError
@@ -198,3 +198,37 @@ class TestApexAgent:
         }
         loss, td = agent.update(batch)
         assert np.isfinite(loss) and len(td) == 4
+
+    @pytest.mark.parametrize("optimize", [
+        "basic", "fused", pytest.param("native", marks=pytest.mark.native)])
+    def test_td_errors_agree_across_learner_endpoints(self, backend,
+                                                      optimize):
+        """The Ape-X invariant: on the same weights and batch, the
+        worker-side ``get_td_errors`` (priorities), ``compute_gradients``
+        (learner groups) and the in-graph update report the same TD
+        errors — all three derive from one loss composition."""
+        if optimize == "native" and not native.toolchain_available():
+            pytest.skip("no C toolchain")
+        agent = ApexAgent(state_space=(8,), action_space=IntBox(3),
+                          network_spec=[{"type": "dense", "units": 16}],
+                          backend=backend, optimize=optimize, seed=3)
+        rng = np.random.default_rng(0)
+        batch = {
+            "states": rng.standard_normal((6, 8)).astype(np.float32),
+            "actions": rng.integers(0, 3, 6),
+            "rewards": rng.normal(size=6).astype(np.float32),
+            "terminals": rng.random(6) < 0.3,
+            "next_states": rng.standard_normal((6, 8)).astype(np.float32),
+            "importance_weights": rng.uniform(0.2, 1.5, 6).astype(np.float32),
+        }
+        td_worker = np.asarray(agent.call_api(
+            "get_td_errors", *agent.update_feed(batch)))
+        _, stats = agent.get_gradients(batch)
+        _, td_update = agent.update(batch)
+        assert np.any(td_worker != 0.0)
+        for td in (stats["td"], td_update):
+            if optimize == "basic":
+                np.testing.assert_array_equal(td, td_worker)
+            else:
+                np.testing.assert_allclose(td, td_worker, rtol=1e-5,
+                                           atol=1e-6)

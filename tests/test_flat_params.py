@@ -217,14 +217,6 @@ class TestFusedOptimizerParity:
         assert problem.optimizer._use_fused
         np.testing.assert_array_equal(state, ref_state)
 
-    def test_explicit_fused_false_keeps_per_variable(self, backend):
-        _, _, problem = _drive(
-            lambda: Adam(learning_rate=0.05, fused=False), "fused", backend,
-            steps=2)
-        assert problem.optimizer._use_fused is False
-        assert not any(name.endswith("-slab")
-                       for name in problem.optimizer.variables)
-
     def test_optimize_none_keeps_seed_construction(self, backend):
         _, _, problem = _drive(lambda: Adam(learning_rate=0.05), "none",
                                backend, steps=2)

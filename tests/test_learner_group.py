@@ -150,7 +150,7 @@ def _run_updates(agent, kind):
 
 def _run_extract_apply(agent, kind):
     for batch in batches(kind):
-        flat, _stats = agent.get_gradients(batch, flat=True)
+        flat, _stats = agent.get_gradients(batch)
         agent.apply_gradients(flat)
     return agent.get_weights(flat=True)
 
@@ -161,7 +161,7 @@ def _run_single_steps(agent, kind):
     For DQN/A2C/IMPALA this is just ``update()``.  PPO's ``update()``
     loops epochs × minibatches, so its extraction reference is ONE
     in-graph ``update_from_batch`` step on the same prepared full batch
-    (advantages normalized exactly as ``_compute_gradients`` does)."""
+    (advantages normalized exactly as ``PPOAgent._prepare_batch`` does)."""
     if kind != "ppo":
         return _run_updates(agent, kind)
     for batch in batches(kind):
@@ -200,7 +200,7 @@ class TestGradientExtractionParity:
 
     def test_gradients_unclipped_and_slab_sized(self):
         agent = make_agent("dqn")
-        flat, stats = agent.get_gradients(batches("dqn")[0], flat=True)
+        flat, stats = agent.get_gradients(batches("dqn")[0])
         assert flat.shape == (agent.flat_grad_size(),)
         assert flat.dtype == np.float32
         assert "losses" in stats and "td" in stats
@@ -212,7 +212,7 @@ class TestGradientExtractionParity:
         vector concatenated in the same sorted-by-name order), but the
         apply half needs the fused slab and is not built."""
         agent = make_agent("dqn", "none")
-        flat, _stats = agent.get_gradients(batches("dqn")[0], flat=True)
+        flat, _stats = agent.get_gradients(batches("dqn")[0])
         assert flat.shape == (agent.flat_grad_size(),)
         with pytest.raises(RLGraphError):
             agent.apply_gradients(flat)

@@ -56,6 +56,23 @@ class TestMultiDevice:
             np.testing.assert_allclose(w1[key], w2[key], atol=1e-5,
                                        err_msg=key)
 
+    def test_towers_train_on_their_slice_of_the_importance_weights(
+            self, backend):
+        """Regression: the towers used to be fed ``ones_like(rewards)``,
+        so prioritized/external weights were silently dropped whenever
+        ``num_devices > 1``."""
+        batch = dict(_batch(), importance_weights=np.linspace(
+            0.1, 2.0, 8, dtype=np.float32))
+        single, double = _agent(1, backend), _agent(2, backend)
+        loss1, td1 = single.update(batch)
+        loss2, td2 = double.update(batch)
+        np.testing.assert_allclose(loss2, loss1, rtol=1e-5)
+        np.testing.assert_allclose(td2, td1, atol=1e-5)
+        w1, w2 = single.get_weights(), double.get_weights()
+        for key in w1:
+            np.testing.assert_allclose(w1[key], w2[key], atol=1e-5,
+                                       err_msg=key)
+
     def test_two_device_update_returns_all_tds(self, backend):
         agent = _agent(2, backend)
         loss, td = agent.update(_batch(8))
