@@ -33,7 +33,7 @@ import traceback
 from typing import Any, Dict, Optional
 
 from repro.raylite import shm as shm_codec
-from repro.utils.procutil import default_start_method
+from repro.utils.procutil import cap_native_threads, default_start_method
 
 # A worker that has not answered the ready handshake in this long is
 # wedged (e.g. the rare fork-while-threaded-parent deadlock): fail the
@@ -54,6 +54,9 @@ def _send_error(conn, tag: str, task_id, exc: BaseException) -> None:
 
 def _worker_main(conn, cls, args, kwargs) -> None:
     """Actor-process entry point: construct, then serve the mailbox."""
+    # Actors run beside the driver's learner: one native thread each
+    # (the driver process is deliberately never capped).
+    cap_native_threads()
     try:
         instance = cls(*args, **kwargs)
     except BaseException as exc:

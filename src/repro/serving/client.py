@@ -12,6 +12,11 @@ behind it:
   executor's eval worker can query a central server without importing
   any of its internals.
 
+``act_many(observations)`` is the vector-env call: the array goes to a
+front end as ``max_batch_size``-row block requests (one future each) and
+to an actor handle as one ``act_batch`` call — never one request per
+observation.
+
 The client records per-request round-trip latency, which is where
 p50/p99 service latency is honestly measured (server-side numbers can't
 see queueing before ``submit`` or wake-up after resolve).
@@ -33,7 +38,7 @@ Tail-latency armor (all optional, all deadline-gated):
 
 from __future__ import annotations
 
-import inspect
+import collections
 import time
 from typing import List, Optional
 
@@ -129,25 +134,16 @@ class PolicyClient:
                  retry_spec=None):
         self.timeout = timeout
         self.retry = resolve_retry_spec(retry_spec)
-        self._latencies: List[float] = []
+        self._latencies = collections.deque(maxlen=self.MAX_LATENCY_SAMPLES)
         self._num_requests = 0
         self.retries = 0
         self.hedges = 0
         submit = getattr(target, "submit", None)
         if submit is not None and not hasattr(submit, "remote"):
-            # In-process server/pool: its submit() is a plain method.
-            # Deadline-aware front ends get the per-request budget so
-            # the batch loop can skip it once expired; plain submit
-            # callables (tests, adapters) still work.
-            try:
-                params = inspect.signature(submit).parameters
-                supports_deadline = "deadline" in params
-            except (TypeError, ValueError):
-                supports_deadline = False
-            if supports_deadline:
-                self._submit = submit
-            else:
-                self._submit = lambda obs, deadline=None: submit(obs)
+            # In-process server/pool: its submit() is a plain method and
+            # takes the per-request deadline budget, so the batch loop
+            # can skip the request once expired.
+            self._submit = submit
             self._remote = False
         elif hasattr(target, "act_batch"):
             # A raylite actor handle (attribute access yields .remote
@@ -172,8 +168,7 @@ class PolicyClient:
 
     def _record(self, latency: float) -> None:
         self._num_requests += 1
-        if len(self._latencies) < self.MAX_LATENCY_SAMPLES:
-            self._latencies.append(latency)
+        self._latencies.append(latency)
 
     # -- the deadline-gated request path -------------------------------------
     def _await_first(self, refs, timeout: Optional[float]):
@@ -272,27 +267,42 @@ class PolicyClient:
         return result
 
     def act_many(self, observations, timeout: Optional[float] = None):
-        """Pipelined: submit every observation, then gather in order —
-        this is what lets the server micro-batch one client's burst.
+        """One action per observation, in input order, for a whole
+        ``(N, *state_shape)`` array (what a vector-env client holds).
+
+        Against a serving front end the array is cut into
+        ``max_batch_size``-row slices and each slice is submitted as ONE
+        block request (``submit_block``): ``ceil(N / max_batch_size)``
+        futures, each admitted all-or-nothing and served inside one
+        batch under one weight version.  A raylite policy actor has no
+        batch cap and gets the whole array in one ``act_batch`` call.
 
         ``timeout`` is a single deadline shared across ALL pending
         futures: total wall time is bounded by it, not by
         ``N x timeout`` (each gather waits only for what is left of the
-        shared budget).
+        shared budget).  Records one latency sample per call: the mean
+        per observation.
         """
         budget = timeout if timeout is not None else self.timeout
         t0 = time.perf_counter()
         deadline = None if budget is None else t0 + budget
-        refs = [self._submit(obs, deadline=budget) for obs in observations]
-        results = []
+        rows = np.asarray(observations)
+        if not len(rows):
+            return []
+        if self._remote:
+            refs = [self._handle.act_batch.remote(rows)]
+        else:
+            step = self.target.max_batch_size
+            refs = [self.target.submit_block(rows[lo:lo + step],
+                                             deadline=budget)
+                    for lo in range(0, len(rows), step)]
+        parts = []
         for ref in refs:
             rem = None if deadline is None \
                 else max(deadline - time.perf_counter(), 0.0)
-            results.append(ref.result(rem))
-        self._record((time.perf_counter() - t0) / max(len(results), 1))
-        if self._remote:
-            results = [np.asarray(r)[0] for r in results]
-        return results
+            parts.append(np.asarray(ref.result(rem)))
+        self._record((time.perf_counter() - t0) / len(rows))
+        return list(np.concatenate(parts))
 
     # -- latency accounting --------------------------------------------------
     @property

@@ -5,10 +5,17 @@ traffic; after PRs 2-4 one compiled ``act`` call is fast, so the
 remaining win is *amortizing* it.  Many clients each hold one
 observation; executing them one by one pays the full Python dispatch +
 session overhead per request.  The server instead collects concurrent
-requests into micro-batches — up to ``max_batch_size`` requests, waiting
-at most ``batch_window`` seconds for stragglers — and issues ONE
+requests into micro-batches — up to ``max_batch_size`` observation rows,
+waiting at most ``batch_window`` seconds for stragglers — and issues ONE
 compiled ``get_greedy_actions`` call for the whole batch, then scatters
 the per-row actions back to each caller.
+
+A request is a *block* of k >= 1 observation rows behind one future:
+``submit(obs)`` is k = 1, ``submit_block(rows)`` hands over a whole
+``(k, *state_shape)`` array (what a vector-env client holds), so the
+per-request cost — future, admission, queue hand-off — is paid once per
+block, not once per observation.  The collector packs whole blocks and
+never splits one across two batches.
 
 Request/response plumbing deliberately reuses raylite's mailbox
 machinery rather than growing a parallel future type: requests queue in
@@ -32,6 +39,7 @@ from the first request on.
 
 from __future__ import annotations
 
+import collections
 import queue
 import threading
 import time
@@ -51,7 +59,12 @@ from repro.utils.errors import RLGraphError
 
 
 class ServerStats:
-    """Request/batch counters and latency percentiles (thread-safe)."""
+    """Row/batch counters and latency percentiles (thread-safe).
+
+    Counters count observation *rows* (a k-row block request adds k);
+    latency keeps one sample per request, over the most recent
+    ``MAX_LATENCY_SAMPLES`` requests.
+    """
 
     MAX_LATENCY_SAMPLES = 50_000
 
@@ -69,7 +82,7 @@ class ServerStats:
         self.retries = 0
         self._batched_requests = 0
         self._batch_hist: Dict[int, int] = {}
-        self._latencies: List[float] = []
+        self._latencies = collections.deque(maxlen=self.MAX_LATENCY_SAMPLES)
 
     def record_batch(self, size: int, latencies) -> None:
         with self._lock:
@@ -77,12 +90,11 @@ class ServerStats:
             self._batched_requests += size
             self.max_batch = max(self.max_batch, size)
             self._batch_hist[size] = self._batch_hist.get(size, 0) + 1
-            if len(self._latencies) < self.MAX_LATENCY_SAMPLES:
-                self._latencies.extend(latencies)
+            self._latencies.extend(latencies)
 
-    def record_submit(self) -> None:
+    def record_submit(self, count: int = 1) -> None:
         with self._lock:
-            self.requests += 1
+            self.requests += count
 
     def record_error(self, count: int = 1) -> None:
         with self._lock:
@@ -154,11 +166,21 @@ class ServerStats:
 
 
 class _Request:
-    __slots__ = ("obs", "ref", "t_submit", "attempts", "deadline")
+    """A block of ``rows`` >= 1 observation rows behind ONE future.
+
+    ``obs`` is always ``(rows, *state_shape)``.  ``single`` marks a
+    ``submit`` request: its future resolves with the row's action, a
+    block's with the ``(rows, ...)`` action array.
+    """
+
+    __slots__ = ("obs", "rows", "single", "ref", "t_submit", "attempts",
+                 "deadline")
 
     def __init__(self, obs, ref: ObjectRef, t_submit: float,
-                 deadline: Optional[float] = None):
+                 deadline: Optional[float] = None, single: bool = False):
         self.obs = obs
+        self.rows = len(obs)
+        self.single = single
         self.ref = ref
         self.t_submit = t_submit
         # Absolute (perf_counter) expiry, or None: the batch loop skips
@@ -182,6 +204,11 @@ class _Control:
 
 
 _STOP = object()
+
+
+def num_rows(requests) -> int:
+    """Observation rows in a collected batch (requests are row blocks)."""
+    return sum(req.rows for req in requests)
 
 
 def bucket_size(n: int, max_batch_size: int) -> int:
@@ -231,11 +258,14 @@ class _BatchingFrontEnd:
         self.stats = ServerStats()
         self._shedder = self.admission.make_shedder()
         self._mailbox: "queue.Queue" = queue.Queue()
-        # Queued *request* count (controls excluded): the admission /
+        # Queued observation *rows* (controls excluded): the admission /
         # shedding / autoscaling signal.  Tracked explicitly because
-        # Queue.qsize() would count control items too.
+        # Queue.qsize() would count control items (and blocks as one).
         self._depth = 0
         self._depth_lock = threading.Lock()
+        # A block that did not fit the batch being assembled: it heads
+        # the next one (collector-thread private, still counted queued).
+        self._carry: Optional[_Request] = None
         # Collector wake-up period with an empty mailbox: None blocks
         # forever (the plain-server default); the pool sets it so the
         # autoscaler can act on *silence* (shrink-when-idle).
@@ -276,7 +306,7 @@ class _BatchingFrontEnd:
             except queue.Empty:
                 break
             if isinstance(item, _Request):
-                self._depth_dec()
+                self._depth_add(-item.rows)
             if isinstance(item, (_Request, _Control)):
                 item.ref._fail(ServerClosedError(
                     f"{self.name}: server is not running"))
@@ -291,65 +321,63 @@ class _BatchingFrontEnd:
         pass
 
     # -- queue-depth accounting ----------------------------------------------
-    def _depth_inc(self) -> None:
+    def _depth_add(self, rows: int) -> None:
         with self._depth_lock:
-            self._depth += 1
-
-    def _depth_dec(self) -> None:
-        with self._depth_lock:
-            self._depth -= 1
+            self._depth += rows
 
     def queue_depth(self) -> int:
-        """Requests currently waiting in the mailbox (the overload
-        signal: admission, CoDel and the autoscaler all read it)."""
+        """Observation rows currently waiting in the mailbox (the
+        overload signal: admission, CoDel and the autoscaler read it)."""
         with self._depth_lock:
             return self._depth
 
-    def _admit(self) -> None:
-        """Bounded-queue admission: runs synchronously in ``submit``.
+    def _admit(self, rows: int) -> None:
+        """Bounded-queue admission of one ``rows``-row request: runs
+        synchronously in ``submit`` and is all-or-nothing — the request
+        is counted into the queue depth whole, or not at all.
 
         ``reject`` raises the typed :class:`OverloadError` to the caller
         (queue depth + retry-after attached); ``drop-oldest`` fails the
-        oldest *queued* request instead and admits the new one.
+        oldest *queued* requests (whole, until the new one fits) instead
+        and admits the new one.
         """
         max_queue = self.admission.max_queue
-        if max_queue is None:
-            return
-        depth = self.queue_depth()
-        if depth < max_queue:
-            return
+        with self._depth_lock:
+            depth = self._depth
+            if max_queue is None or depth + rows <= max_queue:
+                self._depth = depth + rows
+                return
         if self.admission.policy == "reject":
-            self.stats.record_reject()
+            self.stats.record_reject(rows)
             raise OverloadError(
                 f"{self.name}: request queue is full "
-                f"({depth}/{max_queue}); retry after "
+                f"({depth}+{rows}/{max_queue} rows); retry after "
                 f"{self.admission.retry_after:.3f}s",
                 queue_depth=depth, retry_after=self.admission.retry_after,
                 reason="queue_full")
-        # drop-oldest: pop queued items until a request surfaces;
+        # drop-oldest: pop queued items until enough requests surfaced;
         # controls (weight swaps) are order-insensitive between batches
         # and are simply re-enqueued.
         requeue = []
-        victim = None
-        while True:
+        while depth + rows > max_queue:
             try:
                 item = self._mailbox.get_nowait()
             except queue.Empty:
                 break
-            if isinstance(item, _Request):
-                victim = item
-                break
-            requeue.append(item)
-        for item in requeue:
-            self._mailbox.put(item)
-        if victim is not None:
-            self._depth_dec()
-            self.stats.record_shed()
-            victim.ref._fail(OverloadError(
+            if not isinstance(item, _Request):
+                requeue.append(item)
+                continue
+            depth -= item.rows
+            self._depth_add(-item.rows)
+            self.stats.record_shed(item.rows)
+            item.ref._fail(OverloadError(
                 f"{self.name}: dropped as oldest queued request under "
-                f"overload (queue {depth}/{max_queue})",
+                f"overload (queue limit {max_queue} rows)",
                 queue_depth=depth, retry_after=self.admission.retry_after,
                 reason="dropped_oldest"))
+        for item in requeue:
+            self._mailbox.put(item)
+        self._depth_add(rows)
 
     # -- client surface ------------------------------------------------------
     def submit(self, obs, deadline: Optional[float] = None) -> ObjectRef:
@@ -363,24 +391,47 @@ class _BatchingFrontEnd:
         bounded queue raises :class:`OverloadError` here (``reject``
         policy) or sheds the oldest queued request (``drop-oldest``).
         """
-        if self._stopped.is_set() or self._thread is None:
-            raise ServerClosedError(f"{self.name}: server is not running")
         obs = np.asarray(obs)
-        expected = self.state_space.shape
-        if obs.shape != expected:
+        if obs.shape != self.state_space.shape:
             raise RLGraphError(
                 f"{self.name}: observation of shape {obs.shape} does not "
-                f"match the state space shape {expected} — submit exactly "
-                f"one unbatched observation per request")
-        self._admit()
+                f"match the state space shape {self.state_space.shape} — "
+                f"submit exactly one unbatched observation per request")
+        return self._enqueue(obs[None], deadline, single=True)
+
+    def submit_block(self, rows, deadline: Optional[float] = None
+                     ) -> ObjectRef:
+        """Enqueue a ``(k, *state_shape)`` block of observations,
+        ``1 <= k <= max_batch_size``, as ONE request: one future (it
+        resolves with the ``(k, ...)`` action array, rows in order), one
+        deadline, all-or-nothing admission.  The block is never split
+        across two batches, so all its rows run under one weight
+        version.  ``submit`` is this with ``k = 1`` and the row's action
+        as the result; the array is read at batch time, not copied here.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim == 0 or rows.shape[1:] != self.state_space.shape:
+            raise RLGraphError(
+                f"{self.name}: block of shape {rows.shape} is not (k, "
+                f"*{self.state_space.shape}) — stack the observations")
+        if not 1 <= len(rows) <= self.max_batch_size:
+            raise RLGraphError(
+                f"{self.name}: a block holds 1..{self.max_batch_size} "
+                f"(max_batch_size) rows, got {len(rows)} — slice it "
+                f"(PolicyClient.act_many does)")
+        return self._enqueue(rows, deadline, single=False)
+
+    def _enqueue(self, rows, deadline, single: bool) -> ObjectRef:
+        if self._stopped.is_set() or self._thread is None:
+            raise ServerClosedError(f"{self.name}: server is not running")
+        self._admit(len(rows))
         now = time.perf_counter()
         if deadline is None:
             deadline = self.default_deadline
         ref = ObjectRef()
-        self.stats.record_submit()
-        self._depth_inc()
+        self.stats.record_submit(len(rows))
         self._mailbox.put(_Request(
-            obs, ref, now, deadline_from_budget(deadline, now)))
+            rows, ref, now, deadline_from_budget(deadline, now), single))
         # Re-check after the put: a stop() racing this submit may have
         # already drained the mailbox, leaving the request unread.
         # Settle-once semantics make this safe — if the loop (or the
@@ -417,16 +468,15 @@ class _BatchingFrontEnd:
     # -- the batching loop ---------------------------------------------------
     def _loop(self) -> None:
         while True:
-            try:
-                if self._tick is None:
-                    item = self._mailbox.get()
-                else:
+            item, self._carry = self._carry, None
+            if item is None:
+                try:
                     item = self._mailbox.get(timeout=self._tick)
-            except queue.Empty:
-                # Idle tick: no traffic — let subclasses evaluate
-                # time-driven policy (autoscaler shrink-when-idle).
-                self._on_idle_tick()
-                continue
+                except queue.Empty:
+                    # Idle tick: no traffic — let subclasses evaluate
+                    # time-driven policy (autoscaler shrink-when-idle).
+                    self._on_idle_tick()
+                    continue
             if item is _STOP:
                 return
             requests: List[_Request] = []
@@ -434,10 +484,11 @@ class _BatchingFrontEnd:
             if isinstance(item, _Control):
                 controls.append(item)
             else:
-                self._depth_dec()
+                self._depth_add(-item.rows)
                 requests.append(item)
+                rows = item.rows
                 deadline = time.perf_counter() + self.batch_window
-                while len(requests) < self.max_batch_size:
+                while rows < self.max_batch_size:
                     remaining = deadline - time.perf_counter()
                     try:
                         if remaining > 0:
@@ -454,15 +505,21 @@ class _BatchingFrontEnd:
                         break
                     if isinstance(nxt, _Control):
                         controls.append(nxt)
+                    elif rows + nxt.rows > self.max_batch_size:
+                        # Whole blocks only: never split (a swap must
+                        # not land inside a request), never reordered.
+                        self._carry = nxt
+                        break
                     else:
-                        self._depth_dec()
+                        self._depth_add(-nxt.rows)
                         requests.append(nxt)
+                        rows += nxt.rows
             requests = self._filter_admitted(requests)
             if requests:
                 try:
                     self._dispatch(requests)
                 except BaseException as exc:
-                    self.stats.record_error(len(requests))
+                    self.stats.record_error(num_rows(requests))
                     for req in requests:
                         req.ref._fail(exc)
             # Controls apply BETWEEN batches: the swap never tears a
@@ -496,10 +553,11 @@ class _BatchingFrontEnd:
         """
         now = time.perf_counter()
         depth = self.queue_depth()
+        backlog = depth + num_rows(requests)
         admitted: List[_Request] = []
         for req in requests:
             if req.deadline is not None and now >= req.deadline:
-                self.stats.record_expired()
+                self.stats.record_expired(req.rows)
                 req.ref._fail(DeadlineExceededError(
                     f"{self.name}: deadline expired after "
                     f"{now - req.t_submit:.4f}s in queue (budget "
@@ -510,8 +568,8 @@ class _BatchingFrontEnd:
                 continue
             if self._shedder is not None and self._shedder.on_dequeue(
                     now - req.t_submit, now=now,
-                    queue_depth=depth + len(requests)):
-                self.stats.record_shed()
+                    queue_depth=backlog):
+                self.stats.record_shed(req.rows)
                 req.ref._fail(OverloadError(
                     f"{self.name}: shed after {now - req.t_submit:.4f}s "
                     f"queueing delay (CoDel target "
@@ -549,9 +607,12 @@ class _BatchingFrontEnd:
 
     # -- shared batch helpers ------------------------------------------------
     def _stack(self, requests: List[_Request]):
-        """Stack request observations, padded up to the batch bucket."""
-        obs = np.stack([r.obs for r in requests])
-        n = len(requests)
+        """Concatenate the requests' row blocks, padded up to the batch
+        bucket.  A lone block that fills its bucket is handed on as is
+        (no copy)."""
+        obs = (requests[0].obs if len(requests) == 1
+               else np.concatenate([r.obs for r in requests]))
+        n = len(obs)
         if self.pad_batches:
             target = bucket_size(n, self.max_batch_size)
             if target > n:
@@ -560,13 +621,17 @@ class _BatchingFrontEnd:
         return obs
 
     def _scatter(self, requests: List[_Request], actions) -> None:
-        """Resolve each request's future with its row of the batch."""
+        """Resolve each request's future with its slice of the batch's
+        actions (rows past the last request are bucket padding)."""
         actions = np.asarray(actions)
         now = time.perf_counter()
-        for i, req in enumerate(requests):
-            req.ref._resolve(actions[i])
+        lo = 0
+        for req in requests:
+            hi = lo + req.rows
+            req.ref._resolve(actions[lo] if req.single else actions[lo:hi])
+            lo = hi
         self.stats.record_batch(
-            len(requests), [now - r.t_submit for r in requests])
+            lo, [now - r.t_submit for r in requests])
 
 
 class PolicyServer(_BatchingFrontEnd):
@@ -622,7 +687,7 @@ class PolicyServer(_BatchingFrontEnd):
     def _dispatch(self, requests: List[_Request]) -> None:
         obs = self._stack(requests)
         actions = self._act(obs)
-        self._scatter(requests, actions[:len(requests)])
+        self._scatter(requests, actions)
 
     def _apply_weights(self, weights) -> None:
         self.agent.set_weights(weights)

@@ -45,6 +45,7 @@ from repro.serving.policy_server import (
     _BatchingFrontEnd,
     _Request,
     bucket_sizes,
+    num_rows,
 )
 from repro.utils.errors import RLGraphError
 
@@ -155,7 +156,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         self._inflight_lock = threading.Lock()
         self._inflight_drained = threading.Event()
         self._inflight_drained.set()
-        # Requests routed but not yet resolved.  The autoscaling signal
+        # Rows routed but not yet resolved.  The autoscaling signal
         # is mailbox depth PLUS this: the collector routes batches
         # without blocking, so under overload the backlog sits in
         # replica mailboxes, not ours.
@@ -199,7 +200,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
 
     # -- autoscaling ---------------------------------------------------------
     def outstanding(self) -> int:
-        """Requests somewhere inside the pool: queued in the mailbox or
+        """Rows somewhere inside the pool: queued in the mailbox or
         routed to a replica and awaiting its result.  This — not bare
         mailbox depth — is the overload signal the autoscaler watches:
         the collector routes without blocking, so a saturated pool shows
@@ -301,7 +302,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         ref = replica.act_batch.remote(obs)
         with self._inflight_lock:
             self._inflight.add(ref.id)
-            self._inflight_requests += len(requests)
+            self._inflight_requests += num_rows(requests)
             self._inflight_drained.clear()
         ref.add_done_callback(
             functools.partial(self._on_batch_done, requests))
@@ -310,7 +311,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                        ref: raylite.ObjectRef) -> None:
         with self._inflight_lock:
             self._inflight.discard(ref.id)
-            self._inflight_requests -= len(requests)
+            self._inflight_requests -= num_rows(requests)
             if not self._inflight:
                 self._inflight_drained.set()
         try:
@@ -318,16 +319,17 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         except BaseException as exc:
             self._handle_failed_batch(requests, exc)
             return
-        self._scatter(requests, np.asarray(actions)[:len(requests)])
+        self._scatter(requests, actions)
 
     def _handle_failed_batch(self, requests: List[_Request],
                              exc: BaseException) -> None:
         """A dispatched batch died with its replica.  Supervised pools
-        re-queue the requests (bounded attempts; the collector routes
-        them to a live replica — zero requests dropped by a crash);
-        unsupervised pools keep the seed behavior and fail them."""
+        re-queue the requests, blocks whole (bounded attempts; the
+        collector routes them to a live replica — zero rows dropped by a
+        crash); unsupervised pools keep the seed behavior and fail
+        them."""
         if self.supervisor is None or self._stopped.is_set():
-            self.stats.record_error(len(requests))
+            self.stats.record_error(num_rows(requests))
             for req in requests:
                 req.ref._fail(exc)
             return
@@ -337,11 +339,11 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                 # It does count as a retry (and re-enters the queue
                 # depth) — the metrics must show crash-induced
                 # re-dispatches.
-                self.stats.record_retry()
-                self._depth_inc()
+                self.stats.record_retry(req.rows)
+                self._depth_add(req.rows)
                 self._mailbox.put(req)
             else:
-                self.stats.record_error(1)
+                self.stats.record_error(req.rows)
                 req.ref._fail(exc)
 
     def _apply_weights(self, weights) -> None:

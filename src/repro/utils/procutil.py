@@ -4,10 +4,80 @@ each other."""
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import multiprocessing
+import os
 
 
 def default_start_method() -> str:
     """Prefer fork (cheap, closure-friendly factories) where available."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
+
+
+# Environment variables that size the native (BLAS / OpenMP) thread
+# pools, and where to find each pool's runtime entry points once its
+# library is loaded: (file-name fragment, setter, getter).  OpenBLAS
+# builds decorate the names (numpy wheels: "scipy_" + name + "64_").
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_NATIVE_POOLS = (
+    ("openblas", "openblas_set_num_threads", "openblas_get_num_threads"),
+    ("libgomp", "omp_set_num_threads", "omp_get_max_threads"),
+    ("libomp", "omp_set_num_threads", "omp_get_max_threads"),
+    ("libiomp", "omp_set_num_threads", "omp_get_max_threads"),
+    ("mkl_rt", "MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+
+
+def native_thread_pools() -> list:
+    """``[(path, set_num_threads, get_num_threads)]`` for every BLAS /
+    OpenMP shared object mapped into this process (Linux; empty
+    elsewhere or when nothing recognisable is loaded)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    pools = []
+    for path in sorted(paths):
+        for fragment, setter, getter in _NATIVE_POOLS:
+            if fragment not in os.path.basename(path):
+                continue
+            lib = ctypes.CDLL(path)  # already mapped: same handle
+            for prefix, suffix in itertools.product(
+                    ("", "scipy_"), ("", "64_", "_64_")):
+                try:
+                    set_fn = getattr(lib, prefix + setter + suffix)
+                    get_fn = getattr(lib, prefix + getter + suffix)
+                except AttributeError:
+                    continue
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                pools.append((path, set_fn, get_fn))
+                break
+    return pools
+
+
+def cap_native_threads() -> None:
+    """One native compute thread for THIS process and its children.
+
+    An actor process does small GEMMs next to a learner that needs the
+    cores; a full-width BLAS pool per process only adds spinning helper
+    threads (measured in docs/benchmarks.md, "Open measurements").  The
+    environment covers spawn children and grandchildren; under fork the
+    library is already loaded, so its pool is resized in place.  A user
+    who set any of the variables keeps their configuration untouched.
+    """
+    if any(var in os.environ for var in _THREAD_ENV):
+        return
+    for var in _THREAD_ENV:
+        os.environ[var] = "1"
+    try:
+        import threadpoolctl
+    except ImportError:
+        for _, set_num_threads, _ in native_thread_pools():
+            set_num_threads(1)
+    else:
+        threadpoolctl.threadpool_limits(1)

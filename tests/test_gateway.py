@@ -24,7 +24,7 @@ from repro.serving.overload import (
     DeadlineExceededError,
     OverloadError,
 )
-from repro.serving.policy_server import _BatchingFrontEnd
+from repro.serving.policy_server import _BatchingFrontEnd, num_rows
 from repro.spaces import FloatBox, IntBox
 from repro.utils.errors import RLGraphError
 
@@ -55,7 +55,7 @@ class _SleepServer(_BatchingFrontEnd):
 
     def _dispatch(self, requests):
         time.sleep(self.service_time)
-        self._scatter(requests, np.zeros(len(requests), dtype=np.int64))
+        self._scatter(requests, np.zeros(num_rows(requests), dtype=np.int64))
 
     def _apply_weights(self, weights):
         pass

@@ -39,7 +39,7 @@ from repro.serving.overload import (
     resolve_admission_spec,
     resolve_autoscale_spec,
 )
-from repro.serving.policy_server import _BatchingFrontEnd
+from repro.serving.policy_server import _BatchingFrontEnd, num_rows
 from repro.spaces import FloatBox, IntBox
 from repro.utils.errors import RLGraphError
 
@@ -50,23 +50,30 @@ OBS = np.zeros(STATE_DIM, dtype=np.float32)
 
 
 class _SleepServer(_BatchingFrontEnd):
-    """Front end with a fixed per-batch service time and zero actions —
-    deterministic capacity (max_batch_size / service_time req/s) for
-    latency math that must hold on any machine."""
+    """Front end with a fixed per-batch service time that answers each
+    row with its first feature (0 for ``OBS``) — deterministic capacity
+    (max_batch_size / service_time rows/s) for latency math that must
+    hold on any machine.  ``batches`` logs every dispatched batch's
+    rows, so tests can check what the collector packed together."""
 
     pad_batches = False
 
     def __init__(self, service_time: float = 0.005, **kwargs):
         self.service_time = service_time
-        self.batches_executed = 0
-        self.requests_executed = 0
+        self.batches = []
         super().__init__(FloatBox(shape=(STATE_DIM,)), **kwargs)
+
+    @property
+    def requests_executed(self):
+        """Observation rows executed (requests are row blocks)."""
+        return sum(len(batch) for batch in self.batches)
 
     def _dispatch(self, requests):
         time.sleep(self.service_time)
-        self.batches_executed += 1
-        self.requests_executed += len(requests)
-        self._scatter(requests, np.zeros(len(requests), dtype=np.int64))
+        obs = self._stack(requests)
+        assert len(obs) == num_rows(requests)
+        self.batches.append(obs)
+        self._scatter(requests, obs[:, 0].astype(np.int64))
 
     def _apply_weights(self, weights):
         pass
@@ -348,6 +355,171 @@ class TestDeadlines:
             assert elapsed < 0.4
         finally:
             srv.stop()
+
+
+# ---------------------------------------------------------------------------
+# Block requests: k rows, one future, one admission / deadline decision
+# ---------------------------------------------------------------------------
+def _block(rows: int, value: int = 0) -> np.ndarray:
+    return np.full((rows, STATE_DIM), value, dtype=np.float32)
+
+
+class TestBlockRequests:
+    def test_block_size_and_shape_are_validated(self):
+        with _SleepServer(service_time=0.001, max_batch_size=4) as srv:
+            with pytest.raises(RLGraphError, match="max_batch_size"):
+                srv.submit_block(_block(5))
+            with pytest.raises(RLGraphError, match="max_batch_size"):
+                srv.submit_block(_block(0))
+            with pytest.raises(RLGraphError, match=r"\(2,\)"):
+                srv.submit_block(OBS)       # one unbatched observation
+            with pytest.raises(RLGraphError, match=r"\(3, 3\)"):
+                srv.submit_block(np.zeros((3, STATE_DIM + 1), np.float32))
+            assert srv.stats.requests == 0 and srv.queue_depth() == 0
+            # k = 1 block: a (1,) action array, unlike submit's scalar.
+            assert srv.submit_block(_block(1, 7)).result(5.0).tolist() == [7]
+            assert int(srv.submit(_block(1, 7)[0]).result(5.0)) == 7
+
+    def test_reject_admission_is_atomic_per_block(self):
+        with _SleepServer(service_time=0.1, max_batch_size=8,
+                          batch_window=0.0,
+                          admission_spec={"max_queue": 8}) as srv:
+            blocker = srv.submit(OBS)          # holds the loop ~100 ms
+            time.sleep(0.02)
+            queued = srv.submit_block(_block(6))
+            before = (srv.queue_depth(), srv.stats.requests)
+            assert before == (6, 7)
+            with pytest.raises(OverloadError) as info:
+                srv.submit_block(_block(4))    # 6 + 4 > 8: all refused
+            assert info.value.reason == "queue_full"
+            # The whole act_many is refused at its first slice; none of
+            # its 16 observations is left queued or executing.
+            with pytest.raises(OverloadError):
+                PolicyClient(srv).act_many(_block(16))
+            assert (srv.queue_depth(), srv.stats.requests) == before
+            assert srv.stats.rejected == 4 + 8
+            srv.submit_block(_block(2))        # 6 + 2 fits exactly
+            blocker.result(5.0)
+            assert len(queued.result(5.0)) == 6
+        assert srv.requests_executed == 1 + 6 + 2
+
+    def test_drop_oldest_sheds_whole_requests(self):
+        with _SleepServer(service_time=0.1, max_batch_size=8,
+                          batch_window=0.0,
+                          admission_spec={"max_queue": 8,
+                                          "policy": "drop-oldest"}) as srv:
+            blocker = srv.submit(OBS)
+            time.sleep(0.02)
+            old = [srv.submit_block(_block(4, 1)),
+                   srv.submit_block(_block(4, 2))]
+            newest = srv.submit_block(_block(6, 3))  # needs both gone
+            for ref in old:
+                with pytest.raises(OverloadError) as info:
+                    ref.result(5.0)
+                assert info.value.reason == "dropped_oldest"
+            assert srv.queue_depth() == 6
+            assert newest.result(5.0).tolist() == [3] * 6
+            blocker.result(5.0)
+            assert srv.stats.shed == 8
+        assert srv.requests_executed == 1 + 6
+
+    def test_expired_block_fails_one_future_and_occupies_no_rows(self):
+        with _SleepServer(service_time=0.05, max_batch_size=4,
+                          batch_window=0.0) as srv:
+            blocker = srv.submit(OBS)          # holds the loop ~50 ms
+            time.sleep(0.02)
+            doomed = srv.submit_block(_block(3), deadline=0.01)
+            alive = srv.submit_block(_block(3, 5))
+            with pytest.raises(DeadlineExceededError):
+                doomed.result(5.0)
+            assert alive.result(5.0).tolist() == [5] * 3
+            blocker.result(5.0)
+            assert srv.stats.expired == 3
+        assert srv.requests_executed == 1 + 3
+
+    def test_codel_sheds_whole_blocks(self):
+        with _SleepServer(service_time=0.01, max_batch_size=4,
+                          batch_window=0.0,
+                          admission_spec={"codel_target": 0.005,
+                                          "codel_interval": 0.02}) as srv:
+            refs = [srv.submit_block(_block(2, i)) for i in range(48)]
+            served, shed = 0, 0
+            for i, ref in enumerate(refs):
+                try:
+                    assert ref.result(20.0).tolist() == [i, i]
+                    served += 1
+                except OverloadError as exc:
+                    assert exc.reason == "shed"
+                    shed += 1
+            assert shed > 0 and served > 0
+            assert srv.stats.shed == 2 * shed
+        assert srv.requests_executed == 2 * served
+
+    def test_interleaved_singles_and_blocks_pack_whole_and_in_order(self):
+        """Several threads mix ``submit`` and ``submit_block``: no
+        dispatched batch exceeds ``max_batch_size`` rows, no block is
+        split or reordered, and each client's rows are dispatched in
+        the order it submitted them."""
+        max_batch, clients, per_client = 8, 4, 60
+        with _SleepServer(service_time=0.0005, max_batch_size=max_batch,
+                          batch_window=0.0005) as srv:
+            failures = []
+
+            def loop(cid: int) -> None:
+                rng = np.random.default_rng(cid)
+                seq, pending = 0, []
+                for _ in range(per_client):
+                    k = int(rng.integers(1, max_batch + 1))
+                    tags = np.arange(seq, seq + k) + cid * 10_000
+                    rows = np.stack([tags, tags], axis=1).astype(np.float32)
+                    seq += k
+                    if k == 1 and rng.random() < 0.5:
+                        pending.append((srv.submit(rows[0]), tags[0]))
+                    else:
+                        pending.append((srv.submit_block(rows), tags))
+                try:
+                    for ref, tags in pending:
+                        np.testing.assert_array_equal(ref.result(20.0), tags)
+                except BaseException as exc:  # noqa: BLE001
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=loop, args=(cid,))
+                       for cid in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[0]
+        assert max(len(batch) for batch in srv.batches) <= max_batch
+        assert srv.stats.max_batch <= max_batch
+        assert srv.stats.mean_batch_size > 1.0   # rows, and it did batch
+        dispatched = np.concatenate(srv.batches)[:, 0].astype(np.int64)
+        assert srv.stats.requests == len(dispatched)
+        for cid in range(clients):
+            mine = dispatched[dispatched // 10_000 == cid] % 10_000
+            np.testing.assert_array_equal(mine, np.arange(len(mine)))
+
+    def test_act_many_submits_one_block_per_slice(self):
+        with _SleepServer(service_time=0.001, max_batch_size=32,
+                          batch_window=0.0) as srv:
+            sizes = []
+            submit_block = srv.submit_block
+
+            def counting(rows, deadline=None):
+                sizes.append(len(rows))
+                return submit_block(rows, deadline=deadline)
+
+            srv.submit_block = counting
+            client = PolicyClient(srv)
+            tags = np.arange(100)
+            obs = np.stack([tags, tags], axis=1).astype(np.float32)
+            actions = client.act_many(obs)
+            assert sizes == [32, 32, 32, 4]
+            assert [int(a) for a in actions] == tags.tolist()
+            assert srv.stats.requests == 100
+            assert client.act_many(obs[:0]) == []
+            assert client.num_requests == 1
 
 
 # ---------------------------------------------------------------------------

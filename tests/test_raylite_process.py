@@ -15,6 +15,7 @@ from repro.raylite import RayliteError
 from repro.raylite import shm as shm_codec
 from repro.execution.parallel import ParallelSpec, resolve_parallel_spec
 from repro.utils.errors import RLGraphError
+from repro.utils.procutil import _THREAD_ENV, native_thread_pools
 
 # A wedged worker process must fail the test, not wedge CI.
 pytestmark = pytest.mark.mp_timeout(120)
@@ -59,6 +60,11 @@ class Counter:
         for i in range(n):
             acc += i
         return acc
+
+    def native_threads(self):
+        """(per-library native thread counts, OPENBLAS_NUM_THREADS)."""
+        return ([get() for _, _, get in native_thread_pools()],
+                os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
 class BadCtor:
@@ -258,6 +264,34 @@ class TestWaitAndShutdown:
         failed = sum(1 for r in refs
                      if r.ready() and _ref_failed(r))
         assert failed > 0  # queued tasks cancelled with RayliteError
+
+
+class TestNativeThreadCap:
+    """Process actors run one native compute thread; the driver's own
+    BLAS/OpenMP pool is never touched (docs/benchmarks.md, "Open
+    measurements": capping the driver costs the thread-mode learners)."""
+
+    def test_actor_is_capped_and_driver_is_not(self, monkeypatch):
+        for var in _THREAD_ENV:
+            monkeypatch.delenv(var, raising=False)
+        np.ones((8, 8)) @ np.ones((8, 8))  # make sure BLAS is mapped
+        before = [get() for _, _, get in native_thread_pools()]
+        if not before:
+            pytest.skip("no BLAS/OpenMP library located in this process")
+        counts, env = raylite.get(_process_actor().native_threads.remote())
+        assert counts and all(c == 1 for c in counts)
+        assert env == "1"  # spawn children / grandchildren inherit it
+        assert [get() for _, _, get in native_thread_pools()] == before
+        assert not any(var in os.environ for var in _THREAD_ENV)
+
+    def test_user_setting_survives(self, monkeypatch):
+        for var in _THREAD_ENV:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = [get() for _, _, get in native_thread_pools()]
+        counts, env = raylite.get(_process_actor().native_threads.remote())
+        assert env == "2"
+        assert counts == before  # the loaded pool was left alone too
 
 
 def _ref_failed(ref) -> bool:

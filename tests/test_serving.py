@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import raylite
-from repro.agents import ActorCriticAgent, DQNAgent
+from repro.agents import ActorCriticAgent, DQNAgent, SACAgent
 from repro.serving import (
     InferenceWorkerPool,
     PolicyClient,
@@ -22,6 +22,7 @@ from repro.serving import (
     bucket_size,
     drive_concurrent_load,
 )
+from repro.serving.policy_server import ServerStats
 from repro.spaces import FloatBox, IntBox
 from repro.utils.errors import RLGraphError
 
@@ -45,6 +46,18 @@ def _dqn_factory():
     """Zero-arg replica factory (module-level so process actors can
     pickle it)."""
     return _dqn()
+
+
+def _sac_factory():
+    """SAC replica factory: float action vectors of width 2."""
+    return SACAgent(state_space=FloatBox(shape=(STATE_DIM,)),
+                    action_space=FloatBox(low=np.asarray([-2.0, -1.0],
+                                                         np.float32),
+                                          high=np.asarray([2.0, 3.0],
+                                                          np.float32)),
+                    network_spec=[{"type": "dense", "units": 16,
+                                   "activation": "relu"}],
+                    batch_size=8, memory_capacity=64, seed=11)
 
 
 def _obs_stream(n, seed=0):
@@ -187,6 +200,145 @@ class TestBatchedUnbatchedParity:
         unpadded = [int(a) for a in PolicyClient(server).act_many(obs)]
         server.stop()
         assert unpadded == reference
+
+
+# ---------------------------------------------------------------------------
+# Block requests: act_many == per-observation act == unbatched greedy
+# ---------------------------------------------------------------------------
+class TestBlockRequestParity:
+    SIZES = (1, 31, 32, 33, 64, 100)
+
+    @pytest.mark.parametrize("factory", [_dqn_factory, _sac_factory],
+                             ids=["dqn", "sac"])
+    @pytest.mark.parametrize("target", ["server", "thread", "process"])
+    def test_act_many_equals_act_equals_unbatched(self, target, factory):
+        obs = _obs_stream(max(self.SIZES), seed=13)
+        reference_fn = factory().serving_act_fn()
+        unbatched = np.stack([reference_fn(o[None])[0] for o in obs])
+        if target == "server":
+            front = PolicyServer(factory(), max_batch_size=32,
+                                 batch_window=0.001)
+        else:
+            front = InferenceWorkerPool(
+                factory, FloatBox(shape=(STATE_DIM,)), num_replicas=2,
+                max_batch_size=32, batch_window=0.001, parallel_spec=target)
+        # Int actions are exact; float vectors see batch-size-dependent
+        # BLAS paths (tolerance of test_sac_agent.TestContinuousServing).
+        tol = (dict(rtol=0, atol=0) if factory is _dqn_factory
+               else dict(rtol=1e-5, atol=1e-6))
+        try:
+            client = PolicyClient(front)
+            singles = np.stack([client.act(o) for o in obs])
+            np.testing.assert_allclose(singles, unbatched, **tol)
+            for n in self.SIZES:
+                served = client.act_many(obs[:n])
+                assert len(served) == n
+                np.testing.assert_allclose(np.stack(served), unbatched[:n],
+                                           **tol)
+            stats = front.stats.as_dict()
+            assert stats["requests"] == len(obs) + sum(self.SIZES)
+            assert stats["max_batch_size"] <= 32
+            assert stats["errors"] == 0
+        finally:
+            front.stop()
+
+    def test_act_many_to_actor_handle_is_one_remote_call(self):
+        obs = _obs_stream(100, seed=4)
+        handle = raylite.remote(PolicyServerActor).remote(_dqn_factory)
+        client = PolicyClient(handle)
+        served = [int(a) for a in client.act_many(obs)]
+        assert served == _greedy_reference(_dqn(), obs)
+        assert raylite.get(handle.get_stats.remote()) == {
+            "batches_served": 1, "requests_served": 100}
+        assert client.num_requests == 1
+
+    def test_blocks_never_straddle_a_weight_swap(self):
+        """20 Hz hot-swaps between two policies that disagree on one
+        observation, singles interleaved so blocks get carried over:
+        all rows of every block come from ONE weight version."""
+        # (The agent seed does not reach the weight initializer, so the
+        # second policy is the first with every weight negated.)
+        agents = [_dqn(), _dqn()]
+        agents[1].set_weights(-np.asarray(agents[0].get_weights(flat=True)))
+        probe = next(o for o in _obs_stream(200, seed=21)
+                     if len({_greedy_reference(a, [o])[0]
+                             for a in agents}) == 2)
+        weights = [np.array(a.get_weights(flat=True), copy=True)
+                   for a in agents]
+        answers = {_greedy_reference(a, [probe])[0] for a in agents}
+        server = PolicyServer(_dqn(seed=3), max_batch_size=32,
+                              batch_window=0.0)
+        stop = threading.Event()
+        failures: list = []
+
+        def swapper():
+            i = 0
+            while not stop.is_set():
+                i += 1
+                server.set_weights(weights[i % 2], wait=True)
+                stop.wait(0.05)
+
+        def singles():
+            client = PolicyClient(server)
+            while not stop.is_set():
+                if int(client.act(probe)) not in answers:
+                    failures.append("single: unknown action")
+
+        threads = [threading.Thread(target=swapper),
+                   threading.Thread(target=singles)]
+        for thread in threads:
+            thread.start()
+        client = PolicyClient(server)
+        block = np.repeat(probe[None], 24, axis=0)
+        seen = set()
+        t_end = time.perf_counter() + 1.5
+        try:
+            while time.perf_counter() < t_end:
+                for ref in [server.submit_block(block) for _ in range(3)]:
+                    rows = set(np.asarray(ref.result(10.0)).tolist())
+                    assert len(rows) == 1, f"torn block: {rows}"
+                    seen |= rows
+                # act_many(48): a 32-row and a 16-row block, each uniform.
+                served = [int(a) for a in client.act_many(
+                    np.repeat(probe[None], 48, axis=0))]
+                assert len(set(served[:32])) == 1
+                assert len(set(served[32:])) == 1
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert seen == answers          # both versions were served
+        assert server.stats.errors == 0
+        assert server.stats.as_dict()["weight_swaps"] >= 10
+
+
+class TestLatencyWindow:
+    """Latency buffers keep the most RECENT window (they used to stop
+    recording once full, freezing p50/p99 at their start-up values)."""
+
+    def test_server_percentiles_follow_recent_traffic(self):
+        stats = ServerStats()
+        cap = ServerStats.MAX_LATENCY_SAMPLES
+        stats.record_batch(32, [0.001] * cap)
+        stats.record_batch(32, [1.0] * (cap + 7))
+        assert stats.latency(50) == 1.0
+        assert stats.as_dict()["p50_latency_ms"] == 1000.0
+        assert stats.batches == 2           # exact counters unchanged
+
+    def test_client_percentiles_follow_recent_traffic(self):
+        handle = raylite.remote(PolicyServerActor).remote(_dqn_factory)
+        client = PolicyClient(handle)
+        cap = PolicyClient.MAX_LATENCY_SAMPLES
+        for _ in range(cap):
+            client._record(0.001)
+        for _ in range(cap + 7):
+            client._record(1.0)
+        assert client.latency(50) == 1.0
+        assert len(client.latencies) == cap
+        assert client.num_requests == 2 * cap + 7
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +497,59 @@ class TestServingChaos:
             served = [int(pool.act(o, timeout=30.0)) for o in obs]
             assert served == _greedy_reference(_dqn(), obs)
         finally:
+            pool.stop()
+
+    def test_replica_sigkill_requeues_whole_blocks(self):
+        """SIGKILL one process replica while clients loop ``act_many``:
+        a block lost with the replica is re-queued WHOLE, so every call
+        still returns every row, in order, with exact parity."""
+        import signal
+
+        pool = InferenceWorkerPool(
+            _dqn_factory, FloatBox(shape=(STATE_DIM,)), num_replicas=2,
+            max_batch_size=8, batch_window=0.002, parallel_spec="process",
+            supervision_spec={"base_delay": 0.05, "max_delay": 0.5,
+                              "max_restarts": 5})
+        obs = _obs_stream(20, seed=41)       # 8 + 8 + 4 rows per call
+        reference = _greedy_reference(_dqn(), obs)
+        stop = threading.Event()
+        failures: list = []
+        calls = [0, 0, 0]
+
+        def loop(i):
+            client = PolicyClient(pool, timeout=30.0)
+            while not stop.is_set():
+                try:
+                    served = [int(a) for a in client.act_many(obs)]
+                except BaseException as exc:  # noqa: BLE001
+                    failures.append(exc)
+                    return
+                if served != reference:
+                    failures.append(AssertionError(f"rows lost: {served}"))
+                    return
+                calls[i] += 1
+
+        try:
+            victim_pid = pool.replicas[0].pid
+            threads = [threading.Thread(target=loop, args=(i,))
+                       for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+            os.kill(victim_pid, signal.SIGKILL)
+            time.sleep(2.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[0]
+            assert all(calls)
+            assert pool.stats.errors == 0
+            assert pool.stats.requests == sum(calls) * len(obs)
+            assert pool.supervisor.total_restarts >= 1
+            assert pool.outstanding() == 0
+        finally:
+            stop.set()
             pool.stop()
 
 
