@@ -44,10 +44,10 @@ from repro.execution.parallel import (
     resolve_parallel_spec,
 )
 from repro.execution.supervision import (
+    Pump,
     ReplicaFactory,
     SupervisionError,
     Supervisor,
-    resolve_supervision_spec,
 )
 from repro.execution.worker import build_vector_env, snapshot_fn
 from repro.utils.errors import RLGraphError
@@ -235,31 +235,22 @@ class IMPALARunner:
         # Supervision restarts crashed PROCESS actors; thread-mode actors
         # are plain threads (not raylite handles) and cannot crash from
         # the outside, so the spec is a no-op there.
-        self.supervision = resolve_supervision_spec(supervision_spec)
-        self.supervisor = (Supervisor(self.supervision)
-                           if self.supervision.enabled
-                           and self.parallel.is_process else None)
+        self.supervisor = Supervisor(supervision_spec)
         self.supervision_failures: List[str] = []
         ckpt = resolve_checkpoint_spec(checkpoint_spec)
         self.checkpoints = CheckpointManager(ckpt) if ckpt else None
         if self.parallel.is_process:
-            factories = [
-                ReplicaFactory(self.parallel, IMPALAActorCore,
-                               i, agent_factory, env_factory,
-                               rollout_length=rollout_length,
-                               num_envs=envs_per_actor,
-                               redundant_assignments=redundant_assignments,
-                               vector_env_spec=vector_env_spec,
-                               parallel_spec=self.parallel)
+            self.actor_handles = self.supervisor.spawn({
+                f"impala-actor-{i}": ReplicaFactory(
+                    self.parallel, IMPALAActorCore,
+                    i, agent_factory, env_factory,
+                    rollout_length=rollout_length,
+                    num_envs=envs_per_actor,
+                    redundant_assignments=redundant_assignments,
+                    vector_env_spec=vector_env_spec,
+                    parallel_spec=self.parallel)
                 for i in range(num_actors)
-            ]
-            self.actor_handles = [factory() for factory in factories]
-            if self.supervisor is not None:
-                for i, (handle, factory) in enumerate(
-                        zip(self.actor_handles, factories)):
-                    self.supervisor.register(
-                        f"impala-actor-{i}", handle, factory,
-                        on_restart=self._sync_restarted_actor)
+            }, on_restart=self._sync_restarted_actor)
         else:
             self.actors = [
                 IMPALAActor(i, agent_factory, env_factory, self.rollout_queue,
@@ -290,80 +281,43 @@ class IMPALARunner:
         handle.set_weights.remote(self._get_weights())
 
     # -- process-mode feeder ------------------------------------------------
-    def _recover_handle(self, handle, synced):
-        """Supervised recovery for one dead process actor: restart it
-        (bounded backoff; the restart hook pushed current weights) and
-        return the slot's live handle — or None when unsupervised, the
-        run is stopping, or the slot exhausted its restart budget."""
-        if self.supervisor is None or self.stop_event.is_set():
-            return None
-        try:
-            replacement = self.supervisor.ensure_alive(handle)
-        except SupervisionError as exc:
-            self.supervision_failures.append(str(exc))
-            return None
-        if replacement is not handle:
-            self.actor_handles = [replacement if h is handle else h
-                                  for h in self.actor_handles]
-            with self._weights_lock:
-                synced[id(replacement)] = self._weights_version
-        return replacement
-
     def _feed_from_handles(self):
         """Keep one rollout task in flight per process actor; drain
         completed rollouts (shared-memory transport, zero-copy decode)
         into the learner queue; push weights when a new version is out.
         With supervision enabled a crashed actor is restarted and
-        re-armed in place (its in-flight rollout is lost)."""
-        from repro import raylite
-        synced = {id(h): 0 for h in self.actor_handles}
-        # Prime one task per actor; an actor already dead at feeder start
-        # is recovered (or dropped) instead of killing the feeder thread.
-        in_flight = {}
-        for handle in list(self.actor_handles):
+        re-armed in place (its in-flight rollout is lost); an actor lost
+        for good — unsupervised, or its restart budget spent — is
+        dropped and the feeder carries on with the others."""
+        synced: Dict = {}
+        pump = Pump()
+        unarmed = list(self.actor_handles)
+        while (unarmed or pump) and not self.stop_event.is_set():
             try:
-                in_flight[handle.rollout.remote()] = handle
-            except BaseException:
-                handle = self._recover_handle(handle, synced)
-                if handle is not None:
-                    in_flight[handle.rollout.remote()] = handle
-        while in_flight and not self.stop_event.is_set():
-            ready, _ = raylite.wait(list(in_flight.keys()), num_returns=1,
-                                    timeout=0.1)
-            for ref in ready:
-                handle = in_flight.pop(ref)
-                try:
-                    item = raylite.get(ref)
-                except BaseException:
-                    # Actor died (or deliberate shutdown): restart the
-                    # slot if supervised, otherwise stop re-arming it.
-                    handle = self._recover_handle(handle, synced)
-                    if handle is not None:
-                        in_flight[handle.rollout.remote()] = handle
-                    continue
-                delivered = False
-                while not self.stop_event.is_set():
-                    try:
-                        self.rollout_queue.put(item, timeout=0.2)
-                        delivered = True
-                        break
-                    except queue.Full:
-                        continue  # back-pressure: learner is saturated
-                if not delivered:
-                    break
-                try:
+                while unarmed:
+                    pump.arm(unarmed.pop(), "rollout")
+                for handle, item in pump.reap(timeout=0.1):
+                    while not self.stop_event.is_set():
+                        try:
+                            self.rollout_queue.put(item, timeout=0.2)
+                            break
+                        except queue.Full:
+                            continue  # back-pressure: learner is saturated
+                    else:
+                        return  # stopping: the rollout is dropped
                     with self._weights_lock:
                         version, weights = (self._weights_version,
                                             self._weights)
-                    if version > synced.get(id(handle), 0):
+                    if version > synced.get(handle, 0):
                         handle.set_weights.remote(weights)
-                        synced[id(handle)] = version
-                    in_flight[handle.rollout.remote()] = handle
-                except BaseException:
-                    # Submission to a just-died actor: same recovery.
-                    handle = self._recover_handle(handle, synced)
-                    if handle is not None:
-                        in_flight[handle.rollout.remote()] = handle
+                        synced[handle] = version
+                    pump.arm(handle, "rollout")
+            except SupervisionError as exc:
+                self.supervision_failures.append(str(exc))
+            except Exception:
+                # The failing actor is already disarmed: an unsupervised
+                # death (or deliberate shutdown) stops re-arming it.
+                pass
 
     def _dequeue_batch(self) -> Optional[List[Dict]]:
         items = []
@@ -432,8 +386,7 @@ class IMPALARunner:
             "reward_timeline": reward_timeline,
             "mean_return": (float(np.mean(self.episode_returns[-20:]))
                             if self.episode_returns else None),
-            "restarts": (self.supervisor.total_restarts
-                         if self.supervisor else 0),
+            "restarts": self.supervisor.total_restarts,
             "supervision_failures": list(self.supervision_failures),
         }
 
@@ -451,24 +404,17 @@ class IMPALARunner:
 
     def _drain_handle_stats(self) -> int:
         """Collect env-frame counts from process actors, then reap them."""
-        from repro import raylite
         env_frames = 0
-        refs = []
-        for h in self.actor_handles:
-            try:
-                refs.append(h.get_stats.remote())
-            except Exception:
-                continue  # already dead; its frames are lost
-        for ref in refs:
-            try:
-                env_frames += raylite.get(ref, timeout=5.0)["env_frames"]
-            except Exception:
-                continue  # actor died mid-run; its frames are lost
         for handle in self.actor_handles:
+            # Leave supervision first: asking a dead slot for its stats
+            # must not resurrect it.
+            handle = self.supervisor.retire(handle)
             try:
-                raylite.kill(handle)
+                stats = handle.get_stats.remote().result(timeout=5.0)
+                env_frames += stats["env_frames"]
             except Exception:
-                pass
+                pass  # actor died mid-run; its frames are lost
+            self.supervisor.kill(handle)
         self.actor_handles = []
         return env_frames
 

@@ -46,11 +46,7 @@ import numpy as np
 from repro import raylite
 from repro.components.common.batch_splitter import shard_sizes, split_batch
 from repro.execution.parallel import resolve_parallel_spec
-from repro.execution.supervision import (
-    ReplicaFactory,
-    Supervisor,
-    resolve_supervision_spec,
-)
+from repro.execution.supervision import ReplicaFactory, Supervisor
 from repro.raylite.collectives import RingMember, SlabRing, allreduce_steps
 from repro.utils.errors import RLGraphError
 
@@ -263,20 +259,13 @@ class LearnerGroup:
         # round (pool stats prove steady-state rounds allocate nothing).
         self.ring = SlabRing(self.world_size, self._capacity, pool=pool)
 
-        self._factories = [
-            ReplicaFactory(self.parallel, LearnerReplicaActor,
-                           factory, rank=r, world_size=self.world_size)
+        self.supervisor = Supervisor(supervision_spec)
+        self.replicas = self.supervisor.spawn({
+            f"learner-{r}": ReplicaFactory(
+                self.parallel, LearnerReplicaActor,
+                factory, rank=r, world_size=self.world_size)
             for r in range(self.world_size)
-        ]
-        self.replicas = [f() for f in self._factories]
-        self.supervision = resolve_supervision_spec(supervision_spec)
-        self.supervisor = (Supervisor(self.supervision)
-                           if self.supervision.enabled else None)
-        if self.supervisor is not None:
-            for r, (handle, f) in enumerate(
-                    zip(self.replicas, self._factories)):
-                self.supervisor.register(f"learner-{r}", handle, f,
-                                         on_restart=self._sync_restarted)
+        }, on_restart=self._sync_restarted)
 
         # Seed every replica with the reference learner's complete state
         # so rank assignment is the ONLY difference between them.
@@ -301,7 +290,7 @@ class LearnerGroup:
     # -- fault tolerance ------------------------------------------------------
     @property
     def restarts(self) -> int:
-        return self.supervisor.total_restarts if self.supervisor else 0
+        return self.supervisor.total_restarts
 
     def _sync_restarted(self, handle) -> None:
         """Rejoin a restarted replica: re-attach the ring, then load the
@@ -316,12 +305,6 @@ class LearnerGroup:
             raylite.get(handle.set_flat_weights.remote(
                 self._last_weights, self.updates))
 
-    def _recover_all(self) -> None:
-        for i, handle in enumerate(list(self.replicas)):
-            replacement = self.supervisor.ensure_alive(handle)
-            if replacement is not handle:
-                self.replicas[i] = replacement
-
     # -- the group update -----------------------------------------------------
     def update(self, batch: Dict):
         """Shard -> gradient -> all-reduce -> ONE fused step -> re-sync.
@@ -330,24 +313,12 @@ class LearnerGroup:
         ``(loss, td)`` for TD agents (TD errors concatenated back in
         original row order), else the tuple of batch-weighted mean
         losses."""
-        attempts = 0
-        while True:
-            try:
-                return self._round(batch)
-            except BaseException:
-                if self.supervisor is None:
-                    raise
-                # A replica died mid-round: restart it (SupervisionError
-                # propagates once the backoff budget is exhausted), then
-                # retry the whole round on the re-formed group.
-                self._recover_all()
-                attempts += 1
-                if attempts > self.supervision.backoff.max_restarts:
-                    raise
+        # A replica death aborts the round: the supervisor restarts it
+        # (SupervisionError propagates once the backoff budget is
+        # exhausted) and the whole round re-runs on the re-formed group.
+        return self.supervisor.retrying(lambda: self._round(batch))
 
     def _round(self, batch: Dict):
-        if self.supervisor is not None:
-            self.supervisor.probe()
         shards = split_batch(batch, self.world_size, remainder="last",
                              axis=self._shard_axis, axes=self._shard_axes)
         first = next(k for k in batch
@@ -428,13 +399,8 @@ class LearnerGroup:
     def full_state(self) -> Dict:
         """Group checkpoints ARE rank 0's full state — the only replica
         whose optimizer slots advance (ranks > 0 never apply)."""
-        try:
-            return raylite.get(self.replicas[0].full_state.remote())
-        except BaseException:
-            if self.supervisor is None:
-                raise
-            self._recover_all()
-            return raylite.get(self.replicas[0].full_state.remote())
+        return self.supervisor.retrying(
+            lambda: raylite.get(self.replicas[0].full_state.remote()))
 
     def restore_full_state(self, state: Dict) -> None:
         raylite.get([h.restore_full_state.remote(state)
@@ -445,8 +411,5 @@ class LearnerGroup:
     def shutdown(self) -> None:
         """Kill the replicas and return the blocks to the pool."""
         for handle in self.replicas:
-            try:
-                raylite.kill(handle)
-            except BaseException:
-                pass
+            self.supervisor.kill(handle)
         self.ring.release()

@@ -33,9 +33,11 @@ from repro.execution.parallel import (
 )
 from repro.execution.ray.actors import ApexWorkerActor, ReplayShardActor
 from repro.execution.supervision import (
+    Pump,
     ReplicaFactory,
     Supervisor,
-    resolve_supervision_spec,
+    broadcast,
+    gather,
 )
 from repro.utils.errors import RLGraphError
 
@@ -114,43 +116,30 @@ class ApexExecutor:
         # Actors are built through ReplicaFactory recipes so the
         # supervisor can restart a crashed one with the exact same
         # configuration.
-        worker_factories = [
-            ReplicaFactory(self.parallel, ApexWorkerActor,
-                           agent_factory, env_factory,
-                           num_envs=envs_per_worker, n_step=n_step,
-                           discount=discount,
-                           worker_side_prioritization=True,
-                           batched_postprocessing=batched,
-                           worker_index=i,
-                           vector_env_spec=vector_env_spec,
-                           parallel_spec=self.parallel)
+        self.supervisor = Supervisor(supervision_spec)
+        self.workers = self.supervisor.spawn({
+            f"apex-worker-{i}": ReplicaFactory(
+                self.parallel, ApexWorkerActor,
+                agent_factory, env_factory,
+                num_envs=envs_per_worker, n_step=n_step,
+                discount=discount,
+                worker_side_prioritization=True,
+                batched_postprocessing=batched,
+                worker_index=i,
+                vector_env_spec=vector_env_spec,
+                parallel_spec=self.parallel)
             for i in range(num_workers)
-        ]
-        self.workers = [factory() for factory in worker_factories]
-        shard_factories = [
-            ReplicaFactory(self.parallel, ReplayShardActor,
-                           capacity=replay_capacity, seed=seed + 17 * i,
-                           min_sample_size=batch_size)
+        }, on_restart=self._sync_restarted_worker)
+        # A restarted shard rejoins EMPTY: its samples are lost (as in
+        # Ray), but inserts/samples flow again and the run survives.
+        self.shards = self.supervisor.spawn({
+            f"replay-shard-{i}": ReplicaFactory(
+                self.parallel, ReplayShardActor,
+                capacity=replay_capacity, seed=seed + 17 * i,
+                min_sample_size=batch_size)
             for i in range(num_replay_shards)
-        ]
-        self.shards = [factory() for factory in shard_factories]
+        })
         self._shard_rr = 0
-
-        self.supervision = resolve_supervision_spec(supervision_spec)
-        self.supervisor = (Supervisor(self.supervision)
-                           if self.supervision.enabled else None)
-        if self.supervisor is not None:
-            for i, (worker, factory) in enumerate(
-                    zip(self.workers, worker_factories)):
-                self.supervisor.register(
-                    f"apex-worker-{i}", worker, factory,
-                    on_restart=self._sync_restarted_worker)
-            for i, (shard, factory) in enumerate(
-                    zip(self.shards, shard_factories)):
-                # A restarted shard rejoins EMPTY: its samples are lost
-                # (as in Ray), but inserts/samples flow again and the
-                # run survives.
-                self.supervisor.register(f"replay-shard-{i}", shard, factory)
         ckpt = resolve_checkpoint_spec(checkpoint_spec)
         self.checkpoints = CheckpointManager(ckpt) if ckpt else None
 
@@ -159,20 +148,6 @@ class ApexExecutor:
         """Re-push the current flat weight vector so a rejoined worker
         resumes at the current version, not its factory-fresh init."""
         handle.set_weights.remote(self.learner.get_weights(flat=True))
-
-    def _recover_worker(self, worker):
-        replacement = self.supervisor.ensure_alive(worker)
-        if replacement is not worker:
-            self.workers = [replacement if w is worker else w
-                            for w in self.workers]
-        return replacement
-
-    def _recover_shard(self, shard):
-        replacement = self.supervisor.ensure_alive(shard)
-        if replacement is not shard:
-            self.shards = [replacement if s is shard else s
-                           for s in self.shards]
-        return replacement
 
     # -- checkpoint/resume ----------------------------------------------
     def _checkpoint_payload(self) -> Dict:
@@ -201,9 +176,8 @@ class ApexExecutor:
         if shard_states:
             raylite.get([s.load_state_dict.remote(state) for s, state
                          in zip(self.shards, shard_states)], timeout=30.0)
-        weights = self.learner.get_weights(flat=True)
-        for worker in self.workers:
-            worker.set_weights.remote(weights)
+        broadcast(self.workers, "set_weights",
+                  self.learner.get_weights(flat=True))
         return True
 
     # ------------------------------------------------------------------
@@ -217,18 +191,13 @@ class ApexExecutor:
         result = ApexResult()
         t_start = time.perf_counter()
 
-        # Prime one in-flight sample task per worker.  A worker that died
-        # before the run starts is recovered here, not at the first reap.
-        in_flight = {}
-        for worker in list(self.workers):
-            try:
-                in_flight[worker.collect.remote(self.task_size)] = worker
-            except BaseException:
-                if self.supervisor is None:
-                    raise
-                worker = self._recover_worker(worker)
-                in_flight[worker.collect.remote(self.task_size)] = worker
-        pending_sample = None
+        # One collect task in flight per worker and at most one sample
+        # request at a shard.  A task lost with a crashed incarnation is
+        # re-armed on the slot's replacement inside the pump; without
+        # supervision the failure raises here.
+        collects, samples = Pump(), Pump()
+        for worker in self.workers:
+            collects.arm(worker, "collect", self.task_size)
         samples_collected = 0
         updates_since_sync = 0
 
@@ -240,91 +209,44 @@ class ApexExecutor:
                 return True
             return False
 
+        def next_shard():
+            return self.shards[self._shard_rr % len(self.shards)]
+
         while not done():
             # 0. Supervision: restart any crashed actor (bounded backoff,
-            # weights re-pushed by the on_restart hook).  A restarted
-            # worker's stale in-flight ref fails below and re-arms on the
-            # slot's CURRENT handle via ensure_alive — no double restart.
-            if self.supervisor is not None:
-                self.supervisor.probe()
+            # weights re-pushed by the on_restart hook).
+            self.supervisor.probe()
 
             # 1. Reap completed worker tasks, re-arm workers immediately.
-            ready, _ = raylite.wait(list(in_flight.keys()), num_returns=1,
-                                    timeout=0.05)
-            for ref in ready:
-                worker = in_flight.pop(ref)
-                try:
-                    batch = raylite.get(ref)
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    # Task lost with the dead incarnation; re-arm the
-                    # slot's live replacement.
-                    worker = self._recover_worker(worker)
-                    in_flight[worker.collect.remote(self.task_size)] = worker
-                    continue
-                n = len(batch["rewards"])
-                samples_collected += n
-                shard = self.shards[self._shard_rr % len(self.shards)]
+            for worker, batch in collects.reap(timeout=0.05):
+                samples_collected += len(batch["rewards"])
+                next_shard().insert.remote(batch)
                 self._shard_rr += 1
-                try:
-                    shard.insert.remote(batch)
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    self._recover_shard(shard).insert.remote(batch)
-                try:
-                    in_flight[worker.collect.remote(self.task_size)] = worker
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    worker = self._recover_worker(worker)
-                    in_flight[worker.collect.remote(self.task_size)] = worker
+                collects.arm(worker, "collect", self.task_size)
 
             # 2. Learner step: pull a prioritized batch from a shard.
             if updates_enabled and samples_collected >= self.learning_starts:
-                if pending_sample is None:
-                    shard = self.shards[self._shard_rr % len(self.shards)]
-                    try:
-                        pending_sample = (
-                            shard.sample.remote(self.batch_size), shard)
-                    except BaseException:
-                        if self.supervisor is None:
-                            raise
-                        shard = self._recover_shard(shard)
-                        pending_sample = (
-                            shard.sample.remote(self.batch_size), shard)
-                ref, shard = pending_sample
-                if ref.ready():
-                    pending_sample = None
-                    try:
-                        sampled = raylite.get(ref)
-                    except BaseException:
-                        if self.supervisor is None:
-                            raise
-                        self._recover_shard(shard)
-                        sampled = None
-                    if sampled is not None:
-                        records, idx, weights = sampled
-                        batch = dict(records)
-                        batch["importance_weights"] = weights
-                        loss, td = self.learner.update(batch)
-                        try:
-                            shard.update_priorities.remote(
-                                idx, np.abs(td) + 1e-6)
-                        except BaseException:
-                            if self.supervisor is None:
-                                raise
-                            # Priorities die with the shard's data.
-                            self._recover_shard(shard)
-                        result.learner_updates += 1
-                        updates_since_sync += 1
-                        result.loss_timeline.append(
-                            (time.perf_counter() - t_start, loss))
-                        if self.checkpoints is not None:
-                            self.checkpoints.maybe_save(
-                                self._checkpoint_payload,
-                                result.learner_updates)
+                if not samples:
+                    samples.arm(next_shard(), "sample", self.batch_size)
+                for shard, sampled in samples.reap(timeout=0):
+                    if sampled is None:  # shard underfilled (or restarted)
+                        continue
+                    records, idx, weights = sampled
+                    batch = dict(records)
+                    batch["importance_weights"] = weights
+                    loss, td = self.learner.update(batch)
+                    # If the shard restarted meanwhile these indices are
+                    # stale; harmless — a shard samples only the prefix
+                    # it has refilled, and inserts reset priorities.
+                    shard.update_priorities.remote(idx, np.abs(td) + 1e-6)
+                    result.learner_updates += 1
+                    updates_since_sync += 1
+                    result.loss_timeline.append(
+                        (time.perf_counter() - t_start, loss))
+                    if self.checkpoints is not None:
+                        self.checkpoints.maybe_save(
+                            self._checkpoint_payload,
+                            result.learner_updates)
 
             # 3. Broadcast weights — as ONE flat ndarray (the learner's
             # deterministic flat layout matches the workers', same agent
@@ -334,41 +256,22 @@ class ApexExecutor:
             if updates_since_sync >= self.weight_sync_steps:
                 updates_since_sync = 0
                 weights = self.learner.get_weights(flat=True)
-                for worker in list(self.workers):
-                    try:
-                        worker.set_weights.remote(weights)
-                    except BaseException:
-                        if self.supervisor is None:
-                            raise
-                        # ensure_alive re-pushes via the restart hook.
-                        self._recover_worker(worker)
+                broadcast(self.workers, "set_weights", weights)
                 notify_weight_listeners(self.weight_listeners, weights)
 
         # Drain: collect final stats from workers.  Supervised runs
         # tolerate a worker dying during the drain (its frames are lost).
-        stats = self._collect_stats()
+        stats = gather(self.workers, "get_stats")
         result.wall_time = time.perf_counter() - t_start
         result.env_frames = sum(s["env_frames"] for s in stats) \
             * self.frame_multiplier
         result.mean_worker_return = _mean_recent_return(stats)
         return result
 
-    def _collect_stats(self) -> List[Dict]:
-        """Per-worker stats; in supervised mode a dead worker is skipped
-        instead of failing the whole drain."""
-        stats = []
-        for worker in self.workers:
-            try:
-                stats.append(raylite.get(worker.get_stats.remote()))
-            except BaseException:
-                if self.supervisor is None:
-                    raise
-        return stats
-
     def reward_snapshot(self) -> Optional[float]:
         """Mean of each worker's recent episode returns (the paper's
         "mean worker rewards" y-axis in Figs. 7b/8)."""
-        return _mean_recent_return(self._collect_stats())
+        return _mean_recent_return(gather(self.workers, "get_stats"))
 
 
 def _mean_recent_return(stats, last_n: int = 20) -> Optional[float]:

@@ -21,18 +21,32 @@ disappeared and the run died with a descriptive error.  The
   re-push the current flat weight vector so a rejoined actor resumes at
   the current version instead of its factory-fresh init.
 
-The supervisor never polls on its own thread; executors call
-:meth:`Supervisor.probe` from their coordination loops (or a dedicated
-monitor thread, as the serving worker pool does) so recovery happens on
-the loop that owns the actors.
+Callers never hold a raw incarnation of a supervised actor.
+:meth:`Supervisor.spawn` hands out :class:`SlotHandle` objects — the
+handle surface (``.method.remote(...)``, ``is_alive()``, ``pid``,
+``num_pending()``) addressed at the slot's *current* incarnation — and a
+submit to a dead incarnation restarts the slot, runs the hook and
+re-submits.  What a coordination loop does when a *result* is lost is
+written once here too: :class:`Pump` (one task in flight per slot; a
+task lost with its incarnation is re-armed on the replacement),
+:func:`broadcast` / :func:`gather` (a slot that dies is skipped — its
+restart hook re-syncs it) and :meth:`Supervisor.retrying` (re-run a
+whole round).  With supervision off ``spawn`` returns the raw raylite
+handles, and the same call shapes re-raise the original exception.
+
+The supervisor never polls on its own thread; recovery happens on the
+loop that owns the actors, at its next submit or
+:meth:`Supervisor.probe`.  Only :class:`Exception` is treated as a lost
+task: ``KeyboardInterrupt`` / ``SystemExit`` pass through untouched.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro import raylite
 from repro.utils.errors import RLGraphError
 
 
@@ -221,8 +235,61 @@ class _Slot:
         self.history: List[RestartEvent] = []
 
 
+class SlotHandle:
+    """The stable address of one supervised slot.
+
+    Quacks like a raylite actor handle but always reaches the slot's
+    *current* incarnation: ``handle.method.remote(...)`` on a dead actor
+    restarts it (bounded backoff, ``on_restart`` hook) and submits to
+    the replacement, so no caller ever swaps handles after a crash.
+    """
+
+    __slots__ = ("_supervisor", "_slot")
+
+    def __init__(self, supervisor: "Supervisor", slot: _Slot):
+        self._supervisor = supervisor
+        self._slot = slot
+
+    def is_alive(self) -> bool:
+        return self._slot.handle.is_alive()
+
+    @property
+    def pid(self):
+        return self._slot.handle.pid
+
+    def num_pending(self) -> int:
+        return self._slot.handle.num_pending()
+
+    def __getattr__(self, name: str) -> "_SlotMethod":
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return _SlotMethod(self, name)
+
+    def __repr__(self):
+        return f"<SlotHandle {self._slot.name} -> {self._slot.handle!r}>"
+
+
+class _SlotMethod:
+    """Bound ``.remote()`` callable for one method of a slot."""
+
+    __slots__ = ("_handle", "_name")
+
+    def __init__(self, handle: SlotHandle, name: str):
+        self._handle = handle
+        self._name = name
+
+    def remote(self, *args, **kwargs):
+        return self._handle._supervisor._submit(
+            self._handle._slot, self._name, args, kwargs)
+
+
 class Supervisor:
     """Restarts crashed actors with bounded exponential backoff.
+
+    ``spec`` is any ``supervision_spec`` value
+    (:func:`resolve_supervision_spec`).  A disabled supervisor
+    supervises nothing: :meth:`spawn` returns raw handles and every
+    recovery entry point is a no-op, so consumers hold one code path.
 
     Thread-safe: executor loops, raylite reader-thread death callbacks
     and serving monitor threads may all drive recovery concurrently; a
@@ -231,71 +298,79 @@ class Supervisor:
     property tests.
     """
 
-    def __init__(self, spec: Optional[SupervisionSpec] = None,
+    def __init__(self, spec=True,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
-        self.spec = spec or SupervisionSpec()
+        self.spec = resolve_supervision_spec(spec)
         self._clock = clock
         self._sleep = sleep
         self._slots: Dict[str, _Slot] = {}
-        # Every handle a slot has EVER held maps back to its slot, so a
-        # caller recovering from a stale handle (a failed ObjectRef of
-        # the pre-restart incarnation) still lands on the right slot.
-        self._slot_by_handle: Dict[int, str] = {}
-        # Restart events of slots since unregistered (autoscaler
+        # Restart events of slots since retired (autoscaler
         # scale-downs): total_restarts must not forget them.
         self._retired_history: List[RestartEvent] = []
         self._lock = threading.RLock()
 
     # -- registration -------------------------------------------------------
+    def spawn(self, factories: Dict[str, Callable[[], object]],
+              on_restart: Optional[Callable[[object], None]] = None
+              ) -> List[object]:
+        """Build one actor per ``{slot name: factory}`` entry and
+        :meth:`register` it; returns the handles to call through."""
+        return [self.register(name, factory(), factory, on_restart)
+                for name, factory in factories.items()]
+
     def register(self, name: str, handle, factory: Callable[[], object],
-                 on_restart: Optional[Callable[[object], None]] = None
-                 ) -> None:
+                 on_restart: Optional[Callable[[object], None]] = None):
         """Supervise ``handle``; ``factory()`` builds its replacement.
 
-        ``on_restart(new_handle)`` runs after every successful restart —
-        executors re-push the current flat weight vector here so the
-        rejoined actor resumes at the current version.
+        Returns the slot's :class:`SlotHandle` — or ``handle`` itself
+        when supervision is disabled.  ``on_restart(new_handle)`` runs
+        after every successful restart, before any re-submitted task,
+        with the *raw* replacement — executors re-push the current flat
+        weight vector here so the rejoined actor resumes at the current
+        version.
         """
+        if not self.spec.enabled:
+            return handle
         with self._lock:
             if name in self._slots:
                 raise RLGraphError(f"Slot {name!r} already supervised")
-            slot = _Slot(name, handle, factory, on_restart)
-            self._slots[name] = slot
-            self._slot_by_handle[id(handle)] = name
+            slot = self._slots[name] = _Slot(name, handle, factory,
+                                             on_restart)
+        return SlotHandle(self, slot)
 
-    def unregister(self, name: str):
-        """Stop supervising a slot; returns its current handle.
+    def retire(self, handle):
+        """Stop supervising ``handle``'s slot; returns its current raw
+        incarnation (a raw handle passes through).
 
         The serving autoscaler scales a pool *down* by retiring one
         replica: the slot must leave supervision first, or the next
         probe would resurrect the deliberately-removed actor.  The
         slot's restart history is retained (``total_restarts`` never
-        forgets), and killing/draining the returned handle stays the
-        caller's job.
+        forgets); draining/killing the returned handle is the caller's
+        job (:meth:`kill` does both).
         """
+        if not isinstance(handle, SlotHandle):
+            return handle
+        slot = handle._slot
         with self._lock:
-            slot = self._slots.pop(name, None)
-            if slot is None:
-                raise RLGraphError(f"Slot {name!r} is not supervised")
-            self._retired_history.extend(slot.history)
-            self._slot_by_handle = {
-                key: value for key, value in self._slot_by_handle.items()
-                if value != name}
-            return slot.handle
+            if self._slots.pop(slot.name, None) is slot:
+                self._retired_history.extend(slot.history)
+        return slot.handle
 
-    def name_of(self, handle) -> Optional[str]:
-        """The slot name a handle belongs to (any incarnation), or
-        None for unsupervised handles."""
-        with self._lock:
-            return self._slot_by_handle.get(id(handle))
+    def kill(self, handle) -> None:
+        """Deliberately remove an actor: :meth:`retire` its slot first
+        (so no probe resurrects it), then kill the incarnation —
+        best-effort, it may be dead already."""
+        self._reap(self.retire(handle))
 
     def names(self) -> List[str]:
         with self._lock:
             return list(self._slots)
 
     def handle(self, name: str):
-        """The slot's *current* handle (post-restart incarnations move)."""
+        """The slot's *current* raw handle (post-restart incarnations
+        move)."""
         with self._lock:
             return self._slots[name].handle
 
@@ -305,7 +380,7 @@ class Supervisor:
 
     @property
     def restart_history(self) -> List[RestartEvent]:
-        """All restarts across all slots (including since-unregistered
+        """All restarts across all slots (including since-retired
         ones), in restart order."""
         with self._lock:
             events = [e for slot in self._slots.values()
@@ -317,20 +392,16 @@ class Supervisor:
         return len(self.restart_history)
 
     # -- recovery -----------------------------------------------------------
-    def ensure_alive(self, handle):
-        """Return a live handle for the slot ``handle`` occupies.
+    def ensure_alive(self, name: str):
+        """Return a live raw handle for slot ``name``.
 
         If the slot's current incarnation is alive (including a
         replacement another thread already made), return it without
         restarting anything; otherwise restart with backoff.  Raises
         :class:`SupervisionError` once the slot's budget is exhausted
-        and :class:`KeyError` for unsupervised handles.
+        and :class:`KeyError` for unknown slots.
         """
         with self._lock:
-            name = self._slot_by_handle.get(id(handle))
-            if name is None:
-                raise KeyError(
-                    f"Handle {handle!r} is not supervised")
             return self._ensure_slot(self._slots[name])
 
     def probe(self) -> List[str]:
@@ -348,6 +419,38 @@ class Supervisor:
                 if slot.handle is not before:
                     restarted.append(slot.name)
         return restarted
+
+    def retrying(self, round_fn: Callable[[], object]):
+        """Run ``round_fn()``; when it fails, restart the dead slots and
+        run the whole round again — at most ``max_restarts`` re-runs
+        (:class:`SupervisionError` propagates as soon as one slot's own
+        budget is spent).  With nothing supervised the original
+        exception propagates from the first failure."""
+        reruns = 0
+        while True:
+            try:
+                return round_fn()
+            except Exception:
+                if not self._slots or reruns >= self.spec.backoff.max_restarts:
+                    raise
+                reruns += 1
+                self.probe()
+
+    def _submit(self, slot: _Slot, method: str, args, kwargs):
+        """``SlotHandle.method.remote``: submit to the slot's current
+        incarnation, restarting it first (and again, if the submit
+        itself finds it dead) until the task is queued on a live actor
+        or the slot's budget is spent.  A retired slot is never
+        resurrected: its last incarnation answers, or raises."""
+        while True:
+            with self._lock:
+                retired = self._slots.get(slot.name) is not slot
+                handle = slot.handle if retired else self._ensure_slot(slot)
+            try:
+                return getattr(handle, method).remote(*args, **kwargs)
+            except Exception:
+                if retired or handle.is_alive():
+                    raise  # not a death to heal (e.g. no such method)
 
     def _ensure_slot(self, slot: _Slot):
         if slot.handle.is_alive():
@@ -387,7 +490,6 @@ class Supervisor:
                 continue
             slot.handle = new_handle
             slot.last_restart_at = now
-            self._slot_by_handle[id(new_handle)] = slot.name
             if slot.on_restart is not None:
                 try:
                     slot.on_restart(new_handle)
@@ -403,8 +505,71 @@ class Supervisor:
     def _reap(handle) -> None:
         """Clean up the dead incarnation (fail its pending refs, drop it
         from the raylite registry).  Best-effort — it is already dead."""
-        from repro import raylite
         try:
             raylite.kill(handle)
         except Exception:
             pass
+
+
+# -- the call shapes of a coordination loop (any mix of slot/raw handles) ----
+class Pump:
+    """Keeps one task in flight per handle.
+
+    ``arm`` submits; ``reap`` yields the ``(handle, result)`` pairs that
+    completed.  A task lost with its incarnation is re-armed on the
+    slot's replacement (the submit restarts it), so after any recovery
+    every armed slot still has exactly one task in flight.
+    """
+
+    def __init__(self):
+        self._tasks: Dict[raylite.ObjectRef, Tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def arm(self, handle, method: str, *args) -> None:
+        ref = getattr(handle, method).remote(*args)
+        self._tasks[ref] = (handle, method, args)
+
+    def reap(self, timeout: Optional[float]) -> Iterator[Tuple]:
+        """Wait up to ``timeout`` for one armed task, then yield every
+        completed ``(handle, result)``.  An unrecoverable loss (raw
+        handle, or a spent restart budget) raises with that task
+        disarmed; tasks not yet yielded stay armed for the next call."""
+        if not self._tasks:
+            return
+        ready, _ = raylite.wait(list(self._tasks), num_returns=1,
+                                timeout=timeout)
+        for ref in ready:
+            handle, method, args = self._tasks.pop(ref)
+            try:
+                result = ref.result()
+            except Exception:
+                if not isinstance(handle, SlotHandle):
+                    raise
+                self.arm(handle, method, *args)
+                continue
+            yield handle, result
+
+
+def broadcast(handles, method: str, *args) -> List[Tuple]:
+    """Submit ``method(*args)`` to every handle without waiting;
+    returns ``(handle, ref)`` pairs.  A slot found dead is restarted
+    (its hook re-syncs it) before the submit."""
+    return [(handle, getattr(handle, method).remote(*args))
+            for handle in handles]
+
+
+def gather(handles, method: str, *args,
+           timeout: Optional[float] = None) -> List[object]:
+    """:func:`broadcast`, then collect the results that arrive.  A slot
+    that dies (or times out) before answering is skipped — its next
+    submit or probe restarts it and the restart hook re-syncs it."""
+    results = []
+    for handle, ref in broadcast(handles, method, *args):
+        try:
+            results.append(ref.result(timeout))
+        except Exception:
+            if not isinstance(handle, SlotHandle):
+                raise
+    return results

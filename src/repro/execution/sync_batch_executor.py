@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro import raylite
 from repro.agents.actor_critic_agent import discounted_returns
 from repro.execution.learner_group import LearnerGroup, resolve_learner_spec
 from repro.execution.parallel import (
@@ -26,7 +25,7 @@ from repro.execution.parallel import (
 from repro.execution.supervision import (
     ReplicaFactory,
     Supervisor,
-    resolve_supervision_spec,
+    gather,
 )
 from repro.execution.worker import build_vector_env, snapshot_fn
 from repro.utils.errors import RLGraphError
@@ -122,33 +121,18 @@ class SyncBatchExecutor:
                 learner_agent, agent_factory=agent_factory, spec=lspec,
                 parallel_spec=self.parallel,
                 supervision_spec=supervision_spec)
-        factories = [
-            ReplicaFactory(self.parallel, A2CRolloutActor,
-                           agent_factory, env_factory,
-                           num_envs=envs_per_worker,
-                           rollout_length=rollout_length, worker_index=i,
-                           vector_env_spec=vector_env_spec,
-                           parallel_spec=self.parallel)
+        self.supervisor = Supervisor(supervision_spec)
+        self.workers = self.supervisor.spawn({
+            f"a2c-worker-{i}": ReplicaFactory(
+                self.parallel, A2CRolloutActor,
+                agent_factory, env_factory,
+                num_envs=envs_per_worker,
+                rollout_length=rollout_length, worker_index=i,
+                vector_env_spec=vector_env_spec,
+                parallel_spec=self.parallel)
             for i in range(num_workers)
-        ]
-        self.workers = [factory() for factory in factories]
-        self.supervision = resolve_supervision_spec(supervision_spec)
-        self.supervisor = (Supervisor(self.supervision)
-                           if self.supervision.enabled else None)
-        if self.supervisor is not None:
-            for i, (worker, factory) in enumerate(
-                    zip(self.workers, factories)):
-                self.supervisor.register(
-                    f"a2c-worker-{i}", worker, factory,
-                    on_restart=lambda h: h.set_weights.remote(
-                        self.learner.get_weights(flat=True)))
-
-    def _recover_worker(self, worker):
-        replacement = self.supervisor.ensure_alive(worker)
-        if replacement is not worker:
-            self.workers = [replacement if w is worker else w
-                            for w in self.workers]
-        return replacement
+        }, on_restart=lambda h: h.set_weights.remote(
+            self.learner.get_weights(flat=True)))
 
     def execute_workload(self, num_iterations: int = 10) -> Dict:
         t0 = time.perf_counter()
@@ -159,25 +143,7 @@ class SyncBatchExecutor:
             # supervised mode a worker that died is restarted (weights
             # re-pushed by the restart hook) and this iteration trains
             # on the surviving rollouts.
-            pairs = []
-            for worker in list(self.workers):
-                try:
-                    pairs.append((worker.rollout.remote(self.discount),
-                                  worker))
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    worker = self._recover_worker(worker)
-                    pairs.append((worker.rollout.remote(self.discount),
-                                  worker))
-            rollouts = []
-            for ref, worker in pairs:
-                try:
-                    rollouts.append(raylite.get(ref))
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    self._recover_worker(worker)  # rollout lost
+            rollouts = gather(self.workers, "rollout", self.discount)
             if not rollouts:
                 continue
             for r in rollouts:
@@ -191,21 +157,9 @@ class SyncBatchExecutor:
             losses.append(total)
             # Flat broadcast: one ndarray (one shm block in process mode).
             weights = self.learner.get_weights(flat=True)
-            for worker in list(self.workers):
-                try:
-                    raylite.get(worker.set_weights.remote(weights))
-                except BaseException:
-                    if self.supervisor is None:
-                        raise
-                    self._recover_worker(worker)
+            gather(self.workers, "set_weights", weights)
             notify_weight_listeners(self.weight_listeners, weights)
-        stats = []
-        for worker in self.workers:
-            try:
-                stats.append(raylite.get(worker.get_stats.remote()))
-            except BaseException:
-                if self.supervisor is None:
-                    raise
+        stats = gather(self.workers, "get_stats")
         wall = time.perf_counter() - t0
         env_frames = sum(s["env_frames"] for s in stats)
         return {

@@ -55,7 +55,7 @@ class OverloadError(RLGraphError):
     Carries ``queue_depth`` (depth observed when the decision was made),
     ``retry_after`` (seconds — the client backoff hint, also surfaced as
     the HTTP ``Retry-After`` header) and ``reason`` (``"queue_full"``,
-    ``"dropped_oldest"`` or ``"shed"``).
+    ``"dropped_oldest"``, ``"shed"`` or ``"replica_lost"``).
     """
 
     def __init__(self, message: str, queue_depth: Optional[int] = None,

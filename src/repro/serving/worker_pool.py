@@ -32,12 +32,9 @@ import numpy as np
 
 from repro import raylite
 from repro.execution.parallel import resolve_parallel_spec
-from repro.execution.supervision import (
-    ReplicaFactory,
-    Supervisor,
-    resolve_supervision_spec,
-)
+from repro.execution.supervision import ReplicaFactory, Supervisor, gather
 from repro.serving.overload import (
+    OverloadError,
     QueueDepthAutoscaler,
     resolve_autoscale_spec,
 )
@@ -128,27 +125,17 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         self.parallel = resolve_parallel_spec(parallel_spec)
         self._agent_factory = agent_factory
         self._explore = explore
-        factories = [
-            ReplicaFactory(self.parallel, PolicyServerActor,
-                           agent_factory, explore, i)
-            for i in range(num_replicas)
-        ]
-        self.replicas = [factory() for factory in factories]
-        # Monotonic replica index: autoscaled replicas get fresh slot
-        # names even after earlier ones were retired.
-        self._next_replica_index = num_replicas
         # The last hot-swapped weight vector: a restarted replica must
         # rejoin at the CURRENT version, not its factory-fresh init.
         self._current_weights = None
-        self.supervision = resolve_supervision_spec(supervision_spec)
-        self.supervisor = (Supervisor(self.supervision)
-                           if self.supervision.enabled else None)
-        if self.supervisor is not None:
-            for i, (replica, factory) in enumerate(
-                    zip(self.replicas, factories)):
-                self.supervisor.register(
-                    f"{name}-replica-{i}", replica, factory,
-                    on_restart=self._sync_restarted_replica)
+        self.supervisor = Supervisor(supervision_spec)
+        self.replicas = self.supervisor.spawn({
+            f"{name}-replica-{i}": self._replica_factory(i)
+            for i in range(num_replicas)
+        }, on_restart=self._sync_restarted_replica)
+        # Monotonic replica index: autoscaled replicas get fresh slot
+        # names even after earlier ones were retired.
+        self._next_replica_index = num_replicas
         self.autoscale = resolve_autoscale_spec(autoscale_spec)
         self.autoscaler = (QueueDepthAutoscaler(self.autoscale)
                            if self.autoscale is not None else None)
@@ -172,19 +159,24 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                          tick=(self.autoscale.tick_interval
                                if self.autoscale is not None else None))
 
+    def _replica_factory(self, index: int) -> ReplicaFactory:
+        return ReplicaFactory(self.parallel, PolicyServerActor,
+                              self._agent_factory, self._explore, index)
+
     # -- batching hooks ------------------------------------------------------
     def _warm_up(self) -> None:
         """Warm every replica's compiled plan per batch bucket."""
         sizes = bucket_sizes(self.max_batch_size)
         raylite.get([r.warm_up.remote(sizes) for r in self.replicas])
 
-    def _sync_restarted_replica(self, handle) -> None:
-        """Bring a restarted replica up to serving parity: warm its
-        compiled act plans and re-push the current weight version (both
-        ride the mailbox ahead of any batch routed to it)."""
-        handle.warm_up.remote(bucket_sizes(self.max_batch_size))
+    def _sync_restarted_replica(self, handle) -> List:
+        """Bring a fresh replica up to serving parity: warm its compiled
+        act plans and push the current weight version (both ride the
+        mailbox ahead of any batch routed to it); returns the refs."""
+        refs = [handle.warm_up.remote(bucket_sizes(self.max_batch_size))]
         if self._current_weights is not None:
-            handle.set_weights.remote(self._current_weights)
+            refs.append(handle.set_weights.remote(self._current_weights))
+        return refs
 
     def _live_replicas(self) -> List:
         """Replicas eligible for routing: dead ones are EXCLUDED so no
@@ -192,9 +184,8 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         the collector thread restarts them here (bounded backoff) —
         requests queue during the restart and none are dropped."""
         live = [h for h in self.replicas if h.is_alive()]
-        if len(live) < len(self.replicas) and self.supervisor is not None:
+        if len(live) < len(self.replicas):
             self.supervisor.probe()
-            self.replicas = self.supervisor.handles()
             live = [h for h in self.replicas if h.is_alive()]
         return live
 
@@ -232,15 +223,10 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         """
         index = self._next_replica_index
         self._next_replica_index += 1
-        factory = ReplicaFactory(self.parallel, PolicyServerActor,
-                                 self._agent_factory, self._explore, index)
+        factory = self._replica_factory(index)
         try:
             handle = factory()
-            refs = [handle.warm_up.remote(
-                bucket_sizes(self.max_batch_size))]
-            if self._current_weights is not None:
-                refs.append(handle.set_weights.remote(self._current_weights))
-            raylite.get(refs, timeout=60.0)
+            raylite.get(self._sync_restarted_replica(handle), timeout=60.0)
         except Exception as exc:
             # A failed grow is a missed opportunity, not an outage:
             # existing replicas keep serving; the controller's cooldown
@@ -249,11 +235,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             print(f"{self.name}: scale-up failed, staying at "
                   f"{len(self.replicas)} replicas: {exc}", file=sys.stderr)
             return
-        if self.supervisor is not None:
-            self.supervisor.register(
-                f"{self.name}-replica-{index}", handle, factory,
-                on_restart=self._sync_restarted_replica)
-        self.replicas.append(handle)
+        self.replicas.append(self.supervisor.register(
+            f"{self.name}-replica-{index}", handle, factory,
+            on_restart=self._sync_restarted_replica))
 
     def _scale_down(self) -> None:
         """Retire one idle replica (newest first).
@@ -270,14 +254,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             except Exception:
                 continue
             self.replicas.remove(handle)
-            if self.supervisor is not None:
-                slot_name = self.supervisor.name_of(handle)
-                if slot_name is not None:
-                    self.supervisor.unregister(slot_name)
-            try:
-                raylite.kill(handle)
-            except Exception:
-                pass
+            # Retires the slot BEFORE the kill: a slot still supervised
+            # would be resurrected by the next probe.
+            self.supervisor.kill(handle)
             return
 
     def _on_idle_tick(self) -> None:
@@ -291,15 +270,21 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         returns to assembling the next batch for the next replica.
         """
         self._maybe_autoscale()
-        live = self._live_replicas()
-        if not live:
-            raise RLGraphError(
-                f"{self.name}: no live replicas to dispatch to")
         obs = self._stack(requests)
-        replica = min(live, key=lambda h: h.num_pending())
         for req in requests:
             req.attempts += 1
-        ref = replica.act_batch.remote(obs)
+        try:
+            live = self._live_replicas()
+            if not live:
+                raise RLGraphError(
+                    f"{self.name}: no live replicas to dispatch to")
+            replica = min(live, key=lambda h: h.num_pending())
+            ref = replica.act_batch.remote(obs)
+        except Exception as exc:
+            # A replica lost at submit time is the same event as one
+            # lost at result time.
+            self._handle_failed_batch(requests, exc)
+            return
         with self._inflight_lock:
             self._inflight.add(ref.id)
             self._inflight_requests += num_rows(requests)
@@ -316,19 +301,20 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                 self._inflight_drained.set()
         try:
             actions = ref.result(timeout=0)
-        except BaseException as exc:
+        except Exception as exc:
             self._handle_failed_batch(requests, exc)
             return
         self._scatter(requests, actions)
 
     def _handle_failed_batch(self, requests: List[_Request],
-                             exc: BaseException) -> None:
-        """A dispatched batch died with its replica.  Supervised pools
-        re-queue the requests, blocks whole (bounded attempts; the
-        collector routes them to a live replica — zero rows dropped by a
-        crash); unsupervised pools keep the seed behavior and fail
-        them."""
-        if self.supervisor is None or self._stopped.is_set():
+                             exc: Exception) -> None:
+        """A batch was lost with its replica.  Supervised pools re-queue
+        the requests, blocks whole (the collector routes them to a live
+        replica — zero rows dropped by a crash); a request out of
+        attempts resolves with a typed ``replica_lost`` overload error
+        (503 + retry-after at the gateway).  Unsupervised pools keep the
+        seed behavior and fail them with the raw error."""
+        if not self.supervisor.spec.enabled or self._stopped.is_set():
             self.stats.record_error(num_rows(requests))
             for req in requests:
                 req.ref._fail(exc)
@@ -344,7 +330,14 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                 self._mailbox.put(req)
             else:
                 self.stats.record_error(req.rows)
-                req.ref._fail(exc)
+                lost = OverloadError(
+                    f"{self.name}: request lost its replica "
+                    f"{req.attempts} times: {exc!r}",
+                    queue_depth=self.queue_depth(),
+                    retry_after=self.admission.retry_after,
+                    reason="replica_lost")
+                lost.__cause__ = exc
+                req.ref._fail(lost)
 
     def _apply_weights(self, weights) -> None:
         """Broadcast the swap to every replica (FIFO per actor mailbox
@@ -353,20 +346,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         A replica that dies mid-swap is restarted by supervision and
         receives the new version through the restart hook instead."""
         self._current_weights = weights
-        if self.supervisor is None:  # seed behavior: all-or-error
-            raylite.get([r.set_weights.remote(weights)
-                         for r in self.replicas], timeout=30.0)
-            return
-        refs = []
-        for replica in self._live_replicas():
-            try:
-                refs.append(replica.set_weights.remote(weights))
-            except Exception:
-                pass  # died after the liveness check: restart hook syncs
-        try:
-            raylite.get(refs, timeout=30.0)
-        except Exception:
-            pass
+        gather(self.replicas, "set_weights", weights, timeout=30.0)
 
     # -- lifecycle ------------------------------------------------------------
     def stop(self, kill_replicas: bool = True) -> None:
@@ -377,21 +357,11 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         self._inflight_drained.wait(timeout=30.0)
         if kill_replicas:
             for replica in self.replicas:
-                try:
-                    raylite.kill(replica)
-                except Exception:
-                    pass
+                self.supervisor.kill(replica)
             self.replicas = []
 
     def replica_stats(self) -> List[dict]:
-        stats = []
-        for replica in list(self.replicas):
-            try:
-                stats.append(raylite.get(replica.get_stats.remote()))
-            except Exception:
-                if self.supervisor is None:
-                    raise
-        return stats
+        return gather(list(self.replicas), "get_stats")
 
     def metrics_snapshot(self) -> dict:
         """The front-end snapshot plus pool-level state: replica count,
@@ -409,8 +379,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                 "max_replicas": self.autoscale.max_replicas,
                 "events": list(self.autoscaler.events),
             }
-        if self.supervisor is not None:
-            snap["restarts"] = self.supervisor.total_restarts
+        snap["restarts"] = self.supervisor.total_restarts
         return snap
 
     def __repr__(self):

@@ -254,7 +254,8 @@ class TestGatewayChaos:
             timer.join()
             stragglers = sum(1 for t in threads if t.is_alive())
             assert stragglers == 0, f"{stragglers} clients hung"
-            assert not unexpected, f"untyped failures: {unexpected[:3]}"
+            assert not unexpected, "untyped failures: " + "; ".join(
+                f"{type(exc).__name__}: {exc!r}" for exc in unexpected)
             assert not over_deadline, (
                 f"requests blocked past deadline: {over_deadline[:5]}")
             assert counts["ok"] > 0

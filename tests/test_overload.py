@@ -859,8 +859,17 @@ class TestPoolAutoscaling:
             reference = _tiny_dqn()
             expected = [int(reference.get_actions(o, explore=False)[0])
                         for o in obs]
-            # Sustained burst far beyond one replica's throughput.
-            refs = [pool.submit(obs[i % len(obs)]) for i in range(4000)]
+            # Backlog far beyond one replica's throughput, held until
+            # the pool grows: a fixed-size burst drains in ~0.1 s on a
+            # fast host, a coin flip against the sustain window.
+            refs = []
+            give_up = time.perf_counter() + 30.0
+            while len(pool.replicas) == 1 and time.perf_counter() < give_up:
+                if pool.outstanding() < 2048:
+                    refs.extend(pool.submit(obs[i % len(obs)]) for i in
+                                range(len(refs), len(refs) + 512))
+                else:
+                    time.sleep(0.001)
             actions = [int(r.result(120.0)) for r in refs]
             grew_to = len(pool.replicas)
             assert grew_to > 1, "sustained backlog never grew the pool"
@@ -868,7 +877,7 @@ class TestPoolAutoscaling:
                            if e["action"] == "grow"]
             assert len(grow_events) == grew_to - 1
             # Zero dropped or errored requests across the scale-up.
-            assert len(actions) == 4000
+            assert len(actions) == len(refs) >= 512
             assert pool.stats.as_dict()["errors"] == 0
             # Bitwise action parity through the scale event: autoscaled
             # replicas joined warm and at the current weight version.
@@ -907,6 +916,95 @@ class TestPoolAutoscaling:
             for ref in refs:
                 ref.result(120.0)
             assert len(pool.replicas) <= 2
+        finally:
+            pool.stop()
+
+
+    def test_scale_down_retires_the_slot_before_the_kill(self):
+        """A retired replica must not be resurrected by the next probe,
+        and its restart history still counts.  The collector is not
+        started, so the scale calls below cannot race dispatch."""
+        pool = InferenceWorkerPool(
+            _tiny_dqn, FloatBox(shape=(4,)), num_replicas=2,
+            parallel_spec="thread", supervision_spec={"base_delay": 0.0},
+            auto_start=False)
+        try:
+            sup = pool.supervisor
+            oldest, newest = pool.replicas
+            raylite.kill(sup.handle("inference-pool-replica-1"))  # "crash"
+            assert sup.probe() == ["inference-pool-replica-1"]
+            assert newest.is_alive() and sup.total_restarts == 1
+            # Only an idle replica is eligible: let the restart hook's
+            # warm-up drain first.
+            raylite.get(newest.get_stats.remote(), timeout=30.0)
+            pool._scale_down()
+            assert pool.replicas == [oldest]
+            assert not newest.is_alive()
+            assert sup.names() == ["inference-pool-replica-0"]
+            assert sup.probe() == [] and not newest.is_alive()
+            assert sup.total_restarts == 1
+        finally:
+            pool.stop()
+
+
+# ---------------------------------------------------------------------------
+# A replica lost at submit time (the Tier-1 flake of ROADMAP "Fix first")
+# ---------------------------------------------------------------------------
+class _VanishingReplica:
+    """A replica SIGKILLed between the liveness check and the submit:
+    it still reads alive, and ``.remote()`` raises raylite's error."""
+
+    class act_batch:
+        @staticmethod
+        def remote(obs):
+            raise raylite.RayliteError("Actor PolicyServerActor-p0 is stopped")
+
+    @staticmethod
+    def is_alive():
+        return True
+
+    @staticmethod
+    def num_pending():
+        return 0
+
+
+class TestReplicaLostAtSubmit:
+    def _pool(self, supervision_spec):
+        pool = InferenceWorkerPool(
+            _tiny_dqn, FloatBox(shape=(4,)), num_replicas=1,
+            parallel_spec="thread", max_batch_size=4, batch_window=0.0,
+            supervision_spec=supervision_spec,
+            admission_spec={"max_queue": 64, "retry_after": 0.125})
+        pool.replicas = [_VanishingReplica()]
+        return pool
+
+    def test_supervised_pool_answers_typed_503(self):
+        from repro.serving import HttpGateway, HttpPolicyClient
+        pool = self._pool({"base_delay": 0.0})
+        try:
+            with pytest.raises(OverloadError) as excinfo:
+                pool.act(np.zeros(4, np.float32), timeout=10.0)
+            assert excinfo.value.reason == "replica_lost"
+            assert excinfo.value.retry_after == 0.125
+            assert isinstance(excinfo.value.__cause__, raylite.RayliteError)
+            stats = pool.stats.as_dict()
+            # Same branch as a result-time death: re-queued, bounded.
+            assert stats["retries"] == 4 and stats["errors"] == 1
+            with HttpGateway(pool) as gateway:
+                with HttpPolicyClient.for_gateway(gateway) as client:
+                    with pytest.raises(OverloadError) as excinfo:
+                        client.act(np.zeros(4, np.float32))
+            assert excinfo.value.reason == "replica_lost"
+            assert excinfo.value.retry_after == 0.125
+        finally:
+            pool.stop()
+
+    def test_unsupervised_pool_keeps_the_raw_error(self):
+        pool = self._pool(None)
+        try:
+            with pytest.raises(raylite.RayliteError, match="is stopped"):
+                pool.act(np.zeros(4, np.float32), timeout=10.0)
+            assert pool.stats.as_dict()["retries"] == 0
         finally:
             pool.stop()
 

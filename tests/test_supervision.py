@@ -1,8 +1,10 @@
 """Supervision-layer tests: backoff properties (bounded, jitterless,
 deterministic under a seeded clock), Supervisor restart semantics with
-fake handles, spec resolution, factory picklability, and the raylite
-liveness signal the supervisor is built on (SIGKILLed process actors
-flip ``is_alive()`` and fire death callbacks; deliberate kills do not).
+fake handles, the one supervised call path (slot handles + pump /
+broadcast / gather / retrying) as a deterministic matrix of scripted
+deaths, spec resolution, factory picklability, and the raylite liveness
+signal the supervisor is built on (SIGKILLed process actors flip
+``is_alive()`` and fire death callbacks; deliberate kills do not).
 """
 
 import os
@@ -17,11 +19,15 @@ from repro import raylite
 from repro.execution.parallel import resolve_parallel_spec
 from repro.execution.supervision import (
     BackoffPolicy,
+    Pump,
     ReplicaFactory,
     RestartEvent,
+    SlotHandle,
     SupervisionError,
     SupervisionSpec,
     Supervisor,
+    broadcast,
+    gather,
     resolve_supervision_spec,
 )
 from repro.utils.errors import RLGraphError
@@ -48,36 +54,84 @@ class FakeClock:
         self.now += float(seconds)
 
 
-class FakeHandle:
-    """Minimal stand-in for a raylite actor handle."""
+class _FakeMethod:
+    def __init__(self, handle, name):
+        self.handle, self.name = handle, name
 
-    def __init__(self, alive=True):
+    def remote(self, *args):
+        return self.handle.submit(self.name, args)
+
+
+class FakeHandle:
+    """Scriptable stand-in for a raylite actor handle.  Tasks are real
+    ``ObjectRef`` futures the test settles by hand: ``finish`` answers
+    the oldest pending task, ``die`` kills the actor and fails them."""
+
+    def __init__(self, alive=True, log=None, script=None):
         self.alive = alive
-        self.killed = False
+        self.log = log if log is not None else []
+        self.pending = []            # [(method, args, ref)]
+        self.submit_error = None     # raised by the next submit
+        self.die_on_submit = False   # the kill lands inside .remote()
+        self.script = script         # script(handle) after each submit
 
     def is_alive(self):
         return self.alive
 
-    def kill(self):
+    def num_pending(self):
+        return len(self.pending)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return _FakeMethod(self, name)
+
+    def submit(self, method, args):
+        if self.submit_error is not None:
+            error, self.submit_error = self.submit_error, None
+            raise error
+        if self.die_on_submit:
+            self.alive = False
+        if not self.alive:
+            raise raylite.RayliteError("Actor fake is stopped")
+        ref = raylite.ObjectRef()
+        self.pending.append((method, args, ref))
+        self.log.append(("submit", self, method))
+        if self.script is not None:
+            self.script(self)
+        return ref
+
+    def finish(self, value=None, error=None):
+        _, _, ref = self.pending.pop(0)
+        if error is not None:
+            ref._fail(error)
+        else:
+            ref._resolve(value)
+
+    def die(self):
         self.alive = False
-        self.killed = True
+        while self.pending:
+            self.finish(error=raylite.RayliteError("actor fake died"))
 
 
 class FakeFactory:
     """Builds FakeHandles; scriptable to fail or produce dead ones."""
 
-    def __init__(self, fail_first=0, dead_first=0):
+    def __init__(self, fail_first=0, dead_first=0, log=None, script=None):
         self.built = []
         self.fail_first = fail_first
         self.dead_first = dead_first
         self.calls = 0
+        self.log = log
+        self.script = script
 
     def __call__(self):
         self.calls += 1
         if self.calls <= self.fail_first:
             raise RuntimeError("factory down")
         handle = FakeHandle(alive=self.calls > self.fail_first
-                            + self.dead_first)
+                            + self.dead_first, log=self.log,
+                            script=self.script)
         self.built.append(handle)
         return handle
 
@@ -171,8 +225,9 @@ class TestSupervisor:
     def test_alive_handle_passes_through(self):
         sup, clock = _supervisor()
         handle = FakeHandle()
-        sup.register("a", handle, FakeFactory())
-        assert sup.ensure_alive(handle) is handle
+        slot = sup.register("a", handle, FakeFactory())
+        assert isinstance(slot, SlotHandle)
+        assert sup.ensure_alive("a") is handle
         assert sup.total_restarts == 0
         assert clock.slept == []
 
@@ -182,10 +237,10 @@ class TestSupervisor:
         handle = FakeHandle(alive=False)
         synced = []
         sup.register("a", handle, factory, on_restart=synced.append)
-        replacement = sup.ensure_alive(handle)
+        replacement = sup.ensure_alive("a")
         assert replacement is factory.built[0]
         assert replacement.is_alive()
-        assert synced == [replacement]  # hook saw the NEW handle
+        assert synced == [replacement]  # hook saw the NEW (raw) handle
         assert sup.total_restarts == 1
         assert sup.handle("a") is replacement
 
@@ -199,7 +254,7 @@ class TestSupervisor:
             factory = FakeFactory(fail_first=3)
             handle = FakeHandle(alive=False)
             sup.register("a", handle, factory)
-            sup.ensure_alive(handle)
+            sup.ensure_alive("a")
             timelines.append(list(clock.slept))
         assert timelines[0] == timelines[1] == [0.1, 0.2, 0.4, 0.8]
 
@@ -209,7 +264,7 @@ class TestSupervisor:
         handle = FakeHandle(alive=False)
         sup.register("flaky", handle, factory)
         with pytest.raises(SupervisionError) as excinfo:
-            sup.ensure_alive(handle)
+            sup.ensure_alive("flaky")
         err = excinfo.value
         assert err.actor_name == "flaky"
         assert len(err.history) == 3
@@ -218,14 +273,14 @@ class TestSupervisor:
         assert "factory down" in str(err)
         # The budget stays spent: the next attempt fails immediately.
         with pytest.raises(SupervisionError):
-            sup.ensure_alive(handle)
+            sup.ensure_alive("flaky")
 
     def test_dead_on_arrival_replacement_burns_attempt(self):
         sup, _ = _supervisor(max_restarts=2)
         factory = FakeFactory(dead_first=1)
         handle = FakeHandle(alive=False)
         sup.register("a", handle, factory)
-        replacement = sup.ensure_alive(handle)
+        replacement = sup.ensure_alive("a")
         assert replacement.is_alive()
         history = sup.restart_history
         assert len(history) == 2
@@ -243,26 +298,52 @@ class TestSupervisor:
                 raise RuntimeError("died during weight push")
 
         sup.register("a", handle, factory, on_restart=hook)
-        replacement = sup.ensure_alive(handle)
+        replacement = sup.ensure_alive("a")
         assert replacement is factory.built[1]
         assert len(calls) == 2
         assert "on_restart failed" in sup.restart_history[0].reason
 
-    def test_stale_handle_maps_to_current_slot(self):
-        # Recovery from an old incarnation's failed ref must find the
-        # slot's CURRENT handle, not restart a second time.
+    def test_no_double_restart_for_one_death(self):
+        # Two recoveries triggered by the same dead incarnation (two of
+        # its refs failing, say) must find the slot's CURRENT handle,
+        # not restart a second time.
         sup, _ = _supervisor()
         factory = FakeFactory()
-        stale = FakeHandle(alive=False)
-        sup.register("a", stale, factory)
-        replacement = sup.ensure_alive(stale)
-        assert sup.ensure_alive(stale) is replacement  # no double restart
+        slot = sup.register("a", FakeHandle(alive=False), factory)
+        replacement = sup.ensure_alive("a")
+        assert sup.ensure_alive("a") is replacement
+        slot.ping.remote()                       # the submit path agrees
+        assert replacement.num_pending() == 1
         assert sup.total_restarts == 1
 
-    def test_unsupervised_handle_raises_keyerror(self):
+    def test_unknown_slot_raises_keyerror(self):
         sup, _ = _supervisor()
         with pytest.raises(KeyError):
-            sup.ensure_alive(FakeHandle())
+            sup.ensure_alive("nobody")
+
+    def test_disabled_supervisor_hands_out_raw_handles(self):
+        sup = Supervisor(None)
+        handle = FakeHandle(alive=False)
+        assert sup.register("a", handle, FakeFactory()) is handle
+        factory = FakeFactory()
+        assert sup.spawn({"b": factory}) == factory.built
+        assert sup.names() == [] and sup.probe() == []
+        assert sup.retire(handle) is handle
+
+    def test_retired_slot_keeps_its_history_and_stays_dead(self):
+        sup, _ = _supervisor()
+        slot = sup.register("a", FakeHandle(alive=False), FakeFactory())
+        current = sup.ensure_alive("a")
+        assert sup.retire(slot) is current
+        current.alive = False                    # the caller's kill
+        assert sup.names() == [] and sup.probe() == []
+        assert sup.total_restarts == 1           # never forgotten
+        # A straggler still holding the slot handle cannot resurrect it.
+        with pytest.raises(raylite.RayliteError):
+            slot.ping.remote()
+        assert sup.total_restarts == 1 and not slot.is_alive()
+        assert sup.retire(slot) is current       # idempotent
+        assert sup.total_restarts == 1
 
     def test_duplicate_slot_name_rejected(self):
         sup, _ = _supervisor()
@@ -289,11 +370,11 @@ class TestSupervisor:
         factory = FakeFactory()
         handle = FakeHandle(alive=False)
         sup.register("a", handle, factory)
-        first = sup.ensure_alive(handle)        # spends the whole budget
+        first = sup.ensure_alive("a")           # spends the whole budget
         clock.advance(11.0)                     # healthy past reset_after
-        assert sup.ensure_alive(first) is first  # probe resets attempts
+        assert sup.ensure_alive("a") is first   # probe resets attempts
         first.alive = False
-        second = sup.ensure_alive(first)        # budget earned back
+        second = sup.ensure_alive("a")          # budget earned back
         assert second.is_alive()
         assert sup.total_restarts == 2
 
@@ -302,10 +383,294 @@ class TestSupervisor:
         a, b = FakeHandle(alive=False), FakeHandle(alive=False)
         sup.register("a", a, FakeFactory())
         sup.register("b", b, FakeFactory())
-        sup.ensure_alive(a)
+        sup.ensure_alive("a")
         clock.advance(1.0)
-        sup.ensure_alive(b)
+        sup.ensure_alive("b")
         assert [e.name for e in sup.restart_history] == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# The one supervised call path: scripted deaths x {pump, broadcast, gather}
+# ---------------------------------------------------------------------------
+def answer(value):
+    """Handle script: every submitted task is answered at once."""
+    return lambda handle: handle.finish(value)
+
+
+def die_after_submit(handle):
+    """Handle script: the task is accepted, then the actor dies."""
+    handle.die()
+
+
+class Rig:
+    """Two fake slots under one seeded-clock supervisor.  ``log`` holds
+    ``("hook", raw)`` and ``("submit", raw, method)`` in event order."""
+
+    def __init__(self, enabled=True, max_restarts=3, script=None,
+                 **factory_kwargs):
+        self.clock = FakeClock()
+        self.log = []
+        self.policy = BackoffPolicy(base_delay=0.1, factor=2.0,
+                                    max_delay=5.0,
+                                    max_restarts=max_restarts)
+        self.sup = Supervisor(
+            SupervisionSpec(enabled=enabled, backoff=self.policy),
+            clock=self.clock, sleep=self.clock.sleep)
+        self.first = [FakeHandle(log=self.log, script=script)
+                      for _ in range(2)]
+        self.factories = [FakeFactory(log=self.log, script=script,
+                                      **factory_kwargs) for _ in range(2)]
+        self.handles = [
+            self.sup.register(f"s{i}", first, factory,
+                              on_restart=lambda h: self.log.append(
+                                  ("hook", h)))
+            for i, (first, factory)
+            in enumerate(zip(self.first, self.factories))]
+
+    def incarnations(self, i):
+        return [self.first[i]] + self.factories[i].built
+
+    def in_flight(self, i):
+        return sum(h.num_pending() for h in self.incarnations(i))
+
+    def hooks(self):
+        return [entry[1] for entry in self.log if entry[0] == "hook"]
+
+    def assert_one_recovery(self, i, restarts=1):
+        """Slot ``i`` died once and was replaced by a live actor after
+        ``restarts`` attempts; nobody else was touched."""
+        replacement = self.sup.handle(f"s{i}")
+        assert replacement is self.factories[i].built[-1]
+        assert replacement.is_alive()
+        assert self.sup.total_restarts == restarts
+        assert self.factories[1 - i].calls == 0
+        assert self.clock.slept == self.policy.delays()[:restarts]
+        # The hook ran once, on the live replacement, before any task.
+        assert self.hooks() == [replacement]
+        submits = [k for k, entry in enumerate(self.log)
+                   if entry[:2] == ("submit", replacement)]
+        assert self.log.index(("hook", replacement)) < min(submits)
+        return replacement
+
+
+def run_pump(handles):
+    pump = Pump()
+    for handle in handles:
+        pump.arm(handle, "work", 5)
+    return pump
+
+
+def run_broadcast(handles):
+    return broadcast(handles, "work", 5)
+
+
+def run_gather(handles):
+    return gather(handles, "work", 5)
+
+
+SHAPES = pytest.mark.parametrize(
+    "shape", [run_pump, run_broadcast, run_gather],
+    ids=["pump", "broadcast", "gather"])
+
+
+class TestOneCallPath:
+    @SHAPES
+    @pytest.mark.parametrize("window", ["dead_before", "dies_in_remote"])
+    def test_death_at_submit(self, shape, window):
+        rig = Rig(script=answer(9) if shape is run_gather else None)
+        if window == "dead_before":
+            rig.first[0].alive = False
+        else:
+            rig.first[0].die_on_submit = True
+        out = shape(rig.handles)
+        replacement = rig.assert_one_recovery(0)
+        assert [e for e in rig.log if e[0] == "submit"] == [
+            ("submit", replacement, "work"),
+            ("submit", rig.first[1], "work")]
+        if shape is run_gather:
+            assert out == [9, 9]
+        else:
+            assert rig.in_flight(0) == rig.in_flight(1) == 1
+            assert replacement.pending[0][:2] == ("work", (5,))
+
+    def test_pump_death_at_result_rearms_on_replacement(self):
+        rig = Rig()
+        pump = run_pump(rig.handles)
+        rig.first[0].die()
+        rig.first[1].finish(42)
+        assert list(pump.reap(timeout=0)) == [(rig.handles[1], 42)]
+        replacement = rig.assert_one_recovery(0)
+        assert replacement.pending[0][:2] == ("work", (5,))
+        assert rig.in_flight(0) == 1 and len(pump) == 1
+        pump.arm(rig.handles[1], "work", 5)
+        # The re-armed task completes like any other.
+        replacement.finish(7)
+        rig.first[1].finish(8)
+        assert sorted(r for _, r in pump.reap(timeout=0)) == [7, 8]
+        assert len(pump) == 0 and rig.sup.total_restarts == 1
+
+    def test_pump_two_lost_tasks_one_restart_each(self):
+        rig = Rig()
+        pump = run_pump(rig.handles)
+        rig.first[0].die()
+        rig.first[1].die()
+        assert list(pump.reap(timeout=0)) == []
+        assert rig.sup.total_restarts == 2
+        assert rig.in_flight(0) == rig.in_flight(1) == 1 and len(pump) == 2
+        assert len(rig.hooks()) == 2
+
+    def test_death_mid_broadcast_is_synced_by_the_restart_hook(self):
+        rig = Rig(script=None)
+        pairs = run_broadcast(rig.handles)
+        rig.first[0].die()                       # the push is lost
+        with pytest.raises(raylite.RayliteError):
+            pairs[0][1].result(0)
+        assert rig.sup.total_restarts == 0       # recovery is pulled
+        assert rig.sup.probe() == ["s0"]
+        assert rig.hooks() == [rig.sup.handle("s0")]
+        assert rig.clock.slept == rig.policy.delays()[:1]
+
+    def test_death_mid_gather_skips_the_slot_then_heals_it(self):
+        rig = Rig(script=answer(3))
+        rig.first[0].script = die_after_submit
+        assert run_gather(rig.handles) == [3]    # the survivor's answer
+        assert rig.sup.total_restarts == 0
+        assert run_gather(rig.handles) == [3, 3]
+        rig.assert_one_recovery(0)
+
+    def test_gather_timeout_on_a_slot_is_a_skip(self):
+        rig = Rig()
+        rig.first[1].script = answer(1)
+        assert gather(rig.handles, "work", timeout=0) == [1]
+        assert rig.sup.total_restarts == 0
+
+    @SHAPES
+    def test_replacement_dead_on_arrival(self, shape):
+        rig = Rig(dead_first=1,
+                  script=answer(9) if shape is run_gather else None)
+        rig.first[0].alive = False
+        shape(rig.handles)
+        rig.assert_one_recovery(0, restarts=2)   # scripted deaths: 2
+        assert [e.reason for e in rig.sup.restart_history] == [
+            "replacement dead on arrival", "dead"]
+        assert rig.factories[0].built[0].num_pending() == 0
+
+    @SHAPES
+    def test_budget_exhausted_at_submit(self, shape):
+        rig = Rig(fail_first=99)
+        rig.first[0].alive = False
+        with pytest.raises(SupervisionError) as excinfo:
+            shape(rig.handles)
+        assert excinfo.value.actor_name == "s0"
+        assert rig.clock.slept == rig.policy.delays()
+        assert rig.sup.total_restarts == rig.policy.max_restarts
+        assert rig.hooks() == []
+
+    def test_budget_exhausted_at_result_disarms_the_task(self):
+        rig = Rig(fail_first=99)
+        pump = run_pump(rig.handles)
+        rig.first[0].die()
+        with pytest.raises(SupervisionError):
+            list(pump.reap(timeout=0))
+        assert rig.clock.slept == rig.policy.delays()
+        assert len(pump) == 1                    # only s1 is still armed
+        rig.first[1].finish(1)
+        assert list(pump.reap(timeout=0)) == [(rig.handles[1], 1)]
+
+    # -- unsupervised: the original exception object, nothing restarted ----
+    @SHAPES
+    def test_unsupervised_submit_failure_is_reraised(self, shape):
+        rig = Rig(enabled=False)
+        assert rig.handles == rig.first          # raw handles
+        boom = raylite.RayliteError("Actor fake is stopped")
+        rig.first[0].submit_error = boom
+        with pytest.raises(raylite.RayliteError) as excinfo:
+            shape(rig.handles)
+        assert excinfo.value is boom
+        assert rig.sup.total_restarts == 0 and rig.factories[0].calls == 0
+
+    def test_unsupervised_result_failure_is_reraised(self):
+        boom = raylite.RayliteError("actor fake died")
+        rig = Rig(enabled=False)
+        pump = run_pump(rig.handles)
+        rig.first[0].finish(error=boom)
+        rig.first[1].finish(2)
+        with pytest.raises(raylite.RayliteError) as excinfo:
+            list(pump.reap(timeout=0))
+        assert excinfo.value is boom
+        assert len(pump) == 1                    # the live task stays armed
+        assert list(pump.reap(timeout=0)) == [(rig.first[1], 2)]
+        rig = Rig(enabled=False,
+                  script=lambda handle: handle.finish(error=boom))
+        with pytest.raises(raylite.RayliteError) as excinfo:
+            run_gather(rig.handles)
+        assert excinfo.value is boom
+        assert rig.factories[0].calls == 0
+
+    # -- Ctrl-C is not a dead actor ------------------------------------------
+    @SHAPES
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_at_submit_propagates(self, shape, interrupt):
+        rig = Rig()
+        rig.first[0].submit_error = interrupt()
+        with pytest.raises(interrupt):
+            shape(rig.handles)
+        assert rig.sup.total_restarts == 0 and rig.clock.slept == []
+
+    def test_interrupt_at_result_propagates(self):
+        rig = Rig()
+        pump = run_pump(rig.handles)
+        rig.first[0].finish(error=KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            list(pump.reap(timeout=0))
+        rig.first[0].script = lambda h: h.finish(error=KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_gather(rig.handles)
+        assert rig.sup.total_restarts == 0 and rig.clock.slept == []
+
+    # -- whole-round retry (LearnerGroup.update) -----------------------------
+    def test_retrying_reruns_the_round_after_restarting_the_dead(self):
+        rig = Rig(script=answer(1))
+        rig.first[1].script = die_after_submit
+        rounds = []
+
+        def round_fn():
+            rounds.append(len(rounds))
+            return [ref.result(0) for _, ref in run_broadcast(rig.handles)]
+
+        assert rig.sup.retrying(round_fn) == [1, 1]
+        assert rounds == [0, 1]
+        rig.assert_one_recovery(1)
+
+    def test_retrying_is_bounded_and_passes_interrupts_through(self):
+        rig = Rig(max_restarts=2)
+        calls = []
+
+        def always_fails():
+            calls.append(1)
+            raise ValueError("bad batch")
+
+        with pytest.raises(ValueError):
+            rig.sup.retrying(always_fails)
+        assert len(calls) == 3                   # 1 + max_restarts re-runs
+        assert rig.sup.total_restarts == 0       # nobody was dead
+
+        def interrupted():
+            calls.append(1)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            rig.sup.retrying(interrupted)
+        assert len(calls) == 4
+
+        boom = ValueError("bad batch")
+
+        def fails_once():
+            raise boom
+
+        with pytest.raises(ValueError) as excinfo:
+            Supervisor(None).retrying(fails_once)
+        assert excinfo.value is boom             # nothing supervised
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +750,17 @@ class TestProcessLiveness:
         sup = Supervisor(spec)
         handle = _idler_factory()
         try:
-            sup.register("idler", handle, _idler_factory)
-            os.kill(handle.pid, signal.SIGKILL)
+            slot = sup.register("idler", handle, _idler_factory)
+            assert slot.pid == handle.pid
+            os.kill(slot.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while handle.is_alive() and time.monotonic() < deadline:
+            while slot.is_alive() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            replacement = sup.ensure_alive(handle)
-            assert replacement is not handle
-            assert replacement.is_alive()
-            assert raylite.get(replacement.ping.remote(), timeout=10.0) == 0
+            # The submit finds the slot dead, restarts it, and lands on
+            # the replacement: the caller's handle never changes.
+            assert raylite.get(slot.ping.remote(), timeout=10.0) == 0
+            assert sup.handle("idler") is not handle
+            assert slot.is_alive() and slot.pid != handle.pid
             assert sup.total_restarts == 1
         finally:
             raylite.shutdown()
