@@ -22,6 +22,11 @@ if str(SRC) not in sys.path:
 
 def main() -> int:
     import repro
+    import repro.agents  # noqa: F401
+
+    # The C codegen backend probes the toolchain; a plain import of the
+    # library must neither load it nor run a compiler.
+    lazy_leak = "repro.backend.native" in sys.modules
 
     modules = ["repro"] + [
         info.name
@@ -36,7 +41,11 @@ def main() -> int:
     print(f"imported {len(modules) - len(failures)}/{len(modules)} modules")
     for name, tb in failures:
         print(f"\nFAILED: {name}\n{tb}", file=sys.stderr)
-    return 1 if failures else 0
+    if lazy_leak:
+        print("\nFAILED: `import repro, repro.agents` loaded "
+              "repro.backend.native (must stay lazily imported)",
+              file=sys.stderr)
+    return 1 if failures or lazy_leak else 0
 
 
 if __name__ == "__main__":

@@ -40,12 +40,15 @@ All levels finish with:
        allocation by liveness), keeping the slab small.
     6. **Memory planning (buffer donation)** — an elementwise (or fused)
        step one of whose inputs is a fresh, non-aliased buffer *dying at
-       that step* writes its output in place into that buffer through an
-       out-form kernel (:data:`repro.backend.kernels.OUT_KERNELS`)
-       instead of allocating. Feeds, fetches, constants, and anything
-       aliasing variable state are never donated; a runtime shape/dtype
-       guard keeps the in-place write exact, so results stay bitwise
-       identical to the interpreter.
+       that step* writes its output in place into that buffer through
+       the op's out-form (``OpSpec.out``) instead of allocating. Feeds,
+       fetches, constants, and anything aliasing variable state are
+       never donated; a runtime shape/dtype guard keeps the in-place
+       write exact, so results stay bitwise identical to the interpreter.
+
+Which ops may fold, fuse, donate or act as a mutation barrier is not
+listed here: every pass reads the facts declared once per op on
+:class:`repro.backend.ops.OpSpec`.
 
 Correctness invariants:
 
@@ -67,71 +70,21 @@ from repro.backend.graph import Node
 from repro.backend.ops import OPS
 from repro.utils.errors import RLGraphError
 
-# Ops that are safe to collapse into a fused elementwise kernel: shape-
-# preserving / broadcasting NumPy calls with no state and no Python-level
-# side effects. (The "where-style" family from backend/ops.py.)
-FUSABLE_OPS = frozenset({
-    "add", "sub", "mul", "div", "neg", "mod", "power",
-    "exp", "log", "sqrt", "square", "abs", "sign", "floor",
-    "maximum", "minimum", "clip",
-    "relu", "tanh", "sigmoid", "softplus", "atanh",
-    "equal", "not_equal", "greater", "greater_equal", "less", "less_equal",
-    "logical_and", "logical_or", "logical_not",
-    "cast", "where", "identity", "stop_gradient", "ones_like",
-})
-
-# Never constant-fold these even when their inputs are constant: their
-# output can be unboundedly larger than their inputs.
-_NO_FOLD_OPS = frozenset({"tile", "dyn_arange", "zeros2d", "broadcast_like"})
-
-# Stateful ops that do NOT mutate observable state (reads and private RNG
-# streams). Any other stateful op — assigns, scatters, py_func — is
-# treated as a mutation barrier: a value computed from mutable state on
-# one side of the barrier is not interchangeable with the "same"
-# expression on the other side, because variable buffers change in place.
-_NON_MUTATING_STATEFUL = frozenset({"read_var", "random_uniform",
-                                    "random_normal"})
-
 # Don't bake folded constants bigger than this into the plan (bytes).
 _FOLD_SIZE_LIMIT = 1 << 20
 
 OPTIMIZE_LEVELS = ("none", "basic", "fused", "native")
 
-# --- memory planning (buffer donation) --------------------------------------
-# Ops whose forward ALWAYS returns a freshly allocated array that aliases
-# neither its inputs nor variable state. Only values produced by these
-# ops may have their buffer donated as an in-place output. View-returning
-# ops (reshape/transpose/getitem/identity/...), ops that may pass an
-# input through unchanged (unbroadcast_like_op, single-input flatcat),
-# and state-returning ops (read_var/assign) are deliberately absent.
-_FRESH_OUTPUT_OPS = frozenset({
-    "add", "sub", "mul", "div", "neg", "mod", "power",
-    "exp", "log", "sqrt", "square", "abs", "sign", "floor",
-    "maximum", "minimum", "clip",
-    "relu", "tanh", "sigmoid", "softplus", "atanh",
-    "equal", "not_equal", "greater", "greater_equal", "less", "less_equal",
-    "logical_and", "logical_or", "logical_not",
-    "cast", "where", "ones_like",
-    "matmul", "reduce_sum", "reduce_mean", "reduce_max", "reduce_min",
-    "argmax", "cumsum", "one_hot", "gather", "concat", "stack", "tile",
-    "take_index", "zeros2d", "dyn_arange", "anchor", "getitem_grad",
-    "gather_grad", "random_uniform", "random_normal", "conv2d",
-    "searchsorted", "flip",
-})
-
-# Consumer ops guaranteed not to create an alias of their *inputs* that
-# survives past the consuming step (they read, compute fresh, and drop
-# the argument). A buffer is only donatable when every consumer of its
-# value is alias-safe — otherwise a still-live view of the buffer could
-# observe the in-place overwrite.
-_ALIAS_SAFE_CONSUMERS = _FRESH_OUTPUT_OPS | frozenset({
-    "assign", "assign_add", "scatter_update", "scatter_add",
-    "size_of", "shape_of", "fused_sgd", "fused_adam", "fused_rmsprop",
-})
-
 
 class CompileStats:
-    """Per-plan pass counters, aggregated into SessionStats."""
+    """Per-plan pass counters, aggregated into SessionStats.
+
+    ``buffers_donated`` counts the steps writing in place into a dying
+    input buffer and ``bytes_saved`` the statically-known bytes of
+    allocation that avoids per run (unknown-shape donations count 0).
+    The ``native_*`` counters are filled in by backend/native.py at
+    lowering.
+    """
 
     __slots__ = ("nodes_total", "nodes_folded", "nodes_cse", "nodes_dead",
                  "nodes_fused", "fused_kernels", "num_steps", "slab_slots",
@@ -139,24 +92,8 @@ class CompileStats:
                  "native_segments", "native_steps", "native_py_steps")
 
     def __init__(self):
-        self.nodes_total = 0
-        self.nodes_folded = 0
-        self.nodes_cse = 0
-        self.nodes_dead = 0
-        self.nodes_fused = 0
-        self.fused_kernels = 0
-        self.num_steps = 0
-        self.slab_slots = 0
-        self.slab_slots_saved = 0
-        # Memory planning: steps writing in place into a dying input
-        # buffer, and the statically-known bytes of allocation that
-        # avoids per run (unknown-shape donations count as 0 bytes).
-        self.buffers_donated = 0
-        self.bytes_saved = 0
-        # Native codegen (filled in by backend/native.py at lowering).
-        self.native_segments = 0
-        self.native_steps = 0
-        self.native_py_steps = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -314,8 +251,8 @@ class CompiledPlan:
              namespace)
         return namespace["_driver"]
 
-    def run(self, feed_values: Dict[int, Any]) -> List[Any]:
-        """Execute against a ``{placeholder-id: value}`` feed map."""
+    def feed_slab(self, feed_values: Dict[int, Any]) -> List[Any]:
+        """A fresh value slab with every live placeholder fed."""
         slab = self._template.copy()
         for ph, slot in self._feed_slots:
             try:
@@ -323,6 +260,13 @@ class CompiledPlan:
             except KeyError:
                 raise RLGraphError(
                     f"Placeholder {ph.name} was not fed (shape {ph.shape})")
+        return slab
+
+    def run(self, feed_values: Dict[int, Any]) -> List[Any]:
+        """Execute against a ``{placeholder-id: value}`` feed map."""
+        return self.run_slab(self.feed_slab(feed_values))
+
+    def run_slab(self, slab: List[Any]) -> List[Any]:
         if self._driver is not None:
             self._driver(slab)
         else:
@@ -369,10 +313,13 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
     state_dep: Dict[int, bool] = {}
     current_epoch = 0
     for node in plan:
+        if node.op not in OPS and node.op not in ("const", "placeholder"):
+            raise RLGraphError(
+                f"Unknown op {node.op!r} for node {node.name}")
         state_dep[node.id] = bool(node.stateful) or any(
             state_dep[i.id] for i in node.inputs)
         epoch[node.id] = current_epoch
-        if node.stateful and node.op not in _NON_MUTATING_STATEFUL:
+        if node.stateful and OPS[node.op].mutates:
             current_epoch += 1
 
     # -- pass 1+2: constant folding and CSE (single topo walk) -------------
@@ -393,9 +340,7 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
             continue
         if (node.op == "placeholder" or node.stateful or node.control_inputs):
             continue
-        spec = OPS.get(node.op)
-        if spec is None:
-            continue
+        spec = OPS[node.op]
         input_ids = [resolve(i.id) for i in node.inputs]
         if node.op == "anchor":
             # Pass-through whose extra inputs only thread a data
@@ -414,7 +359,7 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
                 alias[node.id] = target
                 stats.nodes_cse += 1
                 continue
-        if (node.inputs and node.op not in _NO_FOLD_OPS
+        if (node.inputs and spec.foldable
                 and all(i in const_values for i in input_ids)):
             try:
                 value = spec.forward([const_values[i] for i in input_ids],
@@ -483,7 +428,7 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
             consumers[rid] = consumers.get(rid, 0) + 2
 
         for node in live_plan:
-            if (node.op not in FUSABLE_OPS or node.stateful
+            if (not OPS[node.op].elementwise or node.stateful
                     or node.control_inputs):
                 continue
             # Visit order is topological, so any absorbable producer
@@ -566,11 +511,11 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
         if node.id in members:
             group = members[node.id]
             internal = {m.id for m in group}
-            ok = group[-1].op in _FRESH_OUTPUT_OPS
+            ok = OPS[group[-1].op].fresh
             arg_ids = [resolve(i.id) for m in group for i in m.inputs]
             arg_ids = [i for i in arg_ids if i not in internal]
         else:
-            ok = node.op in _ALIAS_SAFE_CONSUMERS
+            ok = OPS[node.op].alias_safe
             arg_ids = [resolve(i.id) for i in node.inputs]
         for iid in arg_ids:
             alias_safe[iid] = alias_safe.get(iid, True) and ok
@@ -607,27 +552,23 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
             attrs: Dict[str, Any] = {}
             name = f"fused[{'+'.join(m.op for m in group)}]"
             fused_instructions = instructions
-            result_op = group[-1].op
+            result = OPS[group[-1].op]
             candidate_ids = ext_ids
         else:
-            spec = OPS.get(node.op)
-            if spec is None:
-                raise RLGraphError(
-                    f"Unknown op {node.op!r} for node {node.name}")
+            spec = OPS[node.op]
             op = node.op
             forward = spec.forward
             arg_slots = tuple(slot_of[resolve(i.id)] for i in node.inputs)
             attrs = node.attrs
             name = node.name
             fused_instructions = None
-            result_op = node.op
+            result = spec
             candidate_ids = [resolve(i.id) for i in node.inputs]
         # Memory planning: donate a dying, fresh, alias-free input buffer
         # as the in-place output (runtime shape/dtype guard in the
         # driver keeps it exact across changing batch sizes).
         donate_slot = donate_fn = None
-        out_fn = kernels.OUT_KERNELS.get(result_op)
-        if out_fn is not None:
+        if result.out is not None:
             for vid in candidate_ids:
                 slot = slot_of.get(vid)
                 if (slot is None or slot in persistent
@@ -635,7 +576,7 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
                         or not alias_safe.get(vid, False)
                         or last_use.get(vid) != index):
                     continue
-                donate_slot, donate_fn = slot, out_fn
+                donate_slot, donate_fn = slot, result.out
                 stats.buffers_donated += 1
                 src = nodes_by_id.get(vid)
                 if (src is not None and src.dtype is not None
@@ -645,7 +586,7 @@ def compile_plan(plan: Sequence[Node], fetches: Sequence[Node],
                         np.prod(src.shape, dtype=np.int64)
                         * np.dtype(src.dtype).itemsize)
                 break
-        fresh_value[node_id] = result_op in _FRESH_OUTPUT_OPS
+        fresh_value[node_id] = result.fresh
         total_outputs += 1
         if free_slots:
             out_slot = free_slots.pop()

@@ -98,33 +98,6 @@ def current_graph():
     return stack[-1]
 
 
-# -- optimize-level scope ------------------------------------------------------
-def _optimize_stack():
-    if not hasattr(_state, "optimize_stack"):
-        _state.optimize_stack = [None]
-    return _state.optimize_stack
-
-
-@contextlib.contextmanager
-def optimize_level(level: str):
-    """Force a compiler optimize level for Sessions created in this
-    scope (e.g. ``with context.optimize_level("native"): ...``) —
-    ablation sweeps can retarget a whole agent build without threading
-    the knob through every constructor. ``None`` (the default outside
-    any scope) leaves each Session's own ``optimize`` argument in
-    charge."""
-    _optimize_stack().append(level)
-    try:
-        yield
-    finally:
-        _optimize_stack().pop()
-
-
-def current_optimize_level():
-    """The forced optimize level, or None outside any scope."""
-    return _optimize_stack()[-1]
-
-
 # -- device scope --------------------------------------------------------------
 def _device_stack():
     if not hasattr(_state, "device_stack"):

@@ -248,73 +248,6 @@ def fused_rmsprop(grad: np.ndarray, params: np.ndarray, ms: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Out-form elementwise kernels (compiler memory planning)
-# ---------------------------------------------------------------------------
-# ``fn(args, attrs, out)`` variants that write the result into a donated
-# buffer instead of allocating. Each one is arithmetic-identical to the
-# registered forward in backend/ops.py — NumPy ufuncs compute the same
-# result regardless of ``out`` — so donation preserves the compiler's
-# bitwise-parity invariant. Only ops whose plain forward ALWAYS
-# allocates a fresh array belong here (never view-returning ops).
-def _sigmoid_out(i, a, out):
-    np.negative(i[0], out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=out)
-    return np.true_divide(1.0, out, out=out)
-
-
-def _relu_out(i, a, out):
-    return np.maximum(i[0], 0, out=out)
-
-
-def _cast_out(i, a, out):
-    np.copyto(out, i[0], casting="unsafe")
-    return out
-
-
-def _ones_like_out(i, a, out):
-    out.fill(1)
-    return out
-
-
-OUT_KERNELS = {
-    "add": lambda i, a, out: np.add(i[0], i[1], out=out),
-    "sub": lambda i, a, out: np.subtract(i[0], i[1], out=out),
-    "mul": lambda i, a, out: np.multiply(i[0], i[1], out=out),
-    "div": lambda i, a, out: np.true_divide(i[0], i[1], out=out),
-    "mod": lambda i, a, out: np.mod(i[0], i[1], out=out),
-    "power": lambda i, a, out: np.power(i[0], a["p"], out=out),
-    "neg": lambda i, a, out: np.negative(i[0], out=out),
-    "exp": lambda i, a, out: np.exp(i[0], out=out),
-    "log": lambda i, a, out: np.log(i[0], out=out),
-    "sqrt": lambda i, a, out: np.sqrt(i[0], out=out),
-    "square": lambda i, a, out: np.square(i[0], out=out),
-    "abs": lambda i, a, out: np.absolute(i[0], out=out),
-    "sign": lambda i, a, out: np.sign(i[0], out=out),
-    "floor": lambda i, a, out: np.floor(i[0], out=out),
-    "maximum": lambda i, a, out: np.maximum(i[0], i[1], out=out),
-    "minimum": lambda i, a, out: np.minimum(i[0], i[1], out=out),
-    "clip": lambda i, a, out: np.clip(i[0], a["lo"], a["hi"], out=out),
-    "relu": _relu_out,
-    "tanh": lambda i, a, out: np.tanh(i[0], out=out),
-    "sigmoid": _sigmoid_out,
-    "softplus": lambda i, a, out: np.logaddexp(0.0, i[0], out=out),
-    "atanh": lambda i, a, out: np.arctanh(i[0], out=out),
-    "equal": lambda i, a, out: np.equal(i[0], i[1], out=out),
-    "not_equal": lambda i, a, out: np.not_equal(i[0], i[1], out=out),
-    "greater": lambda i, a, out: np.greater(i[0], i[1], out=out),
-    "greater_equal": lambda i, a, out: np.greater_equal(i[0], i[1], out=out),
-    "less": lambda i, a, out: np.less(i[0], i[1], out=out),
-    "less_equal": lambda i, a, out: np.less_equal(i[0], i[1], out=out),
-    "logical_and": lambda i, a, out: np.logical_and(i[0], i[1], out=out),
-    "logical_or": lambda i, a, out: np.logical_or(i[0], i[1], out=out),
-    "logical_not": lambda i, a, out: np.logical_not(i[0], out=out),
-    "cast": _cast_out,
-    "ones_like": _ones_like_out,
-}
-
-
-# ---------------------------------------------------------------------------
 # Fused elementwise kernels (graph compiler)
 # ---------------------------------------------------------------------------
 def build_fused_kernel(instructions):

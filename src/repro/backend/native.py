@@ -26,12 +26,17 @@ Design notes:
   A failed guard downgrades just that segment to its recorded Python
   steps for that run — downstream segments guard the same slots, so
   shape drift cascades correctly.
+* **Vocabulary as tables.** :data:`_C_EXPR` maps an elementwise op to
+  its C scalar expression and :data:`_LOWERINGS` maps a step op to its
+  :class:`Lowering` (precondition + emitter); a step is native iff the
+  lookup hits and the entry accepts its probed metadata.
 * **Caching.** The generated source is deterministic, and the compiled
-  shared object is cached on disk keyed by the source's MD5, so repeat
-  processes skip the C compiler entirely.
-* **Graceful degradation.** No working C toolchain (or a failed
-  compile) falls back to the ``"fused"``-level plan with a one-time
-  warning; results are unchanged.
+  shared object is cached on disk keyed by the MD5 of source, compiler
+  path and flags, so repeat processes skip the C compiler entirely. A
+  cached object that no longer loads is discarded and rebuilt once.
+* **Graceful degradation.** No working C toolchain, a failed compile or
+  an unloadable object falls back to the ``"fused"``-level plan with a
+  one-time warning naming the cause; results are unchanged.
 * **Numerics.** Native arithmetic follows NumPy's result dtypes but
   uses libm scalar kernels, so values match the interpreter to floating
   tolerance rather than bitwise (the parity matrix checks native cells
@@ -43,18 +48,19 @@ Design notes:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
 import tempfile
 import time
 import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
 from repro.backend import variables
-from repro.utils.errors import RLGraphError
 
 # Feed-shape signatures lowered per plan before falling back to the
 # wrapped compiled plan for unseen signatures.
@@ -71,7 +77,12 @@ _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 # Toolchain discovery
 # ---------------------------------------------------------------------------
 _TOOLCHAIN: Dict[str, Any] = {"checked": False, "cc": None}
-_WARNED = {"toolchain": False, "compile": False}
+_WARNED: Dict[str, bool] = {}
+_DEGRADED = {
+    "toolchain": "no C toolchain is available",
+    "compile": "the C compiler rejected the generated source",
+    "load": "the built shared object could not be loaded",
+}
 
 
 def _probe_cc(cc: str) -> bool:
@@ -111,22 +122,15 @@ def toolchain_available() -> bool:
     return find_cc() is not None
 
 
-def warn_no_toolchain() -> None:
-    """One-time warning that ``optimize='native'`` degrades to ``'fused'``."""
-    if not _WARNED["toolchain"]:
-        _WARNED["toolchain"] = True
+def warn_degraded(cause: str) -> None:
+    """One-time (per cause) warning that ``optimize='native'`` runs the
+    ``'fused'`` plan instead; ``cause`` is a key of :data:`_DEGRADED`."""
+    if not _WARNED.get(cause):
+        _WARNED[cause] = True
         warnings.warn(
-            "optimize='native' requested but no C toolchain is available; "
+            f"optimize='native' requested but {_DEGRADED[cause]}; "
             "executing with the 'fused' plan instead",
             RuntimeWarning, stacklevel=3)
-
-
-def _warn_compile_failed() -> None:
-    if not _WARNED["compile"]:
-        _WARNED["compile"] = True
-        warnings.warn(
-            "native codegen failed to compile; executing with the 'fused' "
-            "plan instead", RuntimeWarning, stacklevel=3)
 
 
 def _cache_dir() -> str:
@@ -172,37 +176,46 @@ class _SharedLib:
             self.cast_ptr = lambda addr: addr
 
 
-def _build_library(source: str,
-                   seg_names: List[str]) -> Tuple[Optional[_SharedLib], bool]:
+def _build_library(source: str, seg_names: List[str]
+                   ) -> Tuple[Optional[_SharedLib], bool, Optional[str]]:
     """Compile (or load from the disk cache) the plan library.
 
-    Returns ``(lib_or_None, cache_hit)``.
+    Returns ``(lib, cache_hit, None)``, or ``(None, False, cause)`` with
+    ``cause`` a key of :data:`_DEGRADED`. A cached object that fails to
+    load (truncated by a killed writer, built for another platform) is
+    unlinked and rebuilt once instead of poisoning its key forever.
     """
     cc = find_cc()
     if cc is None:
-        return None, False
-    digest = hashlib.md5(source.encode()).hexdigest()
+        return None, False, "toolchain"
+    digest = hashlib.md5(
+        "\0".join([source, cc] + _CFLAGS).encode()).hexdigest()
     cache = _cache_dir()
     so_path = os.path.join(cache, f"plan_{digest}.so")
-    hit = os.path.exists(so_path)
-    if not hit:
-        c_path = os.path.join(cache, f"plan_{digest}.c")
-        tmp_so = f"{so_path}.tmp{os.getpid()}"
+    for cached in ((True, False) if os.path.exists(so_path) else (False,)):
+        if not cached:
+            c_path = os.path.join(cache, f"plan_{digest}.c")
+            tmp_so = f"{so_path}.tmp{os.getpid()}"
+            try:
+                with open(c_path, "w") as fh:
+                    fh.write(source)
+                res = subprocess.run([cc] + _CFLAGS + [c_path, "-o", tmp_so,
+                                                       "-lm"],
+                                     capture_output=True, timeout=300)
+                if res.returncode != 0:
+                    return None, False, "compile"
+                os.replace(tmp_so, so_path)  # concurrent builders race benignly
+            except Exception:
+                return None, False, "compile"
         try:
-            with open(c_path, "w") as fh:
-                fh.write(source)
-            res = subprocess.run([cc] + _CFLAGS + [c_path, "-o", tmp_so,
-                                                   "-lm"],
-                                 capture_output=True, timeout=300)
-            if res.returncode != 0:
-                return None, False
-            os.replace(tmp_so, so_path)  # concurrent builders race benignly
+            return _SharedLib(so_path, seg_names), cached, None
         except Exception:
-            return None, False
-    try:
-        return _SharedLib(so_path, seg_names), hit
-    except Exception:
-        return None, hit
+            if cached:
+                try:
+                    os.unlink(so_path)
+                except OSError:
+                    pass  # a concurrent process already discarded it
+    return None, False, "load"
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +306,10 @@ def _lit(value, ctype: str) -> str:
     return f"{int(value)}{suffix}"
 
 
-def _label(name: str) -> str:
-    """A step name made safe for a C comment."""
-    return str(name).replace("/*", "").replace("*/", "")
-
-
 # ---------------------------------------------------------------------------
 # Elementwise expression table
 # ---------------------------------------------------------------------------
-# Ops the C emitter can express as one scalar expression (the native
-# mirror of the compiler's FUSABLE set minus ``mod``, whose np.mod sign
-# semantics differ from C fmod).
-_EW_OPS = frozenset({
-    "add", "sub", "mul", "div", "neg", "power", "exp", "log", "sqrt",
-    "square", "abs", "sign", "floor", "maximum", "minimum", "clip",
-    "relu", "tanh", "sigmoid", "softplus", "atanh",
-    "equal", "not_equal", "greater", "greater_equal", "less", "less_equal",
-    "logical_and", "logical_or", "logical_not",
-    "cast", "where", "identity", "stop_gradient", "ones_like",
-})
-
 _FLOAT_CTS = ("float", "double")
-
-
-def _math(name: str, ctype: str) -> str:
-    return name + ("f" if ctype == "float" else "")
 
 
 def _is_number(value) -> bool:
@@ -325,107 +317,110 @@ def _is_number(value) -> bool:
         and not isinstance(value, bool)
 
 
-def _member_expr(op: str, attrs: Dict[str, Any], args: List[str],
-                 in_dts: List[Any], out_dt) -> Optional[str]:
-    """C scalar expression for one elementwise op, or None."""
-    ct = _ct(out_dt)
-    if ct is None:
+def _c(expr: str, dt) -> str:
+    """``expr`` converted to the C type of NumPy dtype ``dt``."""
+    return f"({_ct(dt)})({expr})"
+
+
+# Entry signature: ``c_expr(attrs, args, in_dts, out_dt) -> str | None``
+# (``args`` are C operand expressions; None = these attrs/dtypes are not
+# expressible, the step stays Python).
+def _t(template: str, floats_only: bool = False):
+    """Entry from a C template: ``{0}``.. are the operands converted to
+    the result type ``{ct}``, ``{x0}``.. the raw operands, ``{f}`` the
+    libm suffix and ``{one}`` the literal 1 of a float result type."""
+    def c_expr(a, x, dts, dt):
+        ct = _ct(dt)
+        if floats_only and ct not in _FLOAT_CTS:
+            return None
+        f = "f" if ct == "float" else ""
+        return template.format(
+            *[_c(v, dt) for v in x], ct=ct, f=f, one="1.0" + f,
+            **{f"x{k}": v for k, v in enumerate(x)})
+    return c_expr
+
+
+def _either(first, second):
+    return lambda a, x, dts, dt: (first(a, x, dts, dt)
+                                  or second(a, x, dts, dt))
+
+
+def _x_div(a, x, dts, dt):
+    if all(np.issubdtype(np.dtype(d), np.integer) for d in dts):
+        # np int/int -> float64 division then astype(float32).
+        return f"(float)((double)({x[0]}) / (double)({x[1]}))"
+    return _t("({0} / {1})", floats_only=True)(a, x, dts, dt)
+
+
+def _x_power(a, x, dts, dt):
+    p = a.get("p")
+    if not _is_number(p):
         return None
+    if float(p) == 2.0:
+        return _C_EXPR["square"](a, x, dts, dt)
+    return _t("pow{f}({0}, %s)" % _lit(p, _ct(dt)), True)(a, x, dts, dt)
 
-    def c(expr: str) -> str:
-        return f"({ct})({expr})"
 
-    if op in ("add", "sub", "mul"):
-        sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-        return f"({c(args[0])} {sym} {c(args[1])})"
-    if op == "div":
-        if all(np.issubdtype(np.dtype(d), np.integer) for d in in_dts):
-            # np int/int -> float64 division then astype(float32).
-            return f"(float)((double)({args[0]}) / (double)({args[1]}))"
-        if ct not in _FLOAT_CTS:
-            return None
-        return f"({c(args[0])} / {c(args[1])})"
-    if op == "neg":
-        return f"(-{c(args[0])})"
-    if op == "power":
-        p = attrs.get("p")
-        if not _is_number(p):
-            return None
-        if float(p) == 2.0:
-            return f"({c(args[0])} * {c(args[0])})"
-        if ct not in _FLOAT_CTS:
-            return None
-        return f"{_math('pow', ct)}({c(args[0])}, {_lit(p, ct)})"
-    if op in ("exp", "log", "sqrt", "tanh", "atanh"):
-        if ct not in _FLOAT_CTS:
-            return None
-        return f"{_math(op, ct)}({c(args[0])})"
-    if op == "square":
-        return f"({c(args[0])} * {c(args[0])})"
-    if op == "abs":
-        if ct in _FLOAT_CTS:
-            return f"{_math('fabs', ct)}({c(args[0])})"
-        return f"({c(args[0])} < 0 ? -{c(args[0])} : {c(args[0])})"
-    if op == "sign":
-        return (f"({c(args[0])} > 0 ? ({ct})1 : "
-                f"({c(args[0])} < 0 ? ({ct})-1 : ({ct})0))")
-    if op == "floor":
-        if ct in _FLOAT_CTS:
-            return f"{_math('floor', ct)}({c(args[0])})"
-        return c(args[0])
-    if op in ("maximum", "minimum"):
-        sym = ">" if op == "maximum" else "<"
-        return (f"({c(args[0])} {sym} {c(args[1])} ? "
-                f"{c(args[0])} : {c(args[1])})")
-    if op == "clip":
-        lo, hi = attrs.get("lo"), attrs.get("hi")
-        if not (_is_number(lo) and _is_number(hi)):
-            return None
-        lo_l, hi_l = _lit(lo, ct), _lit(hi, ct)
-        return (f"({c(args[0])} < {lo_l} ? {lo_l} : "
-                f"({c(args[0])} > {hi_l} ? {hi_l} : {c(args[0])}))")
-    if op == "relu":
-        return f"({c(args[0])} > 0 ? {c(args[0])} : ({ct})0)"
-    if op == "sigmoid":
-        if ct not in _FLOAT_CTS:
-            return None
-        one = _lit(1, ct) if ct not in _FLOAT_CTS else \
-            ("1.0f" if ct == "float" else "1.0")
-        return f"({one} / ({one} + {_math('exp', ct)}(-{c(args[0])})))"
-    if op == "softplus":
-        if ct not in _FLOAT_CTS:
-            return None
-        e, l1p = _math("exp", ct), _math("log1p", ct)
-        x = c(args[0])
-        return f"({x} > 0 ? {x} + {l1p}({e}(-{x})) : {l1p}({e}({x})))"
-    if op in ("equal", "not_equal", "greater", "greater_equal", "less",
-              "less_equal"):
-        try:
-            common = _ct(np.result_type(*[np.dtype(d) for d in in_dts]))
-        except TypeError:
-            common = None
+def _x_clip(a, x, dts, dt):
+    lo, hi = a.get("lo"), a.get("hi")
+    if not (_is_number(lo) and _is_number(hi)):
+        return None
+    v, lo_l, hi_l = _c(x[0], dt), _lit(lo, _ct(dt)), _lit(hi, _ct(dt))
+    return f"({v} < {lo_l} ? {lo_l} : ({v} > {hi_l} ? {hi_l} : {v}))"
+
+
+def _x_compare(sym):
+    def c_expr(a, x, dts, dt):
+        common = _ct(np.result_type(*[np.dtype(d) for d in dts]))
         if common is None:
             return None
-        sym = {"equal": "==", "not_equal": "!=", "greater": ">",
-               "greater_equal": ">=", "less": "<", "less_equal": "<="}[op]
-        return (f"(({common})({args[0]}) {sym} ({common})({args[1]}))")
-    if op == "logical_and":
-        return f"((({args[0]}) != 0) && (({args[1]}) != 0))"
-    if op == "logical_or":
-        return f"((({args[0]}) != 0) || (({args[1]}) != 0))"
-    if op == "logical_not":
-        return f"(({args[0]}) == 0)"
-    if op == "cast":
-        if np.dtype(out_dt) == np.dtype(np.bool_):
-            return f"(({args[0]}) != 0)"
-        return c(args[0])
-    if op == "where":
-        return f"(({args[0]}) != 0 ? {c(args[1])} : {c(args[2])})"
-    if op in ("identity", "stop_gradient"):
-        return c(args[0])
-    if op == "ones_like":
-        return f"({ct})1"
-    return None
+        return f"(({common})({x[0]}) {sym} ({common})({x[1]}))"
+    return c_expr
+
+
+# Ops the C emitter can express as one scalar expression. An elementwise
+# op without an entry is simply not native: ``mod`` has none because
+# np.mod's sign semantics differ from C fmod. maximum/minimum/relu use C
+# comparisons (see "Numerics" in the module docstring).
+_C_EXPR = {
+    "add": _t("({0} + {1})"), "sub": _t("({0} - {1})"),
+    "mul": _t("({0} * {1})"), "div": _x_div, "neg": _t("(-{0})"),
+    "power": _x_power, "square": _t("({0} * {0})"),
+    "exp": _t("exp{f}({0})", True), "log": _t("log{f}({0})", True),
+    "sqrt": _t("sqrt{f}({0})", True), "tanh": _t("tanh{f}({0})", True),
+    "atanh": _t("atanh{f}({0})", True),
+    "abs": _either(_t("fabs{f}({0})", True), _t("({0} < 0 ? -{0} : {0})")),
+    "sign": _t("({0} > 0 ? ({ct})1 : ({0} < 0 ? ({ct})-1 : ({ct})0))"),
+    "floor": _either(_t("floor{f}({0})", True), _t("{0}")),
+    "maximum": _t("({0} > {1} ? {0} : {1})"),
+    "minimum": _t("({0} < {1} ? {0} : {1})"),
+    "clip": _x_clip, "relu": _t("({0} > 0 ? {0} : ({ct})0)"),
+    "sigmoid": _t("({one} / ({one} + exp{f}(-{0})))", True),
+    "softplus": _t("({0} > 0 ? {0} + log1p{f}(exp{f}(-{0})) : "
+                   "log1p{f}(exp{f}({0})))", True),
+    "equal": _x_compare("=="), "not_equal": _x_compare("!="),
+    "greater": _x_compare(">"), "greater_equal": _x_compare(">="),
+    "less": _x_compare("<"), "less_equal": _x_compare("<="),
+    "logical_and": _t("((({x0}) != 0) && (({x1}) != 0))"),
+    "logical_or": _t("((({x0}) != 0) || (({x1}) != 0))"),
+    "logical_not": _t("(({x0}) == 0)"),
+    "cast": lambda a, x, dts, dt: (
+        f"(({x[0]}) != 0)" if np.dtype(dt) == np.dtype(np.bool_)
+        else _c(x[0], dt)),
+    "where": _t("(({x0}) != 0 ? {1} : {2})"),
+    "identity": _t("{0}"), "stop_gradient": _t("{0}"),
+    "ones_like": _t("({ct})1"),
+}
+
+
+def _member_expr(op: str, attrs: Dict[str, Any], args: List[str],
+                 in_dts: List[Any], out_dt) -> Optional[str]:
+    """C scalar expression for one elementwise member, or None when the
+    op has no :data:`_C_EXPR` entry or the entry declines."""
+    entry = _C_EXPR.get(op)
+    if entry is None or _ct(out_dt) is None:
+        return None
+    return entry(attrs, args, in_dts, out_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -447,38 +442,42 @@ class _W:
         self.lines.append(line)
 
 
-def _emit_elementwise(w: _W, name: str, members, ext_metas, arg_idx,
-                      out_idx: int, out_meta) -> None:
-    """One loop nest computing a chain of elementwise members with scalar
-    temporaries (the native analogue of the fused kernel). Broadcasting
-    is stride-0 indexing; a member whose natural shape is smaller than
-    the final output is recomputed per broadcast position, which is
-    value-identical for pure elementwise ops."""
-    out_shape = tuple(int(d) for d in out_meta[0])
-    out_ct = _ct(out_meta[1])
+def _emit_elementwise(cx, instrs, member_dts, ext_metas, data) -> None:
+    """One loop nest computing a chain of elementwise members
+    (``instrs``: ``(op, _, attrs, refs)`` with result dtypes
+    ``member_dts``) with scalar temporaries — the native analogue of the
+    fused kernel. ``data`` lists the external operands that are read.
+    Broadcasting is stride-0 indexing; a member whose natural shape is
+    smaller than the final output is recomputed per broadcast position,
+    which is value-identical for pure elementwise ops."""
+    out_shape = tuple(int(d) for d in cx.out[0])
+    out_ct = _ct(cx.out[1])
     size = _numel(out_shape)
-    u = w.uid()
-    data = [k for k, idx in enumerate(arg_idx) if idx is not None]
-    w(f"  {{ /* {_label(name)} */")
+    out_idx = cx.out_buf()
+    arg_idx: List[Optional[int]] = [None] * len(ext_metas)
+    for k in data:
+        arg_idx[k] = cx.arg(k)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
     for k in data:
         ct = _ct(ext_metas[k][1])
         w(f"  const {ct} *p{u}_{k} = (const {ct} *)B[{arg_idx[k]}];")
     w(f"  {out_ct} *o{u} = ({out_ct} *)B[{out_idx}];")
 
     def body(indent: str, load_of, out_ix: str):
-        for m_i, m in enumerate(members):
+        for m_i, (mop, _fwd, mattrs, refs) in enumerate(instrs):
             args, dts = [], []
-            for kind, r in m["refs"]:
+            for kind, r in refs:
                 if kind == "arg":
                     args.append(load_of(r))
                     dts.append(ext_metas[r][1] if ext_metas[r] is not None
                                else np.dtype(np.float32))
                 else:
                     args.append(f"t{u}_{r}")
-                    dts.append(members[r]["dtype"])
-            expr = _member_expr(m["op"], m["attrs"], args, dts, m["dtype"])
-            w(f"{indent}const {_ct(m['dtype'])} t{u}_{m_i} = {expr};")
-        w(f"{indent}o{u}[{out_ix}] = t{u}_{len(members) - 1};")
+                    dts.append(member_dts[r])
+            expr = _member_expr(mop, mattrs, args, dts, member_dts[m_i])
+            w(f"{indent}const {_ct(member_dts[m_i])} t{u}_{m_i} = {expr};")
+        w(f"{indent}o{u}[{out_ix}] = t{u}_{len(instrs) - 1};")
 
     flat = all(
         tuple(int(d) for d in ext_metas[k][0]) == out_shape
@@ -516,10 +515,10 @@ def _emit_elementwise(w: _W, name: str, members, ext_metas, arg_idx,
     w("  }")
 
 
-def _emit_reduce(w: _W, name: str, in_meta, out_meta, axes, mode: str,
-                 arg_i: int, out_i: int) -> None:
+def _emit_reduce(cx, axes, mode: str) -> None:
     """sum/mean/max/min over ``axes`` of a C-contiguous input; kept dims
     iterate outermost so the output writes linearly."""
+    in_meta, out_meta = cx.ins[0], cx.out
     shape = tuple(int(d) for d in in_meta[0])
     in_ct = _ct(in_meta[1])
     out_ct = _ct(out_meta[1])
@@ -528,8 +527,9 @@ def _emit_reduce(w: _W, name: str, in_meta, out_meta, axes, mode: str,
     red = [d for d in range(len(shape)) if d in axes]
     float_acc = np.issubdtype(np.dtype(out_meta[1]), np.floating)
     acc_ct = "double" if float_acc else "long long"
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
+    out_i, arg_i = cx.out_buf(), cx.arg(0)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
     w(f"  const {in_ct} *p{u} = (const {in_ct} *)B[{arg_i}];")
     w(f"  {out_ct} *o{u} = ({out_ct} *)B[{out_i}];")
     w(f"  long long oc{u} = 0;")
@@ -572,12 +572,288 @@ def _emit_reduce(w: _W, name: str, in_meta, out_meta, axes, mode: str,
     w("  }")
 
 
-def _emit_argmax(w: _W, name: str, in_meta, axis: Optional[int],
-                 arg_i: int, out_i: int) -> None:
-    shape = tuple(int(d) for d in in_meta[0])
-    in_ct = _ct(in_meta[1])
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
+def _emit_copy(cx, _how=None) -> None:
+    """memcpy of the first operand; the others only lend their shape."""
+    out_i, arg_i = cx.out_buf(), cx.arg(0)
+    if cx.buf.nbytes:
+        cx.w(f"  memcpy(B[{out_i}], B[{arg_i}], {cx.buf.nbytes}); "
+             f"/* {cx.label} */")
+    for k in range(1, len(cx.ins)):
+        cx.guard(k)
+
+
+# ---------------------------------------------------------------------------
+# The native vocabulary: one Lowering per step op
+# ---------------------------------------------------------------------------
+class Lowering(NamedTuple):
+    """One native-vocabulary entry: a step op's precondition and emitter.
+
+    ``accept(step, ins, out, dts)`` sees the probed operand metas, result
+    meta (never None) and fused-member dtypes; it returns None or False
+    when the step must stay a Python step, otherwise whatever it derived
+    (axes, a permutation, or just True), which ``emit(cx, how)`` gets to
+    write the step's pointer-table entries, guards and C into its
+    segment. ``work`` is the step's worth in interpreter steps: a run of
+    native steps only becomes a segment — one foreign call — when its
+    work adds up to 2, so pointer/constant bookkeeping (0) never
+    justifies one and a fused group or optimizer kernel (2) always does.
+    """
+
+    accept: Callable
+    emit: Callable
+    work: int = 1
+
+
+class _StepCx:
+    """What ``Lowering.emit`` works with: the probed step plus its
+    segment's C writer, pointer-table entries, guards and stores."""
+
+    def __init__(self, step, rec, proto, template, dynamic, native_ids):
+        self.step = step
+        self.ins, self.out, self.dts = rec
+        self.w = proto["w"]
+        # The step name, made safe for a C comment.
+        self.label = str(step.name).replace("/*", "").replace("*/", "")
+        self.buf: Optional[np.ndarray] = None  # set by out_buf()
+        self.out_index: Optional[int] = None
+        self._proto = proto
+        self._template = template
+        self._dynamic = dynamic  # slots fed or written by an earlier step
+        self._native_ids = native_ids
+
+    def entry(self, key, entry) -> int:
+        entries, eidx = self._proto["entries"], self._proto["eidx"]
+        i = eidx.get(key)
+        if i is None:
+            i = eidx[key] = len(entries)
+            entries.append(entry)
+        return i
+
+    def arg(self, k) -> int:
+        """Pointer-table index of the step's k-th operand."""
+        slot = self.step.arg_slots[k]
+        meta = self.ins[k]
+        if slot in self._proto["inseg"]:
+            return self._proto["inseg"][slot]
+        if slot in self._dynamic:
+            return self.entry(("d", slot),
+                              ("d", slot, tuple(meta[0]), np.dtype(meta[1])))
+        # Template constant: contiguous snapshot, resolved once.
+        arr = np.ascontiguousarray(self._template[slot])
+        return self.entry(("c", slot), ("s", arr))
+
+    def args(self) -> List[int]:
+        return [self.arg(k) for k in range(len(self.ins))]
+
+    def var(self, var) -> int:
+        """Pointer-table index of a variable's live storage."""
+        arr = var.value
+        return self.entry(("v", id(var)), ("v", var, arr.shape, arr.dtype))
+
+    def guard(self, k) -> None:
+        """Pin the shape of an operand the C code only shape-inspects."""
+        proto, slot = self._proto, self.step.arg_slots[k]
+        if slot in proto["inseg"] or ("d", slot) in proto["eidx"]:
+            return
+        if slot not in self._dynamic:
+            return  # template constant: shape can't change
+        if slot not in proto["gset"]:
+            proto["gset"].add(slot)
+            proto["guards"].append((slot, tuple(self.ins[k][0])))
+
+    def store(self, index: int, obj, is_var: bool = False) -> None:
+        """The step's value is ``obj`` (entry ``index``) after the call."""
+        self._proto["inseg"][self.step.out_slot] = index
+        self._proto["stores"].append((self.step.out_slot, obj, is_var))
+        if not is_var:
+            self._native_ids.add(id(obj))
+
+    def store_const(self, value) -> None:
+        self.store(self.entry(("k", self.step.out_slot,
+                               len(self._proto["stores"])), ("s", value)),
+                   value)
+
+    def out_buf(self) -> int:
+        """Allocate the step's persistent output buffer (stored by
+        ``_lower`` once the emitter returns); its pointer-table index."""
+        self.buf = np.empty(tuple(int(d) for d in self.out[0]),
+                            dtype=np.dtype(self.out[1]))
+        self.out_index = self.entry(("b", id(self.buf)), ("s", self.buf))
+        return self.out_index
+
+
+def _emit_read_var(cx, _how):
+    var = cx.step.attrs["var"]
+    cx.store(cx.var(var), var, is_var=True)
+
+
+def _emit_shape_const(cx, _how):
+    shape = tuple(int(d) for d in cx.ins[0][0])
+    cx.guard(0)
+    cx.store_const(np.asarray(shape if cx.step.op == "shape_of"
+                              else _numel(shape), dtype=np.int64))
+
+
+def _chain(instructions, member_dts, in_metas, out_meta):
+    """Validate an elementwise chain for C emission.
+
+    Returns ``(instructions, member_dts, data_args, shape_only_args)``
+    (external arg positions that are read vs. only shape-inspected), or
+    None if any member falls outside the expression table or an operand
+    can't be indexed.
+    """
+    if _ct(out_meta[1]) is None:
+        return None
+    out_shape = out_meta[0]
+    data, shape_only = set(), set()
+    for m_i, (mop, _fwd, mattrs, refs) in enumerate(instructions):
+        if _ct(member_dts[m_i]) is None:
+            return None
+        dts = []
+        for kind, r in refs:
+            if kind == "arg":
+                meta = in_metas[r]
+                if meta is None:
+                    return None
+                if mop == "ones_like":
+                    shape_only.add(r)
+                else:
+                    data.add(r)
+                    if (_ct(meta[1]) is None
+                            or _bstrides(meta[0], out_shape) is None):
+                        return None
+                dts.append(meta[1])
+            else:
+                dts.append(member_dts[r])
+        if _member_expr(mop, mattrs, ["x"] * len(refs), dts,
+                        member_dts[m_i]) is None:
+            return None
+    return instructions, member_dts, sorted(data), sorted(shape_only - data)
+
+
+def _accept_ew(step, ins, out, dts):
+    """A standalone elementwise op is a one-member chain."""
+    refs = [("arg", k) for k in range(len(step.arg_slots))]
+    return _chain([(step.op, None, step.attrs, refs)], [np.dtype(out[1])],
+                  ins, out)
+
+
+def _emit_chain(cx, how):
+    instrs, dts, data, shape_only = how
+    _emit_elementwise(cx, instrs, dts, cx.ins, data)
+    for k in shape_only:
+        cx.guard(k)
+
+
+def _accept_copy(step, ins, out, dts):
+    m0 = ins[0] if ins else None
+    return (m0 is not None and np.dtype(m0[1]) == np.dtype(out[1])
+            and _numel(m0[0]) == _numel(out[0]))
+
+
+def _accept_transpose(step, ins, out, dts):
+    m0, perm = ins[0], step.attrs.get("perm")
+    if (m0 is None or _ct(m0[1]) is None or perm is None
+            or len(perm) != len(m0[0])):
+        return None
+    return [int(p) % len(m0[0]) for p in perm]
+
+
+def _emit_transpose(cx, perm):
+    out_shape = tuple(int(d) for d in cx.out[0])
+    ct = _ct(cx.ins[0][1])
+    ies = _estrides(tuple(int(d) for d in cx.ins[0][0]))
+    out_i, arg_i = cx.out_buf(), cx.arg(0)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const {ct} *p{u} = (const {ct} *)B[{arg_i}];")
+    w(f"  {ct} *o{u} = ({ct} *)B[{out_i}];")
+    w(f"  long long io{u} = 0;")
+    indent = "  "
+    for d, dim in enumerate(out_shape):
+        w(f"{indent}for (long long i{u}_{d} = 0; i{u}_{d} < {dim}; "
+          f"i{u}_{d}++) {{")
+        indent += "  "
+    idx = " + ".join(f"i{u}_{d} * {ies[perm[d]]}"
+                     for d in range(len(out_shape)))
+    w(f"{indent}o{u}[io{u}++] = p{u}[{idx or '0'}];")
+    for _ in out_shape:
+        indent = indent[:-2]
+        w(f"{indent}}}")
+    w("  }")
+
+
+def _accept_matmul(step, ins, out, dts):
+    ma, mb = ins
+    return (ma is not None and mb is not None
+            and len(ma[0]) == 2 and len(mb[0]) == 2 and len(out[0]) == 2
+            and ma[1] == mb[1] == out[1] and _ct(ma[1]) in _FLOAT_CTS
+            and _numel(ma[0]) * int(mb[0][1]) <= _MATMUL_NATIVE_LIMIT)
+
+
+def _emit_matmul(cx, _how):
+    m, k = (int(d) for d in cx.ins[0][0])
+    _, n = (int(d) for d in cx.ins[1][0])
+    ct = _ct(cx.out[1])
+    out_i, a_i, b_i = cx.out_buf(), cx.arg(0), cx.arg(1)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const {ct} *a{u} = (const {ct} *)B[{a_i}];")
+    w(f"  const {ct} *b{u} = (const {ct} *)B[{b_i}];")
+    w(f"  {ct} *o{u} = ({ct} *)B[{out_i}];")
+    w(f"  for (long long i = 0; i < {m}; i++) {{")
+    w(f"    for (long long j = 0; j < {n}; j++) o{u}[i * {n} + j] = 0;")
+    w(f"    for (long long p = 0; p < {k}; p++) {{")
+    w(f"      const {ct} av = a{u}[i * {k} + p];")
+    w(f"      for (long long j = 0; j < {n}; j++) "
+      f"o{u}[i * {n} + j] += av * b{u}[p * {n} + j];")
+    w("    }")
+    w("  }")
+    w("  }")
+
+
+def _reduce_axes(shape, axis) -> Tuple[int, ...]:
+    nd = len(shape)
+    if axis is None:
+        return tuple(range(nd))
+    if isinstance(axis, (int, np.integer)):
+        return (int(axis) % nd,)
+    return tuple(sorted(int(x) % nd for x in axis))
+
+
+def _reduce(mode: str) -> Lowering:
+    def accept(step, ins, out, dts):
+        m0 = ins[0]
+        if m0 is None or _ct(m0[1]) is None or _ct(out[1]) is None:
+            return None
+        axes = _reduce_axes(m0[0], step.attrs.get("axis"))
+        if not axes:
+            return None
+        if mode in ("max", "min") and _numel(m0[0]) == 0:
+            return None
+        if mode == "mean" and _numel([m0[0][d] for d in axes]) == 0:
+            return None
+        return set(axes)
+
+    return Lowering(accept, lambda cx, axes: _emit_reduce(cx, axes, mode))
+
+
+def _accept_argmax(step, ins, out, dts):
+    m0, ax = ins[0], step.attrs.get("axis")
+    if (m0 is None or _ct(m0[1]) is None or _numel(m0[0]) == 0
+            or not (ax is None or isinstance(ax, (int, np.integer)))
+            or np.dtype(out[1]) != np.dtype(np.int64)):
+        return None
+    return (None if ax is None else int(ax) % len(m0[0]),)
+
+
+def _emit_argmax(cx, how):
+    (axis,) = how
+    shape = tuple(int(d) for d in cx.ins[0][0])
+    in_ct = _ct(cx.ins[0][1])
+    out_i, arg_i = cx.out_buf(), cx.arg(0)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
     w(f"  const {in_ct} *p{u} = (const {in_ct} *)B[{arg_i}];")
     w(f"  long long *o{u} = (long long *)B[{out_i}];")
     if axis is None:
@@ -612,275 +888,29 @@ def _emit_argmax(w: _W, name: str, in_meta, axis: Optional[int],
     w("  }")
 
 
-def _emit_matmul(w: _W, name: str, a_meta, b_meta, out_meta,
-                 a_i: int, b_i: int, out_i: int) -> None:
-    m, k = (int(d) for d in a_meta[0])
-    _, n = (int(d) for d in b_meta[0])
-    ct = _ct(out_meta[1])
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const {ct} *a{u} = (const {ct} *)B[{a_i}];")
-    w(f"  const {ct} *b{u} = (const {ct} *)B[{b_i}];")
-    w(f"  {ct} *o{u} = ({ct} *)B[{out_i}];")
-    w(f"  for (long long i = 0; i < {m}; i++) {{")
-    w(f"    for (long long j = 0; j < {n}; j++) o{u}[i * {n} + j] = 0;")
-    w(f"    for (long long p = 0; p < {k}; p++) {{")
-    w(f"      const {ct} av = a{u}[i * {k} + p];")
-    w(f"      for (long long j = 0; j < {n}; j++) "
-      f"o{u}[i * {n} + j] += av * b{u}[p * {n} + j];")
-    w("    }")
-    w("  }")
-    w("  }")
-
-
-def _emit_copy(w: _W, name: str, nbytes: int, arg_i: int,
-               out_i: int) -> None:
-    if nbytes:
-        w(f"  memcpy(B[{out_i}], B[{arg_i}], {nbytes}); "
-          f"/* {_label(name)} */")
-
-
-def _emit_transpose(w: _W, name: str, in_meta, out_meta, perm,
-                    arg_i: int, out_i: int) -> None:
-    in_shape = tuple(int(d) for d in in_meta[0])
-    out_shape = tuple(int(d) for d in out_meta[0])
-    ct = _ct(in_meta[1])
-    ies = _estrides(in_shape)
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const {ct} *p{u} = (const {ct} *)B[{arg_i}];")
-    w(f"  {ct} *o{u} = ({ct} *)B[{out_i}];")
-    w(f"  long long io{u} = 0;")
-    indent = "  "
-    for d, dim in enumerate(out_shape):
-        w(f"{indent}for (long long i{u}_{d} = 0; i{u}_{d} < {dim}; "
-          f"i{u}_{d}++) {{")
-        indent += "  "
-    idx = " + ".join(f"i{u}_{d} * {ies[perm[d]]}"
-                     for d in range(len(out_shape)))
-    w(f"{indent}o{u}[io{u}++] = p{u}[{idx or '0'}];")
-    for _ in out_shape:
-        indent = indent[:-2]
-        w(f"{indent}}}")
-    w("  }")
-
-
-def _emit_one_hot(w: _W, name: str, idx_meta, out_meta, depth: int,
-                  arg_i: int, out_i: int) -> None:
-    n = _numel(idx_meta[0])
-    idx_ct = _ct(idx_meta[1])
-    out_ct = _ct(out_meta[1])
-    nbytes = _numel(out_meta[0]) * np.dtype(out_meta[1]).itemsize
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const {idx_ct} *p{u} = (const {idx_ct} *)B[{arg_i}];")
-    w(f"  {out_ct} *o{u} = ({out_ct} *)B[{out_i}];")
-    w(f"  memset(o{u}, 0, {nbytes});")
-    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
-    w(f"    long long v{u} = (long long)p{u}[i{u}];")
-    w(f"    if (v{u} >= 0 && v{u} < {depth}) "
-      f"o{u}[i{u} * {depth} + v{u}] = ({out_ct})1;")
-    w("  }")
-    w("  }")
-
-
-def _emit_gather(w: _W, name: str, params_meta, idx_meta,
-                 p_i: int, i_i: int, out_i: int) -> None:
-    # Out-of-range indices clamp (np.take would raise; plans only issue
-    # in-range reads) — keeps the C side memory-safe without branching
-    # back to Python.
-    n_rows = int(params_meta[0][0])
-    row = (_numel(params_meta[0][1:])
-           * np.dtype(params_meta[1]).itemsize)
-    n_idx = _numel(idx_meta[0])
-    idx_ct = _ct(idx_meta[1])
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const char *p{u} = (const char *)B[{p_i}];")
-    w(f"  const {idx_ct} *x{u} = (const {idx_ct} *)B[{i_i}];")
-    w(f"  char *o{u} = (char *)B[{out_i}];")
-    w(f"  for (long long i{u} = 0; i{u} < {n_idx}; i{u}++) {{")
-    w(f"    long long v{u} = (long long)x{u}[i{u}];")
-    w(f"    if (v{u} < 0) v{u} = 0;")
-    w(f"    if (v{u} >= {n_rows}) v{u} = {n_rows - 1};")
-    w(f"    memcpy(o{u} + i{u} * {row}, p{u} + v{u} * {row}, {row});")
-    w("  }")
-    w("  }")
-
-
-def _emit_concat(w: _W, name: str, in_metas, out_meta, axis: int,
-                 arg_idx, out_i: int) -> None:
-    esize = np.dtype(out_meta[1]).itemsize
-    out_shape = tuple(int(d) for d in out_meta[0])
-    outer = _numel(out_shape[:axis])
-    out_row = _numel(out_shape[axis:]) * esize
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  char *o{u} = (char *)B[{out_i}];")
-    off = 0
-    for t, meta in enumerate(in_metas):
-        in_row = _numel(tuple(meta[0])[axis:]) * esize
-        if in_row:
-            w(f"  for (long long r{u} = 0; r{u} < {outer}; r{u}++)")
-            w(f"    memcpy(o{u} + r{u} * {out_row} + {off}, "
-              f"(const char *)B[{arg_idx[t]}] + r{u} * {in_row}, {in_row});")
-        off += in_row
-    w("  }")
-
-
-def _emit_flatcat(w: _W, name: str, in_metas, arg_idx, out_i: int) -> None:
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  char *o{u} = (char *)B[{out_i}];")
-    off = 0
-    for t, meta in enumerate(in_metas):
-        nbytes = _numel(meta[0]) * np.dtype(meta[1]).itemsize
-        if nbytes:
-            w(f"  memcpy(o{u} + {off}, B[{arg_idx[t]}], {nbytes});")
-        off += nbytes
-    w("  }")
-
-
-def _emit_fused_sgd(w: _W, name: str, n: int, lr, momentum,
-                    g_i: int, p_i: int, m_i: Optional[int]) -> None:
-    nlr = _flit(np.float32(-lr))
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const float *g{u} = (const float *)B[{g_i}];")
-    w(f"  float *p{u} = (float *)B[{p_i}];")
-    if m_i is not None:
-        mom = _flit(np.float32(momentum))
-        w(f"  float *m{u} = (float *)B[{m_i}];")
-        w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
-        w(f"    const float nm{u} = {mom} * m{u}[i{u}] + g{u}[i{u}];")
-        w(f"    m{u}[i{u}] = nm{u};")
-        w(f"    p{u}[i{u}] += {nlr} * nm{u};")
-        w("  }")
-    else:
-        w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) "
-          f"p{u}[i{u}] += {nlr} * g{u}[i{u}];")
-    w("  }")
-
-
-def _emit_fused_adam(w: _W, name: str, n: int, lr, beta1, beta2, epsilon,
-                     g_i: int, t_i: int, t_ct: str, p_i: int, m_i: int,
-                     v_i: int) -> None:
-    # Mirrors kernels.fused_adam float32-for-float32 (same beta^t via
-    # exp(t*log(beta)), same 1e-8 floor); -ffp-contract=off keeps the
-    # per-op rounding comparable to NumPy's.
-    b1, b2 = _flit(np.float32(beta1)), _flit(np.float32(beta2))
-    ob1 = _flit(np.float32(1.0 - beta1))
-    ob2 = _flit(np.float32(1.0 - beta2))
-    lb1 = _flit(np.float32(np.log(beta1)))
-    lb2 = _flit(np.float32(np.log(beta2)))
-    nlr = _flit(np.float32(-lr))
-    eps = _flit(np.float32(epsilon))
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const float *g{u} = (const float *)B[{g_i}];")
-    w(f"  const {t_ct} *t{u} = (const {t_ct} *)B[{t_i}];")
-    w(f"  float *p{u} = (float *)B[{p_i}];")
-    w(f"  float *m{u} = (float *)B[{m_i}];")
-    w(f"  float *v{u} = (float *)B[{v_i}];")
-    w(f"  const float tf{u} = (float)t{u}[0];")
-    w(f"  float bc1{u} = 1.0f - expf(tf{u} * {lb1});")
-    w(f"  float bc2{u} = 1.0f - expf(tf{u} * {lb2});")
-    w(f"  if (bc1{u} < 1e-08f) bc1{u} = 1e-08f;")
-    w(f"  if (bc2{u} < 1e-08f) bc2{u} = 1e-08f;")
-    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
-    w(f"    const float gv{u} = g{u}[i{u}];")
-    w(f"    const float nm{u} = {b1} * m{u}[i{u}] + {ob1} * gv{u};")
-    w(f"    const float nv{u} = {b2} * v{u}[i{u}] + {ob2} * (gv{u} * gv{u});")
-    w(f"    const float mh{u} = nm{u} / bc1{u};")
-    w(f"    const float vh{u} = nv{u} / bc2{u};")
-    w(f"    p{u}[i{u}] += {nlr} * (mh{u} / (sqrtf(vh{u}) + {eps}));")
-    w(f"    m{u}[i{u}] = nm{u};")
-    w(f"    v{u}[i{u}] = nv{u};")
-    w("  }")
-    w("  }")
-
-
-def _emit_fused_rmsprop(w: _W, name: str, n: int, lr, decay, epsilon,
-                        g_i: int, p_i: int, s_i: int) -> None:
-    dec = _flit(np.float32(decay))
-    odec = _flit(np.float32(1.0 - decay))
-    nlr = _flit(np.float32(-lr))
-    eps = _flit(np.float32(epsilon))
-    u = w.uid()
-    w(f"  {{ /* {_label(name)} */")
-    w(f"  const float *g{u} = (const float *)B[{g_i}];")
-    w(f"  float *p{u} = (float *)B[{p_i}];")
-    w(f"  float *s{u} = (float *)B[{s_i}];")
-    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
-    w(f"    const float gv{u} = g{u}[i{u}];")
-    w(f"    const float ns{u} = {dec} * s{u}[i{u}] + {odec} * (gv{u} * gv{u});")
-    w(f"    p{u}[i{u}] += {nlr} * (gv{u} / (sqrtf(ns{u}) + {eps}));")
-    w(f"    s{u}[i{u}] = ns{u};")
-    w("  }")
-    w("  }")
-
-
-# ---------------------------------------------------------------------------
-# Step classification (native vocabulary)
-# ---------------------------------------------------------------------------
-_COPY_OPS = frozenset({"reshape", "reshape_like", "squeeze", "expand_dims",
-                       "anchor"})
-_REDUCE_MODES = {"reduce_sum": "sum", "reduce_mean": "mean",
-                 "reduce_max": "max", "reduce_min": "min"}
-# A one-C-step segment is only worth a foreign call when the step does
-# the work of many interpreter steps.
-_SINGLETON_OK = frozenset({"fused", "adam", "sgd", "rmsprop"})
-
-
-def _reduce_axes(shape, axis) -> Tuple[int, ...]:
-    nd = len(shape)
-    if axis is None:
-        return tuple(range(nd))
-    if isinstance(axis, (int, np.integer)):
-        return (int(axis) % nd,)
-    return tuple(sorted(int(x) % nd for x in axis))
-
-
-def _synthetic_members(step, out_dt):
-    """A standalone elementwise op as a one-member fused group."""
-    refs = [("arg", k) for k in range(len(step.arg_slots))]
-    return [(step.op, None, step.attrs, refs)], [np.dtype(out_dt)]
-
-
-def _ew_args(instructions, member_dts, in_metas, out_meta):
-    """Validate an elementwise chain for C emission.
-
-    Returns ``(data_args, shape_only_args)`` (external arg positions
-    that are read vs. only shape-inspected), or None if any member falls
-    outside the expression table or an operand can't be indexed.
-    """
-    if out_meta is None or _ct(out_meta[1]) is None:
+def _accept_unbroadcast(step, ins, out, dts):
+    """The axes to sum the gradient over (empty: same shape, a copy)."""
+    m0 = ins[0]
+    if m0 is None or _ct(m0[1]) is None or m0[1] != out[1]:
         return None
-    out_shape = out_meta[0]
-    data, shape_only = set(), set()
-    for m_i, (mop, _fwd, mattrs, refs) in enumerate(instructions):
-        if _ct(member_dts[m_i]) is None:
-            return None
-        dts = []
-        for kind, r in refs:
-            if kind == "arg":
-                meta = in_metas[r]
-                if meta is None:
-                    return None
-                if mop == "ones_like":
-                    shape_only.add(r)
-                else:
-                    data.add(r)
-                    if (_ct(meta[1]) is None
-                            or _bstrides(meta[0], out_shape) is None):
-                        return None
-                dts.append(meta[1])
-            else:
-                dts.append(member_dts[r])
-        if _member_expr(mop, mattrs, ["x"] * len(refs), dts,
-                        member_dts[m_i]) is None:
-            return None
-    return sorted(data), sorted(shape_only - data)
+    gin = tuple(int(d) for d in m0[0])
+    tgt = tuple(int(d) for d in out[0])
+    if gin == tgt:
+        return set()
+    pad = len(gin) - len(tgt)
+    if pad < 0 or any(t != gin[pad + i] and t != 1
+                      for i, t in enumerate(tgt)):
+        return None
+    return set(range(pad)) | {pad + i for i, t in enumerate(tgt)
+                              if t == 1 and gin[pad + i] != 1}
+
+
+def _emit_unbroadcast(cx, axes):
+    if axes:
+        _emit_reduce(cx, axes, "sum")
+        cx.guard(1)
+    else:
+        _emit_copy(cx)
 
 
 def _bcast_expanded(g_shape, out_shape, attrs):
@@ -916,188 +946,300 @@ def _bcast_expanded(g_shape, out_shape, attrs):
     return tuple(exp)
 
 
-def _native_kind(step, rec) -> Optional[str]:
-    """Native-vocabulary tag for a step given its probed metadata, or
-    None if the step must stay a Python step."""
-    in_metas, out_meta, member_dts = rec
-    op = step.op
+def _accept_bcast(step, ins, out, dts):
+    m0 = ins[0]
+    if m0 is None or _ct(m0[1]) is None or m0[1] != out[1]:
+        return None
+    return _bcast_expanded(m0[0], out[0], step.attrs)
+
+
+def _emit_bcast(cx, expanded):
+    _emit_elementwise(cx, [("identity", None, {}, [("arg", 0)])],
+                      [np.dtype(cx.out[1])],
+                      [(expanded, cx.ins[0][1], True)], [0])
+    cx.guard(1)
+
+
+def _accept_one_hot(step, ins, out, dts):
+    m0, depth = ins[0], step.attrs.get("depth")
+    return (m0 is not None and _ct(m0[1]) is not None
+            and _ct(out[1]) is not None
+            and isinstance(depth, (int, np.integer)) and int(depth) > 0)
+
+
+def _emit_one_hot(cx, _how):
+    depth = int(cx.step.attrs["depth"])
+    n = _numel(cx.ins[0][0])
+    idx_ct, out_ct = _ct(cx.ins[0][1]), _ct(cx.out[1])
+    out_i, arg_i = cx.out_buf(), cx.arg(0)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const {idx_ct} *p{u} = (const {idx_ct} *)B[{arg_i}];")
+    w(f"  {out_ct} *o{u} = ({out_ct} *)B[{out_i}];")
+    w(f"  memset(o{u}, 0, {cx.buf.nbytes});")
+    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
+    w(f"    long long v{u} = (long long)p{u}[i{u}];")
+    w(f"    if (v{u} >= 0 && v{u} < {depth}) "
+      f"o{u}[i{u} * {depth} + v{u}] = ({out_ct})1;")
+    w("  }")
+    w("  }")
+
+
+def _accept_gather(step, ins, out, dts):
+    mp, mi = ins
+    return (mp is not None and mi is not None and len(mp[0]) >= 1
+            and int(mp[0][0]) > 0 and _ct(mi[1]) is not None)
+
+
+def _emit_gather(cx, _how):
+    # Out-of-range indices clamp (np.take would raise; plans only issue
+    # in-range reads) — keeps the C side memory-safe without branching
+    # back to Python.
+    params_meta, idx_meta = cx.ins
+    n_rows = int(params_meta[0][0])
+    row = (_numel(params_meta[0][1:])
+           * np.dtype(params_meta[1]).itemsize)
+    n_idx = _numel(idx_meta[0])
+    idx_ct = _ct(idx_meta[1])
+    out_i, p_i, i_i = cx.out_buf(), cx.arg(0), cx.arg(1)
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const char *p{u} = (const char *)B[{p_i}];")
+    w(f"  const {idx_ct} *x{u} = (const {idx_ct} *)B[{i_i}];")
+    w(f"  char *o{u} = (char *)B[{out_i}];")
+    w(f"  for (long long i{u} = 0; i{u} < {n_idx}; i{u}++) {{")
+    w(f"    long long v{u} = (long long)x{u}[i{u}];")
+    w(f"    if (v{u} < 0) v{u} = 0;")
+    w(f"    if (v{u} >= {n_rows}) v{u} = {n_rows - 1};")
+    w(f"    memcpy(o{u} + i{u} * {row}, p{u} + v{u} * {row}, {row});")
+    w("  }")
+    w("  }")
+
+
+def _accept_concat(step, ins, out, dts):
+    nd, ax = len(out[0]), step.attrs.get("axis", 0)
+    if (not ins or any(m is None for m in ins) or nd == 0
+            or not isinstance(ax, (int, np.integer))
+            or any(np.dtype(m[1]) != np.dtype(out[1]) or len(m[0]) != nd
+                   for m in ins)):
+        return None
+    return (int(ax) % nd,)
+
+
+def _emit_concat(cx, how):
+    (axis,) = how
+    esize = np.dtype(cx.out[1]).itemsize
+    out_shape = tuple(int(d) for d in cx.out[0])
+    outer = _numel(out_shape[:axis])
+    out_row = _numel(out_shape[axis:]) * esize
+    out_i, arg_idx = cx.out_buf(), cx.args()
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  char *o{u} = (char *)B[{out_i}];")
+    off = 0
+    for t, meta in enumerate(cx.ins):
+        in_row = _numel(tuple(meta[0])[axis:]) * esize
+        if in_row:
+            w(f"  for (long long r{u} = 0; r{u} < {outer}; r{u}++)")
+            w(f"    memcpy(o{u} + r{u} * {out_row} + {off}, "
+              f"(const char *)B[{arg_idx[t]}] + r{u} * {in_row}, {in_row});")
+        off += in_row
+    w("  }")
+
+
+def _accept_flatcat(step, ins, out, dts):
+    return bool(ins) and all(
+        m is not None and np.dtype(m[1]) == np.dtype(np.float32)
+        for m in ins)
+
+
+def _emit_flatcat(cx, _how):
+    out_i, arg_idx = cx.out_buf(), cx.args()
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  char *o{u} = (char *)B[{out_i}];")
+    off = 0
+    for t, meta in enumerate(cx.ins):
+        nbytes = _numel(meta[0]) * np.dtype(meta[1]).itemsize
+        if nbytes:
+            w(f"  memcpy(o{u} + {off}, B[{arg_idx[t]}], {nbytes});")
+        off += nbytes
+    w("  }")
+
+
+def _slabs_ok(ins, attrs, numbers, slabs) -> bool:
+    """The fused optimizer kernels need a float32 gradient, numeric
+    hyper-parameters and C-contiguous float32 slabs of its size."""
+    g = ins[0] if ins else None
+    if (g is None or np.dtype(g[1]) != np.dtype(np.float32)
+            or not all(_is_number(attrs.get(key)) for key in numbers)):
+        return False
+    for key in slabs:
+        arr = getattr(attrs.get(key), "value", None)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32
+                and arr.flags.c_contiguous and arr.size == _numel(g[0])):
+            return False
+    return True
+
+
+def _accept_sgd(step, ins, out, dts):
     a = step.attrs
-    if op == "read_var":
-        if (out_meta is not None and out_meta[2]
-                and _ct(out_meta[1]) is not None):
-            return "ptr"
-        return None
-    if op in ("size_of", "shape_of"):
-        if in_metas and in_metas[0] is not None and out_meta is not None:
-            return "const"
-        return None
-    if op == "fused":
-        if member_dts is None or out_meta is None:
-            return None
-        if _ew_args(step.instructions, member_dts, in_metas,
-                    out_meta) is None:
-            return None
-        return "fused"
-    if out_meta is None:
-        return None
-    if op in _EW_OPS:
-        instrs, dts = _synthetic_members(step, out_meta[1])
-        if _ew_args(instrs, dts, in_metas, out_meta) is None:
-            return None
-        return "ew"
-    if op in _COPY_OPS:
-        m0 = in_metas[0] if in_metas else None
-        if (m0 is not None and np.dtype(m0[1]) == np.dtype(out_meta[1])
-                and _numel(m0[0]) == _numel(out_meta[0])):
-            return "copy"
-        return None
-    if op == "transpose":
-        m0 = in_metas[0]
-        perm = a.get("perm")
-        if (m0 is not None and _ct(m0[1]) is not None and perm is not None
-                and len(perm) == len(m0[0])):
-            return "transpose"
-        return None
-    if op == "matmul":
-        ma, mb = in_metas
-        if (ma is not None and mb is not None
-                and len(ma[0]) == 2 and len(mb[0]) == 2
-                and len(out_meta[0]) == 2
-                and ma[1] == mb[1] == out_meta[1]
-                and _ct(ma[1]) in _FLOAT_CTS
-                and _numel(ma[0]) * int(mb[0][1]) <= _MATMUL_NATIVE_LIMIT):
-            return "matmul"
-        return None
-    if op in _REDUCE_MODES:
-        m0 = in_metas[0]
-        if m0 is None or _ct(m0[1]) is None or _ct(out_meta[1]) is None:
-            return None
-        axes = _reduce_axes(m0[0], a.get("axis"))
-        if not axes:
-            return None
-        mode = _REDUCE_MODES[op]
-        if mode in ("max", "min") and _numel(m0[0]) == 0:
-            return None
-        if mode == "mean" and _numel([m0[0][d] for d in axes]) == 0:
-            return None
-        return "reduce"
-    if op == "argmax":
-        m0 = in_metas[0]
-        if m0 is None or _ct(m0[1]) is None or _numel(m0[0]) == 0:
-            return None
-        ax = a.get("axis")
-        if ax is not None and not isinstance(ax, (int, np.integer)):
-            return None
-        if np.dtype(out_meta[1]) != np.dtype(np.int64):
-            return None
-        return "argmax"
-    if op == "unbroadcast_like_op":
-        m0 = in_metas[0]
-        if m0 is None or _ct(m0[1]) is None or m0[1] != out_meta[1]:
-            return None
-        gin = tuple(int(d) for d in m0[0])
-        tgt = tuple(int(d) for d in out_meta[0])
-        if gin == tgt:
-            return "copy"
-        pad = len(gin) - len(tgt)
-        if pad < 0:
-            return None
-        if any(t != gin[pad + i] and t != 1 for i, t in enumerate(tgt)):
-            return None
-        return "unbroadcast"
-    if op == "broadcast_like":
-        m0 = in_metas[0]
-        if (m0 is not None and _ct(m0[1]) is not None
-                and m0[1] == out_meta[1]
-                and _bcast_expanded(m0[0], out_meta[0], a) is not None):
-            return "bcast"
-        return None
-    if op == "one_hot":
-        m0 = in_metas[0]
-        depth = a.get("depth")
-        if (m0 is not None and _ct(m0[1]) is not None
-                and _ct(out_meta[1]) is not None
-                and isinstance(depth, (int, np.integer)) and int(depth) > 0):
-            return "one_hot"
-        return None
-    if op == "gather":
-        mp, mi = in_metas
-        if (mp is not None and mi is not None and len(mp[0]) >= 1
-                and int(mp[0][0]) > 0 and _ct(mi[1]) is not None):
-            return "gather"
-        return None
-    if op == "concat":
-        if not in_metas or any(m is None for m in in_metas):
-            return None
-        nd = len(out_meta[0])
-        ax = a.get("axis", 0)
-        if nd == 0 or not isinstance(ax, (int, np.integer)):
-            return None
-        if any(np.dtype(m[1]) != np.dtype(out_meta[1]) or len(m[0]) != nd
-               for m in in_metas):
-            return None
-        return "concat"
-    if op == "flatcat":
-        if in_metas and all(m is not None
-                            and np.dtype(m[1]) == np.dtype(np.float32)
-                            for m in in_metas):
-            return "flatcat"
-        return None
-    if op in ("fused_sgd", "fused_adam", "fused_rmsprop"):
-        g = in_metas[0] if in_metas else None
-        if g is None or np.dtype(g[1]) != np.dtype(np.float32):
-            return None
-        arrs = [getattr(a.get("var"), "value", None)]
-        if op == "fused_adam":
-            if (len(in_metas) < 2 or in_metas[1] is None
-                    or np.dtype(in_metas[1][1]) not in (
-                        np.dtype(np.float32), np.dtype(np.int64))
-                    or _numel(in_metas[1][0]) != 1):
-                return None
-            if not all(_is_number(a.get(key))
-                       for key in ("lr", "beta1", "beta2", "epsilon")):
-                return None
-            if not (0.0 < float(a["beta1"]) < 1.0
-                    and 0.0 < float(a["beta2"]) < 1.0):
-                return None
-            arrs += [getattr(a.get("m"), "value", None),
-                     getattr(a.get("v"), "value", None)]
-        elif op == "fused_rmsprop":
-            if not all(_is_number(a.get(key))
-                       for key in ("lr", "decay", "epsilon")):
-                return None
-            arrs.append(getattr(a.get("ms"), "value", None))
-        else:
-            mom = a.get("momentum", 0.0)
-            if not _is_number(a.get("lr")) or not _is_number(mom):
-                return None
-            if mom:
-                arrs.append(getattr(a.get("momentum_var"), "value", None))
-        n = _numel(g[0])
-        for arr in arrs:
-            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32
-                    and arr.flags.c_contiguous and arr.size == n):
-                return None
-        return {"fused_sgd": "sgd", "fused_adam": "adam",
-                "fused_rmsprop": "rmsprop"}[op]
-    return None
+    mom = a.get("momentum", 0.0)
+    return _is_number(mom) and _slabs_ok(
+        ins, a, ("lr",), ("var", "momentum_var") if mom else ("var",))
+
+
+def _emit_fused_sgd(cx, _how):
+    a = cx.step.attrs
+    n = int(a["var"].value.size)
+    nlr = _flit(np.float32(-a["lr"]))
+    g_i, p_i = cx.arg(0), cx.var(a["var"])
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const float *g{u} = (const float *)B[{g_i}];")
+    w(f"  float *p{u} = (float *)B[{p_i}];")
+    if a.get("momentum", 0.0):
+        mom = _flit(np.float32(a["momentum"]))
+        w(f"  float *m{u} = (float *)B[{cx.var(a['momentum_var'])}];")
+        w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
+        w(f"    const float nm{u} = {mom} * m{u}[i{u}] + g{u}[i{u}];")
+        w(f"    m{u}[i{u}] = nm{u};")
+        w(f"    p{u}[i{u}] += {nlr} * nm{u};")
+        w("  }")
+    else:
+        w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) "
+          f"p{u}[i{u}] += {nlr} * g{u}[i{u}];")
+    w("  }")
+    cx.store_const(np.asarray(n, dtype=np.int64))
+
+
+def _accept_adam(step, ins, out, dts):
+    a = step.attrs
+    return (_slabs_ok(ins, a, ("lr", "beta1", "beta2", "epsilon"),
+                      ("var", "m", "v"))
+            and len(ins) >= 2 and ins[1] is not None
+            and np.dtype(ins[1][1]) in (np.dtype(np.float32),
+                                        np.dtype(np.int64))
+            and _numel(ins[1][0]) == 1
+            and 0.0 < float(a["beta1"]) < 1.0
+            and 0.0 < float(a["beta2"]) < 1.0)
+
+
+def _emit_fused_adam(cx, _how):
+    # Mirrors kernels.fused_adam float32-for-float32 (same beta^t via
+    # exp(t*log(beta)), same 1e-8 floor); -ffp-contract=off keeps the
+    # per-op rounding comparable to NumPy's.
+    a = cx.step.attrs
+    n = int(a["var"].value.size)
+    beta1, beta2 = a["beta1"], a["beta2"]
+    b1, b2 = _flit(np.float32(beta1)), _flit(np.float32(beta2))
+    ob1 = _flit(np.float32(1.0 - beta1))
+    ob2 = _flit(np.float32(1.0 - beta2))
+    lb1 = _flit(np.float32(np.log(beta1)))
+    lb2 = _flit(np.float32(np.log(beta2)))
+    nlr = _flit(np.float32(-a["lr"]))
+    eps = _flit(np.float32(a["epsilon"]))
+    t_ct = _ct(cx.ins[1][1])
+    g_i, p_i, t_i = cx.arg(0), cx.var(a["var"]), cx.arg(1)
+    m_i, v_i = cx.var(a["m"]), cx.var(a["v"])
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const float *g{u} = (const float *)B[{g_i}];")
+    w(f"  const {t_ct} *t{u} = (const {t_ct} *)B[{t_i}];")
+    w(f"  float *p{u} = (float *)B[{p_i}];")
+    w(f"  float *m{u} = (float *)B[{m_i}];")
+    w(f"  float *v{u} = (float *)B[{v_i}];")
+    w(f"  const float tf{u} = (float)t{u}[0];")
+    w(f"  float bc1{u} = 1.0f - expf(tf{u} * {lb1});")
+    w(f"  float bc2{u} = 1.0f - expf(tf{u} * {lb2});")
+    w(f"  if (bc1{u} < 1e-08f) bc1{u} = 1e-08f;")
+    w(f"  if (bc2{u} < 1e-08f) bc2{u} = 1e-08f;")
+    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
+    w(f"    const float gv{u} = g{u}[i{u}];")
+    w(f"    const float nm{u} = {b1} * m{u}[i{u}] + {ob1} * gv{u};")
+    w(f"    const float nv{u} = {b2} * v{u}[i{u}] + {ob2} * (gv{u} * gv{u});")
+    w(f"    const float mh{u} = nm{u} / bc1{u};")
+    w(f"    const float vh{u} = nv{u} / bc2{u};")
+    w(f"    p{u}[i{u}] += {nlr} * (mh{u} / (sqrtf(vh{u}) + {eps}));")
+    w(f"    m{u}[i{u}] = nm{u};")
+    w(f"    v{u}[i{u}] = nv{u};")
+    w("  }")
+    w("  }")
+    cx.store_const(np.asarray(n, dtype=np.int64))
+
+
+def _accept_rmsprop(step, ins, out, dts):
+    return _slabs_ok(ins, step.attrs, ("lr", "decay", "epsilon"),
+                     ("var", "ms"))
+
+
+def _emit_fused_rmsprop(cx, _how):
+    a = cx.step.attrs
+    n = int(a["var"].value.size)
+    dec = _flit(np.float32(a["decay"]))
+    odec = _flit(np.float32(1.0 - a["decay"]))
+    nlr = _flit(np.float32(-a["lr"]))
+    eps = _flit(np.float32(a["epsilon"]))
+    g_i, p_i, s_i = cx.arg(0), cx.var(a["var"]), cx.var(a["ms"])
+    w, u = cx.w, cx.w.uid()
+    w(f"  {{ /* {cx.label} */")
+    w(f"  const float *g{u} = (const float *)B[{g_i}];")
+    w(f"  float *p{u} = (float *)B[{p_i}];")
+    w(f"  float *s{u} = (float *)B[{s_i}];")
+    w(f"  for (long long i{u} = 0; i{u} < {n}; i{u}++) {{")
+    w(f"    const float gv{u} = g{u}[i{u}];")
+    w(f"    const float ns{u} = {dec} * s{u}[i{u}] + {odec} * (gv{u} * gv{u});")
+    w(f"    p{u}[i{u}] += {nlr} * (gv{u} / (sqrtf(ns{u}) + {eps}));")
+    w(f"    s{u}[i{u}] = ns{u};")
+    w("  }")
+    w("  }")
+    cx.store_const(np.asarray(n, dtype=np.int64))
+
+
+_SHAPE_CONST = Lowering(
+    lambda step, ins, out, dts: bool(ins) and ins[0] is not None,
+    _emit_shape_const, work=0)
+_COPY = Lowering(_accept_copy, _emit_copy)
+
+_LOWERINGS: Dict[str, Lowering] = {
+    "read_var": Lowering(
+        lambda step, ins, out, dts: out[2] and _ct(out[1]) is not None,
+        _emit_read_var, work=0),
+    "size_of": _SHAPE_CONST, "shape_of": _SHAPE_CONST,
+    "fused": Lowering(
+        lambda step, ins, out, dts: (
+            dts is not None and _chain(step.instructions, dts, ins, out)),
+        _emit_chain, work=2),
+    "reshape": _COPY, "reshape_like": _COPY, "squeeze": _COPY,
+    "expand_dims": _COPY, "anchor": _COPY,
+    "transpose": Lowering(_accept_transpose, _emit_transpose),
+    "matmul": Lowering(_accept_matmul, _emit_matmul),
+    "reduce_sum": _reduce("sum"), "reduce_mean": _reduce("mean"),
+    "reduce_max": _reduce("max"), "reduce_min": _reduce("min"),
+    "argmax": Lowering(_accept_argmax, _emit_argmax),
+    "unbroadcast_like_op": Lowering(_accept_unbroadcast, _emit_unbroadcast),
+    "broadcast_like": Lowering(_accept_bcast, _emit_bcast),
+    "one_hot": Lowering(_accept_one_hot, _emit_one_hot),
+    "gather": Lowering(_accept_gather, _emit_gather),
+    "concat": Lowering(_accept_concat, _emit_concat),
+    "flatcat": Lowering(_accept_flatcat, _emit_flatcat),
+    "fused_sgd": Lowering(_accept_sgd, _emit_fused_sgd, work=2),
+    "fused_adam": Lowering(_accept_adam, _emit_fused_adam, work=2),
+    "fused_rmsprop": Lowering(_accept_rmsprop, _emit_fused_rmsprop, work=2),
+}
+# Every op with a C scalar expression lowers standalone as a one-member
+# chain (inside a fused group its expression is used directly).
+_LOWERINGS.update(dict.fromkeys(_C_EXPR, Lowering(_accept_ew, _emit_chain)))
 
 
 # ---------------------------------------------------------------------------
 # Probe run
 # ---------------------------------------------------------------------------
-def _probe(compiled, feed_values):
-    """Interpret the plan once, recording per-step operand/output
-    metadata (the shape specialization the C source is emitted against).
-    Returns ``(records, fetch_values)`` — a real run, so its results are
-    returned to the caller."""
-    slab = compiled._template.copy()
-    for ph, slot in compiled._feed_slots:
-        try:
-            slab[slot] = feed_values[ph.id]
-        except KeyError:
-            raise RLGraphError(
-                f"Placeholder {ph.name} was not fed (shape {ph.shape})")
+def _probe(compiled, slab):
+    """Interpret the plan once on a fed ``slab``, recording per-step
+    operand/output metadata (the shape specialization the C source is
+    emitted against). Returns ``(records, fetch_values)`` — a real run,
+    so its results are returned to the caller."""
     records = []
     for step in compiled.steps:
         args = [slab[i] for i in step.arg_slots]
@@ -1126,18 +1268,36 @@ def _probe(compiled, feed_values):
 # Segment lowering
 # ---------------------------------------------------------------------------
 class _Segment:
-    """One compiled C function plus its pointer-table recipe."""
+    """One compiled C function plus its pointer-table recipe: a lowered
+    proto bound to the loaded library."""
 
     __slots__ = ("name", "fn", "ptrs", "cast", "statics", "var_entries",
                  "dyn", "guards", "stores", "fallback")
+
+    def __init__(self, proto, lib):
+        self.name = proto["name"]
+        self.fn = lib.fns[self.name]
+        self.ptrs = np.zeros(max(len(proto["entries"]), 1), dtype=np.uint64)
+        self.statics, self.var_entries, self.dyn = [], [], []
+        for i, e in enumerate(proto["entries"]):
+            if e[0] == "s":
+                self.ptrs[i] = e[1].ctypes.data
+                self.statics.append(e[1])
+            elif e[0] == "v":
+                self.var_entries.append((i, e[1], e[2], e[3]))
+            else:
+                self.dyn.append((i, e[1], e[2], e[3]))
+        self.guards = proto["guards"]
+        self.stores = proto["stores"]
+        self.fallback = proto["fallback"]
+        self.cast = lib.cast_ptr(int(self.ptrs.ctypes.data))
 
 
 class _Build:
     """One feed-signature specialization: the item list interleaving
     Python steps and native segments, plus the loaded library."""
 
-    __slots__ = ("items", "lib", "source", "epoch", "native_ids",
-                 "n_segments", "n_native", "n_py")
+    __slots__ = ("items", "lib", "epoch", "native_ids")
 
     def refresh(self) -> bool:
         """Re-resolve variable-storage pointers (after a storage-epoch
@@ -1157,165 +1317,6 @@ class _Build:
         return True
 
 
-def _lower_step(compiled, step, tag, rec, proto, written, feed_set,
-                native_ids) -> None:
-    """Emit one step into its segment proto (entries/guards/stores/C)."""
-    in_metas, out_meta, member_dts = rec
-    w = proto["w"]
-    entries, eidx, inseg = proto["entries"], proto["eidx"], proto["inseg"]
-
-    def add_entry(key, entry) -> int:
-        i = eidx.get(key)
-        if i is None:
-            i = len(entries)
-            entries.append(entry)
-            eidx[key] = i
-        return i
-
-    def arg_index(k) -> int:
-        slot = step.arg_slots[k]
-        meta = in_metas[k]
-        if slot in inseg:
-            return inseg[slot]
-        if slot in written or slot in feed_set:
-            return add_entry(("d", slot),
-                             ("d", slot, tuple(meta[0]), np.dtype(meta[1])))
-        # Template constant: contiguous snapshot, resolved once.
-        arr = np.ascontiguousarray(compiled._template[slot])
-        return add_entry(("c", slot), ("s", arr))
-
-    def add_guard(k) -> None:
-        slot = step.arg_slots[k]
-        if slot in inseg or ("d", slot) in eidx:
-            return
-        if slot not in written and slot not in feed_set:
-            return  # template constant: shape can't change
-        if slot not in proto["gset"]:
-            proto["gset"].add(slot)
-            proto["guards"].append((slot, tuple(in_metas[k][0])))
-
-    def store_const(value) -> None:
-        si = add_entry(("k", step.out_slot, len(proto["stores"])),
-                       ("s", value))
-        inseg[step.out_slot] = si
-        proto["stores"].append((step.out_slot, value, False))
-        native_ids.add(id(value))
-
-    a = step.attrs
-    if tag == "ptr":
-        var = a["var"]
-        vi = add_entry(("v", id(var)),
-                       ("v", var, tuple(out_meta[0]), np.dtype(out_meta[1])))
-        inseg[step.out_slot] = vi
-        proto["stores"].append((step.out_slot, var, True))
-        return
-    if tag == "const":
-        shape = tuple(int(d) for d in in_metas[0][0])
-        add_guard(0)
-        store_const(np.asarray(shape if step.op == "shape_of"
-                               else _numel(shape), dtype=np.int64))
-        return
-    if tag in ("sgd", "adam", "rmsprop"):
-        def vidx(var) -> int:
-            arr = var.value
-            return add_entry(("v", id(var)), ("v", var, arr.shape, arr.dtype))
-        g_i = arg_index(0)
-        p_i = vidx(a["var"])
-        nsz = int(a["var"].value.size)
-        if tag == "sgd":
-            mom = a.get("momentum", 0.0)
-            m_i = vidx(a["momentum_var"]) if mom else None
-            _emit_fused_sgd(w, step.name, nsz, a["lr"], mom, g_i, p_i, m_i)
-        elif tag == "adam":
-            _emit_fused_adam(w, step.name, nsz, a["lr"], a["beta1"],
-                             a["beta2"], a["epsilon"], g_i, arg_index(1),
-                             _ct(in_metas[1][1]), p_i, vidx(a["m"]),
-                             vidx(a["v"]))
-        else:
-            _emit_fused_rmsprop(w, step.name, nsz, a["lr"], a["decay"],
-                                a["epsilon"], g_i, p_i, vidx(a["ms"]))
-        store_const(np.asarray(nsz, dtype=np.int64))
-        return
-
-    out_shape = tuple(int(d) for d in out_meta[0])
-    out_dt = np.dtype(out_meta[1])
-    buf = np.empty(out_shape, dtype=out_dt)
-    oi = add_entry(("b", id(buf)), ("s", buf))
-    if tag in ("fused", "ew"):
-        if tag == "fused":
-            instrs, dts = step.instructions, member_dts
-        else:
-            instrs, dts = _synthetic_members(step, out_dt)
-        data, shape_only = _ew_args(instrs, dts, in_metas, out_meta)
-        arg_idx: List[Optional[int]] = [None] * len(step.arg_slots)
-        for k in data:
-            arg_idx[k] = arg_index(k)
-        for k in shape_only:
-            add_guard(k)
-        members = [{"op": mop, "attrs": mattrs, "refs": refs,
-                    "dtype": dts[m_i]}
-                   for m_i, (mop, _f, mattrs, refs) in enumerate(instrs)]
-        _emit_elementwise(w, step.name, members, in_metas, arg_idx, oi,
-                          out_meta)
-    elif tag == "copy":
-        _emit_copy(w, step.name, _numel(out_shape) * out_dt.itemsize,
-                   arg_index(0), oi)
-        for k in range(1, len(step.arg_slots)):
-            add_guard(k)
-    elif tag == "transpose":
-        perm = [int(p) % len(in_metas[0][0]) for p in a["perm"]]
-        _emit_transpose(w, step.name, in_metas[0], out_meta, perm,
-                        arg_index(0), oi)
-    elif tag == "matmul":
-        _emit_matmul(w, step.name, in_metas[0], in_metas[1], out_meta,
-                     arg_index(0), arg_index(1), oi)
-    elif tag == "reduce":
-        axes = set(_reduce_axes(in_metas[0][0], a.get("axis")))
-        _emit_reduce(w, step.name, in_metas[0], out_meta, axes,
-                     _REDUCE_MODES[step.op], arg_index(0), oi)
-    elif tag == "argmax":
-        ax = a.get("axis")
-        if ax is not None:
-            ax = int(ax) % len(in_metas[0][0])
-        _emit_argmax(w, step.name, in_metas[0], ax, arg_index(0), oi)
-    elif tag == "unbroadcast":
-        gin = tuple(int(d) for d in in_metas[0][0])
-        pad = len(gin) - len(out_shape)
-        axes = set(range(pad))
-        for i2, od in enumerate(out_shape):
-            if od == 1 and gin[pad + i2] != 1:
-                axes.add(pad + i2)
-        _emit_reduce(w, step.name, in_metas[0], out_meta, axes, "sum",
-                     arg_index(0), oi)
-        add_guard(1)
-    elif tag == "bcast":
-        exp = _bcast_expanded(in_metas[0][0], out_shape, a)
-        members = [{"op": "identity", "attrs": {}, "refs": [("arg", 0)],
-                    "dtype": out_dt}]
-        _emit_elementwise(w, step.name, members,
-                          [(exp, in_metas[0][1], True)], [arg_index(0)],
-                          oi, out_meta)
-        add_guard(1)
-    elif tag == "one_hot":
-        _emit_one_hot(w, step.name, in_metas[0], out_meta, int(a["depth"]),
-                      arg_index(0), oi)
-    elif tag == "gather":
-        _emit_gather(w, step.name, in_metas[0], in_metas[1], arg_index(0),
-                     arg_index(1), oi)
-    elif tag == "concat":
-        ax = int(a.get("axis", 0)) % len(out_shape)
-        _emit_concat(w, step.name, in_metas, out_meta, ax,
-                     [arg_index(k) for k in range(len(in_metas))], oi)
-    elif tag == "flatcat":
-        _emit_flatcat(w, step.name, in_metas,
-                      [arg_index(k) for k in range(len(in_metas))], oi)
-    else:
-        raise RLGraphError(f"Unhandled native tag {tag!r}")
-    inseg[step.out_slot] = oi
-    proto["stores"].append((step.out_slot, buf, False))
-    native_ids.add(id(buf))
-
-
 def _assemble_source(protos) -> str:
     parts = ["#include <math.h>", "#include <string.h>",
              "#include <limits.h>", ""]
@@ -1328,40 +1329,33 @@ def _assemble_source(protos) -> str:
 
 
 def _lower(compiled, records):
-    """Classify steps, pick viable segments, and emit their C bodies.
+    """Look every step up in :data:`_LOWERINGS`, pick viable segments,
+    and emit their C bodies.
 
     Returns ``(protos, items, source, native_ids, n_native)`` or None
     when no segment clears the viability bar.
     """
     steps = compiled.steps
-    kinds: List[Optional[str]] = []
-    for j, step in enumerate(steps):
-        try:
-            kinds.append(_native_kind(step, records[j]))
-        except Exception:
-            kinds.append(None)
-    runs = []
-    j, n = 0, len(steps)
-    while j < n:
-        if kinds[j] is None:
-            j += 1
-            continue
-        k = j
-        while k < n and kinds[k] is not None:
-            k += 1
-        c_tags = [t for t in kinds[j:k] if t not in ("ptr", "const")]
-        if len(c_tags) >= 2 or (len(c_tags) == 1
-                                and c_tags[0] in _SINGLETON_OK):
-            runs.append((j, k))
-        j = k
+    lowered: List[Optional[Tuple[Lowering, Any]]] = []
+    for step, rec in zip(steps, records):
+        low = _LOWERINGS.get(step.op)
+        how = None
+        if low is not None and rec[1] is not None:
+            try:
+                how = low.accept(step, *rec)
+            except Exception:
+                how = None
+        lowered.append(None if how is None or how is False else (low, how))
+    runs = []  # maximal native runs worth a foreign call
+    for native, group in itertools.groupby(
+            enumerate(lowered), key=lambda e: e[1] is not None):
+        group = list(group)
+        if native and sum(low.work for _j, (low, _how) in group) >= 2:
+            runs.append((group[0][0], group[-1][0] + 1))
     if not runs:
         return None
-    run_map = {}
-    for lo, hi in runs:
-        for j in range(lo, hi):
-            run_map[j] = (lo, hi)
-    feed_set = {slot for _ph, slot in compiled._feed_slots}
-    written: set = set()
+    run_map = {j: (lo, hi) for lo, hi in runs for j in range(lo, hi)}
+    dynamic = {slot for _ph, slot in compiled._feed_slots}
     native_ids: set = set()
     protos: List[Dict[str, Any]] = []
     items: List[Tuple] = []
@@ -1377,38 +1371,15 @@ def _lower(compiled, records):
                                "guards": [], "gset": set(), "stores": [],
                                "fallback": compiled._steps[lo:hi]})
                 items.append(("segref", len(protos) - 1))
-            _lower_step(compiled, step, kinds[j], records[j], protos[-1],
-                        written, feed_set, native_ids)
-        written.add(step.out_slot)
+            low, how = lowered[j]
+            cx = _StepCx(step, records[j], protos[-1], compiled._template,
+                         dynamic, native_ids)
+            low.emit(cx, how)
+            if cx.buf is not None:
+                cx.store(cx.out_index, cx.buf)
+        dynamic.add(step.out_slot)
     n_native = sum(hi - lo for lo, hi in runs)
     return protos, items, _assemble_source(protos), native_ids, n_native
-
-
-def _finalize(protos, lib) -> List[_Segment]:
-    """Bind protos to the loaded library: pointer tables + fn handles."""
-    segs = []
-    for p in protos:
-        seg = _Segment()
-        seg.name = p["name"]
-        seg.fn = lib.fns[p["name"]]
-        seg.ptrs = np.zeros(max(len(p["entries"]), 1), dtype=np.uint64)
-        seg.statics = []
-        seg.var_entries = []
-        seg.dyn = []
-        for i, e in enumerate(p["entries"]):
-            if e[0] == "s":
-                seg.ptrs[i] = e[1].ctypes.data
-                seg.statics.append(e[1])
-            elif e[0] == "v":
-                seg.var_entries.append((i, e[1], e[2], e[3]))
-            else:
-                seg.dyn.append((i, e[1], e[2], e[3]))
-        seg.guards = p["guards"]
-        seg.stores = p["stores"]
-        seg.fallback = p["fallback"]
-        seg.cast = lib.cast_ptr(int(seg.ptrs.ctypes.data))
-        segs.append(seg)
-    return segs
 
 
 def _run_segment(seg: _Segment, slab) -> bool:
@@ -1472,103 +1443,84 @@ class NativePlan:
     def codegen_source(self):
         return self._compiled.codegen_source
 
-    def _signature(self, feed_values) -> Tuple:
-        sig = []
-        for ph, _slot in self._compiled._feed_slots:
-            try:
-                v = feed_values[ph.id]
-            except KeyError:
-                raise RLGraphError(
-                    f"Placeholder {ph.name} was not fed (shape {ph.shape})")
-            sig.append((ph.id, np.shape(v), str(np.asarray(v).dtype)))
-        return tuple(sig)
-
     def run(self, feed_values: Dict[int, Any]) -> List[Any]:
         compiled = self._compiled
         if self._broken:
             return compiled.run(feed_values)
-        sig = self._signature(feed_values)
+        slab = compiled.feed_slab(feed_values)
+        sig = tuple((slot, np.shape(slab[slot]),
+                     str(np.asarray(slab[slot]).dtype))
+                    for _ph, slot in compiled._feed_slots)
         build = self._builds.get(sig)
-        if build is None:
-            if len(self._builds) >= _MAX_BUILDS:
-                return compiled.run(feed_values)
-            return self._build_and_run(sig, feed_values)
-        if build == "py":
-            return compiled.run(feed_values)
-        return self._run_build(build, feed_values)
+        if build is None and len(self._builds) < _MAX_BUILDS:
+            return self._build_and_run(sig, slab)
+        if isinstance(build, _Build):
+            if (build.epoch == variables.storage_epoch()
+                    or build.refresh()):
+                return self._run_build(build, slab)
+            self._broken = True  # variables changed shape under us
+        return compiled.run_slab(slab)
 
     # -- lowering ----------------------------------------------------------
-    def _build_and_run(self, sig, feed_values):
-        compiled = self._compiled
-        stats = self._session_stats
+    def _build_and_run(self, sig, slab):
+        """First run of a feed signature: the probe run is the run, and
+        the build it specializes serves the following ones."""
         t0 = time.perf_counter()
-        records, fetches = _probe(compiled, feed_values)
+        records, fetches = _probe(self._compiled, slab)
+        try:
+            self._builds[sig] = self._build(records)
+        finally:
+            if self._session_stats is not None:
+                self._session_stats.native_compile_time += (
+                    time.perf_counter() - t0)
+        return self._copy_fetches(fetches, frozenset())
+
+    def _build(self, records):
+        """Lower and compile against one probe: a :class:`_Build`, or
+        ``"py"`` when nothing is viable. A library that cannot be built
+        (or variables no longer matching) marks the whole plan broken."""
+        compiled, stats = self._compiled, self._session_stats
         try:
             lowered = _lower(compiled, records)
         except Exception:
             lowered = None
         if lowered is None:
-            self._builds[sig] = "py"  # nothing viable for this signature
-            if stats is not None:
-                stats.native_compile_time += time.perf_counter() - t0
-            return self._copy_fetches(fetches, frozenset())
-        protos, items, source, native_ids, n_native = lowered
-        self.c_source = source
-        lib, hit = _build_library(source, [p["name"] for p in protos])
+            return "py"
+        protos, items, self.c_source, native_ids, n_native = lowered
+        lib, hit, cause = _build_library(self.c_source,
+                                         [p["name"] for p in protos])
         if lib is None:
             self._broken = True
-            _warn_compile_failed()
-            if stats is not None:
-                stats.native_compile_time += time.perf_counter() - t0
-            return self._copy_fetches(fetches, frozenset())
-        segs = _finalize(protos, lib)
+            warn_degraded(cause)
+            return "py"
+        segs = [_Segment(proto, lib) for proto in protos]
         build = _Build()
         build.items = [("seg", segs[it[1]]) if it[0] == "segref" else it
                        for it in items]
         build.lib = lib
-        build.source = source
         build.native_ids = native_ids
-        build.n_segments = len(segs)
-        build.n_native = n_native
-        build.n_py = len(compiled.steps) - n_native
         build.epoch = None
         if not build.refresh():
             self._broken = True
-            if stats is not None:
-                stats.native_compile_time += time.perf_counter() - t0
-            return self._copy_fetches(fetches, frozenset())
-        self._builds[sig] = build
-        if stats is not None:
-            stats.native_compile_time += time.perf_counter() - t0
-            if hit:
-                stats.native_cache_hits += 1
+            return "py"
+        if hit and stats is not None:
+            stats.native_cache_hits += 1
         if not self._counted:
             self._counted = True
+            n_py = len(compiled.steps) - n_native
             cs = compiled.stats
-            cs.native_segments = build.n_segments
-            cs.native_steps = build.n_native
-            cs.native_py_steps = build.n_py
+            cs.native_segments, cs.native_steps = len(segs), n_native
+            cs.native_py_steps = n_py
             if stats is not None:
                 stats.plans_native += 1
-                stats.native_segments += build.n_segments
-                stats.native_steps += build.n_native
-                stats.native_py_steps += build.n_py
-        return self._copy_fetches(fetches, frozenset())
+                stats.native_segments += len(segs)
+                stats.native_steps += n_native
+                stats.native_py_steps += n_py
+        return build
 
     # -- execution ---------------------------------------------------------
-    def _run_build(self, build: _Build, feed_values):
+    def _run_build(self, build: _Build, slab):
         compiled = self._compiled
-        if build.epoch != variables.storage_epoch():
-            if not build.refresh():
-                self._broken = True  # variables changed shape under us
-                return compiled.run(feed_values)
-        slab = compiled._template.copy()
-        for ph, slot in compiled._feed_slots:
-            try:
-                slab[slot] = feed_values[ph.id]
-            except KeyError:
-                raise RLGraphError(
-                    f"Placeholder {ph.name} was not fed (shape {ph.shape})")
         native_ids = build.native_ids
         for item in build.items:
             if item[0] == "seg":

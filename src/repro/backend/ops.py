@@ -27,33 +27,74 @@ from repro.utils.errors import RLGraphError
 
 
 class OpSpec:
-    """Definition of a primitive operation."""
+    """Definition of a primitive operation — the one declaration of
+    everything the NumPy-level stack knows about it.
+
+    Besides the forward, gradient and shape/dtype rules it carries the
+    facts the graph compiler reads, set where the op is registered
+    (``docs/architecture.md``, "Adding an op"):
+
+    ``elementwise``: a shape-preserving / broadcasting NumPy call with no
+    state and no Python-level side effects; may join a fused kernel.
+    ``fresh``: the forward ALWAYS returns a newly allocated array that
+    aliases neither its inputs nor variable state, so its value's buffer
+    may be donated as an in-place output. Ops returning views
+    (reshape/transpose/getitem/flip), possibly an input itself
+    (``identity``, ``unbroadcast_like_op``, one-input ``flatcat``) or
+    variable state (``read_var``/``assign``) are not.
+    ``alias_safe`` (default: ``fresh``): as a consumer the op keeps no
+    alias of an argument past its step; a buffer is only donated when
+    every consumer of its value is alias-safe.
+    ``foldable``: may be evaluated at compile time on constant inputs;
+    False when the output can be unboundedly larger than the inputs.
+    ``mutates`` (default: ``stateful``; reads and private RNG streams opt
+    out): writes observable state, i.e. is a mutation barrier — variable
+    buffers change in place, so a state-dependent value on one side is
+    not interchangeable with the "same" expression on the other.
+    ``out``: ``fn(args, attrs, out)`` writing the forward's result into a
+    donated buffer instead of allocating (a bare ufunc ``u`` stands for
+    ``u(*args, out=out)``); must be arithmetic-identical to the forward,
+    which NumPy ufuncs are regardless of ``out``.
+    """
 
     __slots__ = ("name", "forward", "grad", "shape_fn", "dtype_fn", "stateful",
-                 "num_grad_inputs")
+                 "elementwise", "fresh", "alias_safe", "foldable", "mutates",
+                 "out")
 
     def __init__(self, name: str,
                  forward: Callable[[List[np.ndarray], Dict[str, Any]], np.ndarray],
                  grad: Optional[Callable] = None,
                  shape_fn: Optional[Callable] = None,
                  dtype_fn: Optional[Callable] = None,
-                 stateful: bool = False):
+                 stateful: bool = False, *, elementwise: bool = False,
+                 fresh: bool = False, alias_safe: Optional[bool] = None,
+                 foldable: bool = True, mutates: Optional[bool] = None,
+                 out: Optional[Callable] = None):
+        if isinstance(out, np.ufunc):
+            ufunc = out
+            out = lambda i, a, buf: ufunc(*i, out=buf)  # noqa: E731
         self.name = name
         self.forward = forward
         self.grad = grad
         self.shape_fn = shape_fn
         self.dtype_fn = dtype_fn
         self.stateful = stateful
+        self.elementwise = elementwise
+        self.fresh = fresh
+        self.alias_safe = fresh if alias_safe is None else alias_safe
+        self.foldable = foldable
+        self.mutates = stateful if mutates is None else mutates
+        self.out = out
 
 
 OPS: Dict[str, OpSpec] = {}
 
 
 def register_op(name: str, forward, grad=None, shape_fn=None, dtype_fn=None,
-                stateful=False) -> OpSpec:
+                stateful=False, **facts) -> OpSpec:
     if name in OPS:
         raise RLGraphError(f"Op {name!r} already registered")
-    spec = OpSpec(name, forward, grad, shape_fn, dtype_fn, stateful)
+    spec = OpSpec(name, forward, grad, shape_fn, dtype_fn, stateful, **facts)
     OPS[name] = spec
     return spec
 
@@ -244,39 +285,53 @@ def _grad_div(inputs, output, g, attrs):
     return (F.unbroadcast_like(gx, x), F.unbroadcast_like(gy, y))
 
 
-register_op("add", lambda i, a: i[0] + i[1], _grad_add, _ew_shape)
-register_op("sub", lambda i, a: i[0] - i[1], _grad_sub, _ew_shape)
-register_op("mul", lambda i, a: i[0] * i[1], _grad_mul, _ew_shape)
+# Every elementwise op below allocates its result (``_EW``); its ``out``
+# form sits beside the forward it must equal. Forwards keep their operator
+# spelling: ``i[0] + i[1]`` and ``np.add(...)`` promote scalars differently.
+_EW = dict(elementwise=True, fresh=True)
+
+register_op("add", lambda i, a: i[0] + i[1], _grad_add, _ew_shape,
+            out=np.add, **_EW)
+register_op("sub", lambda i, a: i[0] - i[1], _grad_sub, _ew_shape,
+            out=np.subtract, **_EW)
+register_op("mul", lambda i, a: i[0] * i[1], _grad_mul, _ew_shape,
+            out=np.multiply, **_EW)
 register_op("div", lambda i, a: np.true_divide(i[0], i[1]).astype(np.float32)
             if np.issubdtype(np.asarray(i[0]).dtype, np.integer)
             and np.issubdtype(np.asarray(i[1]).dtype, np.integer)
             else np.true_divide(i[0], i[1]),
-            _grad_div, _ew_shape, dtype_fn=_float_dtype)
+            _grad_div, _ew_shape, dtype_fn=_float_dtype,
+            out=np.true_divide, **_EW)
 register_op("neg", lambda i, a: -i[0],
-            lambda inp, out, g, a: (_F().neg(g),), _first_shape)
-register_op("mod", lambda i, a: np.mod(i[0], i[1]), None, _ew_shape)
+            lambda inp, out, g, a: (_F().neg(g),), _first_shape,
+            out=np.negative, **_EW)
+register_op("mod", lambda i, a: np.mod(i[0], i[1]), None, _ew_shape,
+            out=np.mod, **_EW)
 register_op("power", lambda i, a: np.power(i[0], a["p"]),
             lambda inp, out, g, a: (
                 _F().mul(g, _F().mul(a["p"], _F().power(inp[0], a["p"] - 1))),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype,
+            out=lambda i, a, out: np.power(i[0], a["p"], out=out), **_EW)
 
 register_op("exp", lambda i, a: np.exp(i[0]),
             lambda inp, out, g, a: (_F().mul(g, out),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=np.exp, **_EW)
 register_op("log", lambda i, a: np.log(i[0]),
             lambda inp, out, g, a: (_F().div(g, inp[0]),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=np.log, **_EW)
 register_op("sqrt", lambda i, a: np.sqrt(i[0]),
             lambda inp, out, g, a: (_F().div(g, _F().mul(2.0, out)),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=np.sqrt, **_EW)
 register_op("square", lambda i, a: np.square(i[0]),
             lambda inp, out, g, a: (_F().mul(g, _F().mul(2.0, inp[0])),),
-            _first_shape)
+            _first_shape, out=np.square, **_EW)
 register_op("abs", lambda i, a: np.abs(i[0]),
             lambda inp, out, g, a: (_F().mul(g, _F().sign(inp[0])),),
-            _first_shape)
-register_op("sign", lambda i, a: np.sign(i[0]), None, _first_shape)
-register_op("floor", lambda i, a: np.floor(i[0]), None, _first_shape)
+            _first_shape, out=np.absolute, **_EW)
+register_op("sign", lambda i, a: np.sign(i[0]), None, _first_shape,
+            out=np.sign, **_EW)
+register_op("floor", lambda i, a: np.floor(i[0]), None, _first_shape,
+            out=np.floor, **_EW)
 
 
 def _grad_maximum(inputs, output, g, attrs):
@@ -295,8 +350,10 @@ def _grad_minimum(inputs, output, g, attrs):
             F.unbroadcast_like(F.mul(g, F.sub(1.0, mask)), y))
 
 
-register_op("maximum", lambda i, a: np.maximum(i[0], i[1]), _grad_maximum, _ew_shape)
-register_op("minimum", lambda i, a: np.minimum(i[0], i[1]), _grad_minimum, _ew_shape)
+register_op("maximum", lambda i, a: np.maximum(i[0], i[1]), _grad_maximum,
+            _ew_shape, out=np.maximum, **_EW)
+register_op("minimum", lambda i, a: np.minimum(i[0], i[1]), _grad_minimum,
+            _ew_shape, out=np.minimum, **_EW)
 
 
 def _grad_clip(inputs, output, g, attrs):
@@ -308,42 +365,53 @@ def _grad_clip(inputs, output, g, attrs):
 
 
 register_op("clip", lambda i, a: np.clip(i[0], a["lo"], a["hi"]), _grad_clip,
-            _first_shape)
+            _first_shape,
+            out=lambda i, a, out: np.clip(i[0], a["lo"], a["hi"], out=out),
+            **_EW)
 
 # ======================= activations ========================================
+def _sigmoid_out(i, a, out):
+    np.negative(i[0], out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.true_divide(1.0, out, out=out)
+
+
 register_op("relu", lambda i, a: np.maximum(i[0], 0),
             lambda inp, out, g, a: (
                 _F().mul(g, _F().cast(_F().greater(inp[0], 0.0), np.float32)),),
-            _first_shape)
+            _first_shape,
+            out=lambda i, a, out: np.maximum(i[0], 0, out=out), **_EW)
 register_op("tanh", lambda i, a: np.tanh(i[0]),
             lambda inp, out, g, a: (
                 _F().mul(g, _F().sub(1.0, _F().square(out))),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=np.tanh, **_EW)
 register_op("sigmoid", lambda i, a: 1.0 / (1.0 + np.exp(-i[0])),
             lambda inp, out, g, a: (
                 _F().mul(g, _F().mul(out, _F().sub(1.0, out))),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=_sigmoid_out, **_EW)
 register_op("softplus", lambda i, a: np.logaddexp(0.0, i[0]),
             lambda inp, out, g, a: (_F().mul(g, _F().sigmoid(inp[0])),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype,
+            out=lambda i, a, out: np.logaddexp(0.0, i[0], out=out), **_EW)
 register_op("atanh", lambda i, a: np.arctanh(i[0]),
             lambda inp, out, g, a: (
                 _F().div(g, _F().sub(1.0, _F().square(inp[0]))),),
-            _first_shape, dtype_fn=_float_dtype)
+            _first_shape, dtype_fn=_float_dtype, out=np.arctanh, **_EW)
 
 # ======================= comparisons / logic =================================
 for _name, _fn in [("equal", np.equal), ("not_equal", np.not_equal),
                    ("greater", np.greater), ("greater_equal", np.greater_equal),
                    ("less", np.less), ("less_equal", np.less_equal)]:
     register_op(_name, (lambda f: lambda i, a: f(i[0], i[1]))(_fn), None,
-                _ew_shape, dtype_fn=_bool_dtype)
+                _ew_shape, dtype_fn=_bool_dtype, out=_fn, **_EW)
 
 register_op("logical_and", lambda i, a: np.logical_and(i[0], i[1]), None,
-            _ew_shape, dtype_fn=_bool_dtype)
+            _ew_shape, dtype_fn=_bool_dtype, out=np.logical_and, **_EW)
 register_op("logical_or", lambda i, a: np.logical_or(i[0], i[1]), None,
-            _ew_shape, dtype_fn=_bool_dtype)
+            _ew_shape, dtype_fn=_bool_dtype, out=np.logical_or, **_EW)
 register_op("logical_not", lambda i, a: np.logical_not(i[0]), None,
-            _first_shape, dtype_fn=_bool_dtype)
+            _first_shape, dtype_fn=_bool_dtype, out=np.logical_not, **_EW)
 
 
 def _grad_cast(inputs, output, g, attrs):
@@ -354,8 +422,14 @@ def _grad_cast(inputs, output, g, attrs):
     return (None,)
 
 
+def _cast_out(i, a, out):
+    np.copyto(out, i[0], casting="unsafe")
+    return out
+
+
 register_op("cast", lambda i, a: np.asarray(i[0]).astype(a["dtype"]), _grad_cast,
-            _first_shape, dtype_fn=lambda d, a: np.dtype(a["dtype"]))
+            _first_shape, dtype_fn=lambda d, a: np.dtype(a["dtype"]),
+            out=_cast_out, **_EW)
 
 # ======================= linear algebra ======================================
 def _grad_matmul(inputs, output, g, attrs):
@@ -366,7 +440,7 @@ def _grad_matmul(inputs, output, g, attrs):
 
 
 register_op("matmul", lambda i, a: i[0] @ i[1], _grad_matmul, _matmul_shape,
-            dtype_fn=_float_dtype)
+            dtype_fn=_float_dtype, fresh=True)
 
 # ======================= reductions ==========================================
 def _grad_sum(inputs, output, g, attrs):
@@ -399,28 +473,29 @@ def _grad_reduce_max(inputs, output, g, attrs):
 register_op("reduce_sum",
             lambda i, a: np.sum(i[0], axis=a.get("axis"),
                                 keepdims=a.get("keepdims", False)),
-            _grad_sum, _reduce_shape)
+            _grad_sum, _reduce_shape, fresh=True)
 register_op("reduce_mean",
             lambda i, a: np.mean(i[0], axis=a.get("axis"),
                                  keepdims=a.get("keepdims", False),
                                  dtype=np.float32),
-            _grad_mean, _reduce_shape, dtype_fn=_float_dtype)
+            _grad_mean, _reduce_shape, dtype_fn=_float_dtype, fresh=True)
 register_op("reduce_max",
             lambda i, a: np.max(i[0], axis=a.get("axis"),
                                 keepdims=a.get("keepdims", False)),
-            _grad_reduce_max, _reduce_shape)
+            _grad_reduce_max, _reduce_shape, fresh=True)
 register_op("reduce_min",
             lambda i, a: np.min(i[0], axis=a.get("axis"),
                                 keepdims=a.get("keepdims", False)),
-            None, _reduce_shape)
+            None, _reduce_shape, fresh=True)
 register_op("argmax", lambda i, a: np.argmax(i[0], axis=a.get("axis")),
-            None, _reduce_shape, dtype_fn=_int_dtype)
+            None, _reduce_shape, dtype_fn=_int_dtype, fresh=True)
 register_op("cumsum", lambda i, a: np.cumsum(i[0], axis=a.get("axis", -1)),
             lambda inp, out, g, a: (
                 _F().flip(_F().cumsum(_F().flip(g, a.get("axis", -1)),
                                       axis=a.get("axis", -1)),
                           a.get("axis", -1)),),
-            _first_shape)
+            _first_shape, fresh=True)
+# np.flip returns a reversed VIEW of its input: not fresh.
 register_op("flip", lambda i, a: np.flip(i[0], axis=a["axis"]),
             lambda inp, out, g, a: (_F().flip(g, a["axis"]),), _first_shape)
 
@@ -526,7 +601,7 @@ def _concat_slice_fwd(i, a):
 
 
 register_op("concat", lambda i, a: np.concatenate(i, axis=a.get("axis", 0)),
-            _grad_concat, _concat_shape)
+            _grad_concat, _concat_shape, fresh=True)
 register_op("concat_slice", _concat_slice_fwd,
             None, lambda shapes, a: shapes[1 + a["index"]])
 
@@ -547,11 +622,12 @@ def _grad_stack(inputs, output, g, attrs):
 
 
 register_op("stack", lambda i, a: np.stack(i, axis=a.get("axis", 0)),
-            _grad_stack, _stack_shape)
+            _grad_stack, _stack_shape, fresh=True)
 register_op("take_index", lambda i, a: np.take(i[0], a["index"], axis=a["axis"]),
             None,
             lambda shapes, a: None if shapes[0] is None else tuple(
-                d for j, d in enumerate(shapes[0]) if j != a["axis"] % len(shapes[0])))
+                d for j, d in enumerate(shapes[0]) if j != a["axis"] % len(shapes[0])),
+            fresh=True)
 
 
 _SHAPE_SENTINEL = 1000003  # replaces unknown dims during shape probing
@@ -585,7 +661,7 @@ def _getitem_grad_fwd(i, a):
 
 register_op("getitem", lambda i, a: i[0][a["idx"]], _grad_getitem, _getitem_shape)
 register_op("getitem_grad", _getitem_grad_fwd, None,
-            lambda shapes, a: shapes[1])
+            lambda shapes, a: shapes[1], fresh=True)
 
 
 def _gather_shape(shapes, attrs):
@@ -609,14 +685,15 @@ def _gather_grad_fwd(i, a):
 
 register_op("gather", lambda i, a: np.take(i[0], np.asarray(i[1]).astype(np.int64),
                                            axis=0),
-            _grad_gather, _gather_shape, dtype_fn=_first_dtype)
-register_op("gather_grad", _gather_grad_fwd, None, lambda shapes, a: shapes[1])
+            _grad_gather, _gather_shape, dtype_fn=_first_dtype, fresh=True)
+register_op("gather_grad", _gather_grad_fwd, None, lambda shapes, a: shapes[1],
+            fresh=True)
 
 register_op("one_hot", lambda i, a: kernels.one_hot(i[0], a["depth"]),
             None,
             lambda shapes, a: None if shapes[0] is None
             else tuple(shapes[0]) + (a["depth"],),
-            dtype_fn=_float_dtype)
+            dtype_fn=_float_dtype, fresh=True)
 
 
 def _grad_where(inputs, output, g, attrs):
@@ -630,13 +707,17 @@ def _grad_where(inputs, output, g, attrs):
 
 register_op("where", lambda i, a: np.where(i[0], i[1], i[2]), _grad_where,
             lambda shapes, a: broadcast_shapes_unknown(shapes),
-            dtype_fn=lambda d, a: d[1])
+            dtype_fn=lambda d, a: d[1], **_EW)
 
+# The two pass-throughs fuse like any elementwise op but hand back their
+# input, so they are neither fresh nor alias-safe.
 register_op("identity", lambda i, a: i[0],
-            lambda inp, out, g, a: (g,), _first_shape, dtype_fn=_first_dtype)
+            lambda inp, out, g, a: (g,), _first_shape, dtype_fn=_first_dtype,
+            elementwise=True)
 register_op("stop_gradient", lambda i, a: i[0], None, _first_shape,
-            dtype_fn=_first_dtype)
-register_op("tile", lambda i, a: np.tile(i[0], a["reps"]), None, None)
+            dtype_fn=_first_dtype, elementwise=True)
+register_op("tile", lambda i, a: np.tile(i[0], a["reps"]), None, None,
+            fresh=True, foldable=False)
 
 # ``ones_like``: shape-tracking constants (e.g. unit importance weights)
 # without burning elementwise kernels on a mul/add chain. ``anchor``
@@ -645,12 +726,18 @@ register_op("tile", lambda i, a: np.tile(i[0], a["reps"]), None, None)
 # forward COPIES, so a fetched value anchored on mutable state (e.g. a
 # memory's size read) is a snapshot, not an alias into the live
 # variable buffer.
+def _ones_like_out(i, a, out):
+    out.fill(1)
+    return out
+
+
 register_op("ones_like",
             lambda i, a: np.ones(np.shape(i[0]), dtype=a["dtype"]),
-            None, _first_shape, dtype_fn=lambda d, a: np.dtype(a["dtype"]))
+            None, _first_shape, dtype_fn=lambda d, a: np.dtype(a["dtype"]),
+            out=_ones_like_out, **_EW)
 register_op("anchor", lambda i, a: np.array(i[0]),
             lambda inp, out, g, a: (g,) + (None,) * (len(inp) - 1),
-            _first_shape, dtype_fn=_first_dtype)
+            _first_shape, dtype_fn=_first_dtype, fresh=True)
 
 # ======================= backward-only helpers ===============================
 register_op("unbroadcast_like_op",
@@ -673,20 +760,21 @@ def _broadcast_like_fwd(i, a):
 
 
 register_op("broadcast_like", _broadcast_like_fwd, None,
-            lambda shapes, a: shapes[1])
+            lambda shapes, a: shapes[1], foldable=False)
 
 register_op("shape_of", lambda i, a: np.asarray(np.shape(i[0]), dtype=np.int64),
             None, lambda shapes, a: (None if shapes[0] is None
                                      else (len(shapes[0]),)),
-            dtype_fn=_int_dtype)
+            dtype_fn=_int_dtype, alias_safe=True)
 register_op("size_of", lambda i, a: np.asarray(np.size(i[0]), dtype=np.int64),
-            None, lambda shapes, a: (), dtype_fn=_int_dtype)
+            None, lambda shapes, a: (), dtype_fn=_int_dtype, alias_safe=True)
 register_op("dyn_arange", lambda i, a: np.arange(int(i[0]), dtype=np.int64),
-            None, lambda shapes, a: (None,), dtype_fn=_int_dtype)
+            None, lambda shapes, a: (None,), dtype_fn=_int_dtype,
+            fresh=True, foldable=False)
 
 register_op("searchsorted",
             lambda i, a: np.searchsorted(i[0], i[1], side=a.get("side", "left")),
-            None, lambda shapes, a: shapes[1], dtype_fn=_int_dtype)
+            None, lambda shapes, a: shapes[1], dtype_fn=_int_dtype, fresh=True)
 
 # ======================= convolution ==========================================
 def _conv2d_shape(shapes, attrs):
@@ -713,7 +801,7 @@ def _grad_conv2d(inputs, output, g, attrs):
 register_op("conv2d",
             lambda i, a: kernels.conv2d_forward(i[0], i[1], a["stride"],
                                                 a["padding"]),
-            _grad_conv2d, _conv2d_shape, dtype_fn=_float_dtype)
+            _grad_conv2d, _conv2d_shape, dtype_fn=_float_dtype, fresh=True)
 register_op("conv2d_grad_input",
             lambda i, a: kernels.conv2d_backward(i[0], i[1], i[2], a["stride"],
                                                  a["padding"])[0],
@@ -801,14 +889,15 @@ register_op("random_uniform", _random_uniform_fwd, None,
             lambda shapes, a: (tuple(a["shape"]) if not shapes else
                                (shapes[0][:a["ref_rank"]] if a.get("ref_rank")
                                 and shapes[0] is not None else shapes[0])),
-            dtype_fn=_float_dtype, stateful=True)
+            dtype_fn=_float_dtype, stateful=True, fresh=True, mutates=False)
 register_op("random_normal", _random_normal_fwd, None,
             lambda shapes, a: tuple(a["shape"]) if not shapes else shapes[0],
-            dtype_fn=_float_dtype, stateful=True)
+            dtype_fn=_float_dtype, stateful=True, fresh=True, mutates=False)
 
 register_op("zeros2d",
             lambda i, a: np.zeros((int(i[0]), a["cols"]), dtype=np.float32),
-            None, lambda shapes, a: (None, a["cols"]), dtype_fn=_float_dtype)
+            None, lambda shapes, a: (None, a["cols"]), dtype_fn=_float_dtype,
+            fresh=True, foldable=False)
 
 # ======================= V-trace (IMPALA, Espeholt et al. 2018) ==============
 def _vtrace_fwd(i, a):
@@ -903,11 +992,11 @@ def _fused_rmsprop_fwd(i, a):
 
 
 register_op("fused_sgd", _fused_sgd_fwd, None, _fused_update_shape,
-            dtype_fn=_int_dtype, stateful=True)
+            dtype_fn=_int_dtype, stateful=True, alias_safe=True)
 register_op("fused_adam", _fused_adam_fwd, None, _fused_update_shape,
-            dtype_fn=_int_dtype, stateful=True)
+            dtype_fn=_int_dtype, stateful=True, alias_safe=True)
 register_op("fused_rmsprop", _fused_rmsprop_fwd, None, _fused_update_shape,
-            dtype_fn=_int_dtype, stateful=True)
+            dtype_fn=_int_dtype, stateful=True, alias_safe=True)
 
 
 # ======================= python escape hatch ==================================

@@ -18,8 +18,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import context
-from repro.backend.compiler import OPTIMIZE_LEVELS, CompiledPlan, compile_plan
+from repro.backend.compiler import (OPTIMIZE_LEVELS, CompiledPlan,
+                                    CompileStats, compile_plan)
 from repro.backend.graph import Graph, Node, Placeholder
 from repro.backend.ops import OPS
 from repro.utils.errors import RLGraphError
@@ -34,56 +34,26 @@ class SessionStats:
         self.total_time = 0.0
         self.plan_builds = 0
         self.nodes_executed = 0
-        # Compiler counters (aggregated over all compiled fetch-sets).
         # ``compile_time`` covers the graph-compiler passes only; the
-        # native backend's C build is tracked separately below so the
-        # compile-vs-run breakdown stays honest.
+        # native backend's C emit+compile wall time (and its disk-cache
+        # hits) is tracked separately so the breakdown stays honest.
         self.compile_time = 0.0
         self.plans_compiled = 0
-        self.nodes_folded = 0
-        self.nodes_cse = 0
-        self.nodes_dead = 0
-        self.nodes_fused = 0
-        self.fused_kernels = 0
-        self.slab_slots = 0
-        self.slab_slots_saved = 0
-        # Memory planning (buffer donation).
-        self.buffers_donated = 0
-        self.bytes_saved = 0
-        # Native codegen backend: C emit+compile wall time, shared-lib
-        # disk-cache hits, and lowering results (filled in lazily at
-        # first run of each native plan — the probe needs feed values).
         self.native_compile_time = 0.0
         self.native_cache_hits = 0
         self.plans_native = 0
-        self.native_segments = 0
-        self.native_steps = 0
-        self.native_py_steps = 0
+        # Every CompileStats counter, summed over all compiled plans (the
+        # native_* ones at each plan's first run: the probe needs feeds).
+        for name in CompileStats.__slots__:
+            setattr(self, name, 0)
+
+    def add_plan(self, compile_stats: CompileStats) -> None:
+        for name in CompileStats.__slots__:
+            setattr(self, name,
+                    getattr(self, name) + getattr(compile_stats, name))
 
     def as_dict(self):
-        return {
-            "run_calls": self.run_calls,
-            "total_time": self.total_time,
-            "plan_builds": self.plan_builds,
-            "nodes_executed": self.nodes_executed,
-            "compile_time": self.compile_time,
-            "plans_compiled": self.plans_compiled,
-            "nodes_folded": self.nodes_folded,
-            "nodes_cse": self.nodes_cse,
-            "nodes_dead": self.nodes_dead,
-            "nodes_fused": self.nodes_fused,
-            "fused_kernels": self.fused_kernels,
-            "slab_slots": self.slab_slots,
-            "slab_slots_saved": self.slab_slots_saved,
-            "buffers_donated": self.buffers_donated,
-            "bytes_saved": self.bytes_saved,
-            "native_compile_time": self.native_compile_time,
-            "native_cache_hits": self.native_cache_hits,
-            "plans_native": self.plans_native,
-            "native_segments": self.native_segments,
-            "native_steps": self.native_steps,
-            "native_py_steps": self.native_py_steps,
-        }
+        return dict(vars(self))
 
     def reset(self):
         self.__init__()
@@ -104,16 +74,11 @@ class Session:
             into single kernels, ``"native"`` lowers the fused plan to C
             segments (:mod:`repro.backend.native`) executed with zero
             Python dispatch — degrading gracefully to ``"fused"`` with a
-            one-time warning when no C toolchain is present. A
-            ``context.optimize_level(...)`` scope overrides this
-            argument for ablation sweeps.
+            one-time warning when no C toolchain is present.
     """
 
     def __init__(self, graph: Graph, cache_plans: bool = True,
                  optimize: str = "fused"):
-        forced = context.current_optimize_level()
-        if forced is not None:
-            optimize = forced
         if optimize not in OPTIMIZE_LEVELS:
             raise RLGraphError(
                 f"Unknown optimize level {optimize!r}; use one of "
@@ -169,23 +134,14 @@ class Session:
             compiled = compile_plan(plan, fetches, optimize=self.optimize)
             self.stats.compile_time += time.perf_counter() - t0
             self.stats.plans_compiled += 1
-            cs = compiled.stats
-            self.stats.nodes_folded += cs.nodes_folded
-            self.stats.nodes_cse += cs.nodes_cse
-            self.stats.nodes_dead += cs.nodes_dead
-            self.stats.nodes_fused += cs.nodes_fused
-            self.stats.fused_kernels += cs.fused_kernels
-            self.stats.slab_slots += cs.slab_slots
-            self.stats.slab_slots_saved += cs.slab_slots_saved
-            self.stats.buffers_donated += cs.buffers_donated
-            self.stats.bytes_saved += cs.bytes_saved
+            self.stats.add_plan(compiled.stats)
             if self.optimize == "native":
                 from repro.backend import native
                 if native.toolchain_available():
                     compiled = native.NativePlan(compiled,
                                                  session_stats=self.stats)
                 else:
-                    native.warn_no_toolchain()
+                    native.warn_degraded("toolchain")
             if self.cache_plans:
                 self._compiled[key] = compiled
         return compiled

@@ -93,19 +93,24 @@ def _scatter_add_fwd(i, a):
     return np.asarray(np.size(idx), dtype=np.int64)
 
 
+# The writers copy their argument into variable storage (alias-safe as
+# consumers) and are mutation barriers; the read returns live storage.
 register_op("read_var", _read_var_fwd, None,
             shape_fn=lambda shapes, a: a["var"].shape,
-            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True)
+            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True,
+            mutates=False)
 register_op("assign", _assign_fwd, None,
             shape_fn=lambda shapes, a: a["var"].shape,
-            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True)
+            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True,
+            alias_safe=True)
 register_op("assign_add", _assign_add_fwd, None,
             shape_fn=lambda shapes, a: a["var"].shape,
-            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True)
+            dtype_fn=lambda dtypes, a: a["var"].dtype, stateful=True,
+            alias_safe=True)
 register_op("scatter_update", _scatter_update_fwd, None,
-            shape_fn=lambda shapes, a: (), stateful=True)
+            shape_fn=lambda shapes, a: (), stateful=True, alias_safe=True)
 register_op("scatter_add", _scatter_add_fwd, None,
-            shape_fn=lambda shapes, a: (), stateful=True)
+            shape_fn=lambda shapes, a: (), stateful=True, alias_safe=True)
 
 
 class Variable:

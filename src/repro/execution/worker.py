@@ -293,10 +293,7 @@ class SingleThreadedWorker:
 
     def _td_errors(self, batch) -> np.ndarray:
         return np.asarray(self.agent.call_api(
-            "get_td_errors", batch["states"], batch["actions"],
-            np.asarray(batch["rewards"], np.float32),
-            np.asarray(batch["terminals"], bool), batch["next_states"],
-            np.ones(len(batch["rewards"]), np.float32)))
+            "get_td_errors", *self.agent.update_feed(batch)))
 
     # ------------------------------------------------------------------
     def execute_timesteps(self, num_timesteps: int, update_interval: int = 4,

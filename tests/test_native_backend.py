@@ -253,3 +253,74 @@ class TestGracefulDegradation:
         hits = [w for w in caught if issubclass(w.category, RuntimeWarning)
                 and "toolchain" in str(w.message).lower()]
         assert len(hits) == 1  # one-time warning, not one per session
+
+    @needs_cc
+    def test_failed_compile_names_its_cause(self, monkeypatch, tmp_path):
+        g = _graph()
+        with g.as_default(), symbolic_mode():
+            x = g.placeholder((None,), np.float32)
+            y = F.exp(F.mul(F.add(x, 1.5), 0.25))
+        feed = {x: np.linspace(0.0, 1.0, 5).astype(np.float32)}
+        ref = Session(g, optimize="fused").run(y, feed)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_CFLAGS",
+                            native._CFLAGS + ["-fno-such-repro-flag"])
+        monkeypatch.setitem(native._WARNED, "compile", False)
+        sess = Session(g, optimize="native")
+        with pytest.warns(RuntimeWarning, match="compiler rejected"):
+            out = sess.run(y, feed)
+        np.testing.assert_array_equal(sess.run(y, feed), ref)
+        np.testing.assert_array_equal(out, ref)
+        assert sess.stats.plans_native == 0
+
+
+@needs_cc
+class TestDiskCacheIntegrity:
+    """The shared-object cache outlives processes, so it must survive
+    its own damage: a truncated entry (a writer killed mid-copy, a full
+    disk) is rebuilt, and objects built with other flags are never
+    reused."""
+
+    @staticmethod
+    def _plan():
+        g = _graph()
+        with g.as_default(), symbolic_mode():
+            x = g.placeholder((None,), np.float32)
+            y = F.tanh(F.mul(F.add(x, 0.75), 1.25))
+        return g, x, y, {x: np.linspace(-1.0, 1.0, 7).astype(np.float32)}
+
+    def test_truncated_cached_object_is_rebuilt(self, monkeypatch, tmp_path):
+        g, x, y, feed = self._plan()
+        # Learn the object's cache name in one directory, then plant a
+        # truncated copy under that name in a second one — never touch a
+        # file this process has mapped.
+        clean, stale = tmp_path / "clean", tmp_path / "stale"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(clean))
+        ref = Session(g, optimize="native").run(y, feed)
+        (so,) = clean.glob("plan_*.so")
+        stale.mkdir()
+        (stale / so.name).write_bytes(so.read_bytes()[:200])
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(stale))
+
+        sess = Session(g, optimize="native")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no degradation warning
+            out = sess.run(y, feed)
+        np.testing.assert_allclose(out, ref)
+        assert sess.stats.plans_native == 1
+        assert sess.stats.native_cache_hits == 0  # rebuilt, not reused
+        native._SharedLib(str(stale / so.name), ["seg0"])  # loadable again
+        # ... and the repaired entry serves the next session from cache.
+        again = Session(g, optimize="native")
+        np.testing.assert_allclose(again.run(y, feed), ref)
+        assert again.stats.native_cache_hits == 1
+
+    def test_cache_key_covers_compiler_flags(self, monkeypatch, tmp_path):
+        g, x, y, feed = self._plan()
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        Session(g, optimize="native").run(y, feed)
+        monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ["-DREPRO_X"])
+        sess = Session(g, optimize="native")
+        sess.run(y, feed)
+        assert sess.stats.native_cache_hits == 0
+        assert len(list(tmp_path.glob("plan_*.so"))) == 2
