@@ -19,15 +19,27 @@ Two parallel backends share one rollout-production core
 * ``parallel_spec=None``/``"thread"`` — one Python thread per actor
   (the seed behavior; fine when acting releases the GIL);
 * ``parallel_spec="process"`` — each actor is a raylite **process**
-  actor; a feeder thread keeps one ``rollout()`` task in flight per
-  actor, drains completed rollouts (shipped through shared memory,
-  decoded zero-copy) into the same FIFO queue, and pushes fresh weights
-  whenever the learner has published a new version — preserving the
-  pull-after-every-rollout weight-lag semantics v-trace corrects for.
+  actor; a feeder thread keeps **two** ``rollout()`` tasks in flight per
+  actor (so the next one is already queued when the actor replies),
+  drains completed rollouts (shipped through shared memory, decoded
+  zero-copy) into the same FIFO queue, and pushes the newest weight
+  version at each reply, before the re-arm.  The push queues behind the
+  rollout already in the mailbox, so process actors act one rollout
+  further behind the learner than thread actors — lag v-trace corrects
+  for, and which :meth:`IMPALARunner.run` reports
+  (``policy_lag_mean`` / ``policy_lag_max``).  For the duration of
+  ``run()`` the driver's BLAS/OpenMP pools are sized to the cores its
+  actor processes leave free
+  (:func:`~repro.utils.procutil.native_threads_beside`).
+
+Every rollout carries the weight version its actor acted with; the
+policy lag of a rollout is the number of versions the learner has
+published between that version and the update that trains on it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -51,6 +63,13 @@ from repro.execution.supervision import (
 )
 from repro.execution.worker import build_vector_env, snapshot_fn
 from repro.utils.errors import RLGraphError
+from repro.utils.procutil import native_threads_beside
+
+#: ``rollout()`` tasks the feeder keeps armed per process actor.  Two,
+#: so the next task already sits in the actor's mailbox when it replies
+#: and the actor never idles through the reply, the feeder's GIL
+#: hand-off and the re-arm; one more would only add weight lag.
+ROLLOUTS_IN_FLIGHT = 2
 
 
 class IMPALAActorCore:
@@ -75,9 +94,14 @@ class IMPALAActorCore:
         self._episodes_shipped = 0
         self._pending_offset: Optional[int] = None
         self._states = None
+        # The learner weight version this actor acts with (0: the
+        # factory-fresh init, which equals the learner's).
+        self.weights_version = 0
 
-    def set_weights(self, weights) -> int:
+    def set_weights(self, weights, version: Optional[int] = None) -> int:
         self.agent.set_weights(weights)
+        if version is not None:
+            self.weights_version = version
         return self.actor_index
 
     def rollout(self, auto_commit: bool = True) -> Dict:
@@ -136,6 +160,7 @@ class IMPALAActorCore:
             "terminals": np.asarray(rollout["terminals"], bool),
             "bootstrap_states": bootstrap,
             "episode_returns": list(new_returns),
+            "weights_version": self.weights_version,
         }
 
     def commit_episodes(self) -> None:
@@ -199,9 +224,9 @@ class IMPALAActor(threading.Thread):
             except queue.Full:
                 continue  # back-pressure: learner is saturated
             # Weight pull after each rollout (actor-learner lag).
-            weights = self.weight_source()
+            version, weights = self.weight_source()
             if weights is not None:
-                self.core.agent.set_weights(weights)
+                self.core.set_weights(weights, version)
 
 
 class IMPALARunner:
@@ -254,7 +279,8 @@ class IMPALARunner:
         else:
             self.actors = [
                 IMPALAActor(i, agent_factory, env_factory, self.rollout_queue,
-                            self._get_weights, rollout_length=rollout_length,
+                            self._versioned_weights,
+                            rollout_length=rollout_length,
                             num_envs=envs_per_actor,
                             redundant_assignments=redundant_assignments,
                             stop_event=self.stop_event,
@@ -264,9 +290,10 @@ class IMPALARunner:
             ]
         self.episode_returns: List[float] = []
 
-    def _get_weights(self):
+    def _versioned_weights(self):
+        """``(version, flat weights)`` of the latest published update."""
         with self._weights_lock:
-            return self._weights
+            return self._weights_version, self._weights
 
     def _publish_weights(self):
         with self._weights_lock:
@@ -278,20 +305,24 @@ class IMPALARunner:
     def _sync_restarted_actor(self, handle) -> None:
         """Push the current published weight version to a rejoined actor
         so it rolls out at the latest policy, not its fresh init."""
-        handle.set_weights.remote(self._get_weights())
+        version, weights = self._versioned_weights()
+        handle.set_weights.remote(weights, version)
 
     # -- process-mode feeder ------------------------------------------------
     def _feed_from_handles(self):
-        """Keep one rollout task in flight per process actor; drain
-        completed rollouts (shared-memory transport, zero-copy decode)
-        into the learner queue; push weights when a new version is out.
-        With supervision enabled a crashed actor is restarted and
-        re-armed in place (its in-flight rollout is lost); an actor lost
-        for good — unsupervised, or its restart budget spent — is
-        dropped and the feeder carries on with the others."""
+        """Keep :data:`ROLLOUTS_IN_FLIGHT` rollout tasks armed per
+        process actor; drain completed rollouts (shared-memory
+        transport, zero-copy decode) into the learner queue; at each
+        reply push the newest weight version (latest wins), then re-arm.
+        With FIFO mailboxes the push lands behind the one rollout still
+        queued, never further.  With supervision enabled a crashed
+        actor is restarted and both its tasks are re-armed in place
+        (their rollouts are lost); an actor lost for good —
+        unsupervised, or its restart budget spent — is dropped and the
+        feeder carries on with the others."""
         synced: Dict = {}
         pump = Pump()
-        unarmed = list(self.actor_handles)
+        unarmed = list(self.actor_handles) * ROLLOUTS_IN_FLIGHT
         while (unarmed or pump) and not self.stop_event.is_set():
             try:
                 while unarmed:
@@ -305,11 +336,9 @@ class IMPALARunner:
                             continue  # back-pressure: learner is saturated
                     else:
                         return  # stopping: the rollout is dropped
-                    with self._weights_lock:
-                        version, weights = (self._weights_version,
-                                            self._weights)
+                    version, weights = self._versioned_weights()
                     if version > synced.get(handle, 0):
-                        handle.set_weights.remote(weights)
+                        handle.set_weights.remote(weights, version)
                         synced[handle] = version
                     pump.arm(handle, "rollout")
             except SupervisionError as exc:
@@ -332,7 +361,23 @@ class IMPALARunner:
 
     def run(self, duration: float = 5.0,
             updates_enabled: bool = True) -> Dict:
-        """Run actors + learner loop for ``duration`` seconds."""
+        """Run actors + learner loop for ``duration`` seconds.
+
+        In process mode the driver's native pools are sized to the
+        cores the actor processes leave free for this call only; the
+        previous widths come back however it ends.
+        """
+        if self.parallel.is_process:
+            pools = native_threads_beside(len(self.actor_handles))
+        else:
+            pools = contextlib.nullcontext()
+        try:
+            with pools:
+                return self._run(duration, updates_enabled)
+        finally:
+            self.stop_event.set()
+
+    def _run(self, duration: float, updates_enabled: bool) -> Dict:
         feeder = None
         if self.parallel.is_process:
             feeder = threading.Thread(target=self._feed_from_handles,
@@ -343,6 +388,7 @@ class IMPALARunner:
         t_start = time.perf_counter()
         updates = 0
         losses = []
+        policy_lags = []
         reward_timeline = []
         while time.perf_counter() - t_start < duration:
             batch = self._dequeue_batch()
@@ -355,6 +401,9 @@ class IMPALARunner:
             for item in train_batch:
                 self.episode_returns.extend(item.pop("episode_returns", []))
             if updates_enabled:
+                policy_lags.extend(self._weights_version
+                                   - item["weights_version"]
+                                   for item in train_batch)
                 merged = _merge_rollouts(train_batch)
                 loss, _, _ = self.learner.update(merged)
                 losses.append(loss)
@@ -384,6 +433,11 @@ class IMPALARunner:
             "wall_time": wall,
             "losses": losses,
             "reward_timeline": reward_timeline,
+            # Learner versions between acting and training, per trained
+            # rollout (None when nothing was trained).
+            "policy_lag_mean": (float(np.mean(policy_lags))
+                                if policy_lags else None),
+            "policy_lag_max": max(policy_lags) if policy_lags else None,
             "mean_return": (float(np.mean(self.episode_returns[-20:]))
                             if self.episode_returns else None),
             "restarts": self.supervisor.total_restarts,

@@ -185,7 +185,14 @@ class ApexExecutor:
                          duration: Optional[float] = None,
                          updates_enabled: bool = True) -> ApexResult:
         """Run the coordination loop until ``num_samples`` collected or
-        ``duration`` seconds elapsed."""
+        ``duration`` seconds elapsed.
+
+        Termination contract: before returning, the armed ``sample`` is
+        drained and the update it pays for runs.  A call that reached
+        ``learning_starts`` without applying an update then asks each
+        shard once more, so if any shard holds ``>= batch_size`` rows
+        the call returns with at least one learner update.
+        """
         if num_samples is None and duration is None:
             raise RLGraphError("Provide num_samples or duration")
         result = ApexResult()
@@ -212,6 +219,26 @@ class ApexExecutor:
         def next_shard():
             return self.shards[self._shard_rr % len(self.shards)]
 
+        def learn(shard, sampled) -> None:
+            nonlocal updates_since_sync
+            if sampled is None:  # shard underfilled (or restarted)
+                return
+            records, idx, weights = sampled
+            batch = dict(records)
+            batch["importance_weights"] = weights
+            loss, td = self.learner.update(batch)
+            # If the shard restarted meanwhile these indices are
+            # stale; harmless — a shard samples only the prefix it
+            # has refilled, and inserts reset priorities.
+            shard.update_priorities.remote(idx, np.abs(td) + 1e-6)
+            result.learner_updates += 1
+            updates_since_sync += 1
+            result.loss_timeline.append(
+                (time.perf_counter() - t_start, loss))
+            if self.checkpoints is not None:
+                self.checkpoints.maybe_save(
+                    self._checkpoint_payload, result.learner_updates)
+
         while not done():
             # 0. Supervision: restart any crashed actor (bounded backoff,
             # weights re-pushed by the on_restart hook).
@@ -229,24 +256,7 @@ class ApexExecutor:
                 if not samples:
                     samples.arm(next_shard(), "sample", self.batch_size)
                 for shard, sampled in samples.reap(timeout=0):
-                    if sampled is None:  # shard underfilled (or restarted)
-                        continue
-                    records, idx, weights = sampled
-                    batch = dict(records)
-                    batch["importance_weights"] = weights
-                    loss, td = self.learner.update(batch)
-                    # If the shard restarted meanwhile these indices are
-                    # stale; harmless — a shard samples only the prefix
-                    # it has refilled, and inserts reset priorities.
-                    shard.update_priorities.remote(idx, np.abs(td) + 1e-6)
-                    result.learner_updates += 1
-                    updates_since_sync += 1
-                    result.loss_timeline.append(
-                        (time.perf_counter() - t_start, loss))
-                    if self.checkpoints is not None:
-                        self.checkpoints.maybe_save(
-                            self._checkpoint_payload,
-                            result.learner_updates)
+                    learn(shard, sampled)
 
             # 3. Broadcast weights — as ONE flat ndarray (the learner's
             # deterministic flat layout matches the workers', same agent
@@ -258,6 +268,18 @@ class ApexExecutor:
                 weights = self.learner.get_weights(flat=True)
                 broadcast(self.workers, "set_weights", weights)
                 notify_weight_listeners(self.weight_listeners, weights)
+
+        # Termination contract (docstring).  The retries are submitted
+        # after every insert and mailboxes are FIFO, so each retried
+        # shard answers with all the rows routed to it.
+        if updates_enabled and samples_collected >= self.learning_starts:
+            for retry in [None, *self.shards]:
+                if retry is not None:
+                    if result.learner_updates:
+                        break
+                    samples.arm(retry, "sample", self.batch_size)
+                for shard, sampled in samples.drain(timeout=30.0):
+                    learn(shard, sampled)
 
         # Drain: collect final stats from workers.  Supervised runs
         # tolerate a worker dying during the drain (its frames are lost).

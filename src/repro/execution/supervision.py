@@ -27,12 +27,13 @@ handle surface (``.method.remote(...)``, ``is_alive()``, ``pid``,
 ``num_pending()``) addressed at the slot's *current* incarnation — and a
 submit to a dead incarnation restarts the slot, runs the hook and
 re-submits.  What a coordination loop does when a *result* is lost is
-written once here too: :class:`Pump` (one task in flight per slot; a
-task lost with its incarnation is re-armed on the replacement),
-:func:`broadcast` / :func:`gather` (a slot that dies is skipped — its
-restart hook re-syncs it) and :meth:`Supervisor.retrying` (re-run a
-whole round).  With supervision off ``spawn`` returns the raw raylite
-handles, and the same call shapes re-raise the original exception.
+written once here too: :class:`Pump` (one task per arm, any number
+per slot; a task lost with its incarnation is re-armed on the
+replacement), :func:`broadcast` / :func:`gather` (a slot that dies is
+skipped — its restart hook re-syncs it) and :meth:`Supervisor.retrying`
+(re-run a whole round).  With supervision off ``spawn`` returns the raw
+raylite handles, and the same call shapes re-raise the original
+exception.
 
 The supervisor never polls on its own thread; recovery happens on the
 loop that owns the actors, at its next submit or
@@ -513,12 +514,14 @@ class Supervisor:
 
 # -- the call shapes of a coordination loop (any mix of slot/raw handles) ----
 class Pump:
-    """Keeps one task in flight per handle.
+    """Keeps one task in flight per arm.
 
-    ``arm`` submits; ``reap`` yields the ``(handle, result)`` pairs that
+    ``arm`` submits one task (arm a handle twice to keep two in its
+    mailbox); ``reap`` yields the ``(handle, result)`` pairs that
     completed.  A task lost with its incarnation is re-armed on the
-    slot's replacement (the submit restarts it), so after any recovery
-    every armed slot still has exactly one task in flight.
+    slot's replacement (the first re-armed submit restarts it, the
+    others find it alive), so after any recovery every slot still has
+    as many tasks in flight as it had armed.
     """
 
     def __init__(self):
@@ -550,6 +553,16 @@ class Pump:
                 self.arm(handle, method, *args)
                 continue
             yield handle, result
+
+    def drain(self, timeout: float) -> Iterator[Tuple]:
+        """:meth:`reap` until nothing is armed — tasks armed while
+        draining included — or ``timeout`` seconds have passed."""
+        deadline = time.monotonic() + timeout
+        while self._tasks:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            yield from self.reap(remaining)
 
 
 def broadcast(handles, method: str, *args) -> List[Tuple]:

@@ -4,10 +4,12 @@ each other."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import multiprocessing
 import os
+from typing import Iterator
 
 
 def default_start_method() -> str:
@@ -81,3 +83,38 @@ def cap_native_threads() -> None:
             set_num_threads(1)
     else:
         threadpoolctl.threadpool_limits(1)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the
+    platform exposes one, else the machine's core count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def native_threads_beside(busy_processes: int) -> Iterator[int]:
+    """Size THIS process's native pools to the cores ``busy_processes``
+    compute-bound sibling processes leave free — ``max(1, usable cores
+    - busy_processes)`` — for the block; the previous widths come back
+    on exit, raise or not.  Yields the width; a no-op (nothing resized)
+    where no pool is found.
+
+    A full-width pool slows a driver whose process actors keep their
+    cores busy: its helper threads fight the actors for those cores,
+    and the learner's own GEMMs wait on them (docs/benchmarks.md,
+    "Open measurements").  Scoped, not process-wide, because drivers without
+    such siblings lose up to 30 % when capped.
+    """
+    width = max(1, usable_cores() - busy_processes)
+    pools = native_thread_pools()
+    previous = [get_num_threads() for _, _, get_num_threads in pools]
+    for _, set_num_threads, _ in pools:
+        set_num_threads(width)
+    try:
+        yield width
+    finally:
+        for (_, set_num_threads, _), count in zip(pools, previous):
+            set_num_threads(count)

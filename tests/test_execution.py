@@ -221,6 +221,7 @@ class TestProcessBackendExecutors:
             assert result["env_frames"] > 0
             assert result["learner_updates"] > 0
             assert all(np.isfinite(l) for l in result["losses"])
+            assert 0 <= result["policy_lag_mean"] <= result["policy_lag_max"]
         finally:
             raylite.shutdown()
 
@@ -276,6 +277,7 @@ class TestIMPALARunner:
         assert result["env_frames"] > 0
         assert result["learner_updates"] > 0
         assert all(np.isfinite(l) for l in result["losses"])
+        assert 0 <= result["policy_lag_mean"] <= result["policy_lag_max"]
 
     def test_merge_rollouts_shapes(self):
         t, e = 4, 2

@@ -4,8 +4,10 @@ wait, and teardown that fails pending refs instead of hanging."""
 
 import gc
 import os
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.raylite import RayliteError
 from repro.raylite import shm as shm_codec
 from repro.execution.parallel import ParallelSpec, resolve_parallel_spec
 from repro.utils.errors import RLGraphError
+from repro.utils import procutil
 from repro.utils.procutil import _THREAD_ENV, native_thread_pools
 
 # A wedged worker process must fail the test, not wedge CI.
@@ -292,6 +295,48 @@ class TestNativeThreadCap:
         counts, env = raylite.get(_process_actor().native_threads.remote())
         assert env == "2"
         assert counts == before  # the loaded pool was left alone too
+
+    def test_threadpoolctl_branch(self, monkeypatch):
+        """With threadpoolctl importable the cap goes through it (the
+        ctypes fallback is not used)."""
+        calls = []
+        stub = types.ModuleType("threadpoolctl")
+        stub.threadpool_limits = calls.append
+        monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+        monkeypatch.setattr(procutil, "native_thread_pools",
+                            lambda: pytest.fail("ctypes fallback used"))
+        monkeypatch.setattr(os, "environ", {
+            k: v for k, v in os.environ.items() if k not in _THREAD_ENV})
+        procutil.cap_native_threads()
+        assert calls == [1]
+        assert all(os.environ[var] == "1" for var in _THREAD_ENV)
+
+    def test_driver_width_is_scoped(self, monkeypatch):
+        """``native_threads_beside``: ``max(1, cores - busy)`` inside
+        the block, the previous widths after it — also on raise."""
+        np.ones((8, 8)) @ np.ones((8, 8))
+        before = [get() for _, _, get in native_thread_pools()]
+        if not before:
+            pytest.skip("no BLAS/OpenMP library located in this process")
+        monkeypatch.setattr(procutil, "usable_cores", lambda: 3)
+        for busy, width in [(1, 2), (3, 1), (7, 1)]:
+            with pytest.raises(KeyError):
+                with procutil.native_threads_beside(busy) as got:
+                    assert got == width
+                    assert [get() for _, _, get in native_thread_pools()] \
+                        == [width] * len(before)
+                    raise KeyError("boom")
+            assert [get() for _, _, get in native_thread_pools()] == before
+
+    def test_driver_width_without_pools_is_a_noop(self, monkeypatch):
+        monkeypatch.setattr(procutil, "native_thread_pools", lambda: [])
+        with procutil.native_threads_beside(1) as width:
+            assert width == max(1, procutil.usable_cores() - 1)
+
+    def test_usable_cores_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert procutil.usable_cores() == 5
 
 
 def _ref_failed(ref) -> bool:

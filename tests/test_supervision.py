@@ -13,10 +13,12 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import raylite
 from repro.execution.parallel import resolve_parallel_spec
+from repro.execution.ray import ApexExecutor
 from repro.execution.supervision import (
     BackoffPolicy,
     Pump,
@@ -519,6 +521,18 @@ class TestOneCallPath:
         assert rig.in_flight(0) == rig.in_flight(1) == 1 and len(pump) == 2
         assert len(rig.hooks()) == 2
 
+    def test_pump_slot_with_two_tasks_dies_one_restart_both_rearmed(self):
+        rig = Rig()
+        pump = Pump()
+        pump.arm(rig.handles[0], "work", 1)
+        pump.arm(rig.handles[0], "work", 2)     # double-buffered slot
+        rig.first[0].die()
+        assert list(pump.reap(timeout=0)) == []
+        replacement = rig.assert_one_recovery(0)
+        assert [task[:2] for task in replacement.pending] == [
+            ("work", (1,)), ("work", (2,))]
+        assert len(pump) == 2
+
     def test_death_mid_broadcast_is_synced_by_the_restart_hook(self):
         rig = Rig(script=None)
         pairs = run_broadcast(rig.handles)
@@ -671,6 +685,124 @@ class TestOneCallPath:
         with pytest.raises(ValueError) as excinfo:
             Supervisor(None).retrying(fails_once)
         assert excinfo.value is boom             # nothing supervised
+
+
+# ---------------------------------------------------------------------------
+# Ape-X termination contract on fake workers and shards
+# ---------------------------------------------------------------------------
+class _StubLearner:
+    def __init__(self):
+        self.updates = 0
+
+    def update(self, batch):
+        self.updates += 1
+        return 0.0, np.zeros(len(batch["rewards"]))
+
+    def get_weights(self, flat=False):
+        return np.zeros(1, np.float32)
+
+
+def worker_script(rows):
+    """Handle script: a worker answering ``collect`` with ``rows``
+    transitions and ``get_stats`` / ``set_weights`` at once."""
+    replies = {"collect": lambda _: {"rewards": np.zeros(rows)},
+               "get_stats": lambda: {"env_frames": 0,
+                                     "episode_returns": []},
+               "set_weights": lambda _: None}
+
+    def script(handle):
+        method, args, ref = handle.pending.pop()
+        ref._resolve(replies[method](*args))
+    return script
+
+
+class ShardScript:
+    """Handle script: a replay shard counting inserted rows; ``sample``
+    answers None while under ``batch_size`` rows, and is left pending
+    for the test to answer when ``late``."""
+
+    def __init__(self, late=False):
+        self.rows = 0
+        self.late = late
+        self.samples = 0
+
+    def __call__(self, handle):
+        method, args, ref = handle.pending[-1]
+        if method == "sample":
+            self.samples += 1
+            if self.late:
+                return
+        handle.pending.pop()
+        if method == "insert":
+            self.rows += len(args[0]["rewards"])
+        ref._resolve(self.reply(method, *args))
+
+    def reply(self, method, *args):
+        if method != "sample":
+            return None
+        (n,) = args
+        if self.rows < n:
+            return None
+        return {"rewards": np.zeros(n)}, np.arange(n), np.ones(n)
+
+
+class TestApexTermination:
+    """``execute_workload`` drains the armed sample and runs the update
+    it pays for; once ``learning_starts`` is reached and a shard holds
+    ``>= batch_size`` rows it returns with >= 1 update."""
+
+    def _executor(self, worker_rows, shards, **kwargs):
+        executor = ApexExecutor(
+            learner_agent=_StubLearner(), agent_factory=None,
+            env_factory=None, num_workers=0, num_replay_shards=0,
+            batch_size=16, learning_starts=1, **kwargs)
+        executor.workers = [FakeHandle(script=worker_script(rows))
+                            for rows in worker_rows]
+        executor.shards = [FakeHandle(script=shard) for shard in shards]
+        return executor
+
+    def test_late_sample_reply_is_drained_into_an_update(self):
+        shards = [ShardScript(late=True), ShardScript()]
+        executor = self._executor([40, 40], shards)
+        shard0 = executor.shards[0]
+
+        def answer_late():
+            _, args, ref = shard0.pending.pop(0)
+            ref._resolve(shards[0].reply("sample", *args))
+
+        # The loop ends (80 samples) with shard 0's sample in flight.
+        timer = threading.Timer(0.1, answer_late)
+        timer.start()
+        result = executor.execute_workload(num_samples=80)
+        timer.join()
+        assert result.learner_updates == 1
+        assert executor.learner.updates == 1
+        assert shards[0].samples == 1 and shards[1].samples == 0
+        assert shard0.log[-1] == ("submit", shard0, "update_priorities")
+
+    def test_underfilled_shard_retries_the_others_once(self):
+        # Worker 0's 4 rows go to shard 0, worker 1's 40 to shard 1; the
+        # armed sample hits shard 0 and comes back None.
+        shards = [ShardScript(), ShardScript()]
+        executor = self._executor([4, 40], shards)
+        result = executor.execute_workload(num_samples=44)
+        assert result.learner_updates == 1
+        assert [s.samples for s in shards] == [2, 1]
+
+    def test_no_shard_holds_a_batch_returns_without_update(self):
+        shards = [ShardScript(), ShardScript()]
+        executor = self._executor([4, 4], shards)
+        result = executor.execute_workload(num_samples=8)
+        assert result.learner_updates == 0
+        assert [s.samples for s in shards] == [2, 1]
+
+    def test_updates_disabled_never_samples(self):
+        shards = [ShardScript(), ShardScript()]
+        executor = self._executor([40, 40], shards)
+        result = executor.execute_workload(num_samples=80,
+                                           updates_enabled=False)
+        assert result.learner_updates == 0
+        assert [s.samples for s in shards] == [0, 0]
 
 
 # ---------------------------------------------------------------------------
