@@ -3,13 +3,15 @@
 ``optimize="native"`` lowers a :class:`~repro.backend.compiler.CompiledPlan`
 one level further: the slot-slab step list is split into *segments* —
 maximal runs of steps whose ops fall inside the native vocabulary
-(elementwise chains and fused groups, reductions, small matmuls, shape
+(elementwise chains and fused groups, reductions, float matmuls, shape
 copies, one-hot/gather/concat, and the multi-tensor fused optimizer ops
 from the flat-parameter learner path) — and each segment is emitted as one
 shape-specialized C function. A segment executes with a single foreign
 call: every operand is a raw pointer in a per-segment pointer table, so
-the Python interpreter is not entered between its steps at all. Steps
-outside the vocabulary stay Python and bridge segments through the slab.
+the Python interpreter is not entered between its steps at all, and the
+GIL is released once for the whole segment. Steps outside the vocabulary
+(assigns, scatters, memory ops, ``py_func``) stay Python and bridge
+segments through the slab; a gradient plan has none and is one call.
 
 Design notes:
 
@@ -19,7 +21,8 @@ Design notes:
   fetch values). Up to :data:`_MAX_BUILDS` signatures are kept; beyond
   that, unseen signatures execute on the wrapped compiled plan.
 * **Pointer table.** Entries are *static* (persistent per-step output
-  buffers and contiguous constant copies, resolved once), *var* (live
+  buffers and contiguous constant copies, resolved once), *fn* (the
+  address of a BLAS function), *var* (live
   variable storage, re-resolved when :func:`repro.backend.variables
   .storage_epoch` changes), or *dyn* (slab values produced by Python
   steps or other segments, resolved per run behind a shape/dtype guard).
@@ -29,11 +32,20 @@ Design notes:
 * **Vocabulary as tables.** :data:`_C_EXPR` maps an elementwise op to
   its C scalar expression and :data:`_LOWERINGS` maps a step op to its
   :class:`Lowering` (precondition + emitter); a step is native iff the
-  lookup hits and the entry accepts its probed metadata.
+  lookup hits and the entry accepts its probed metadata. Each lowered
+  step becomes one ``static`` C function, called in order by its
+  segment's exported ``segN``.
+* **GEMM from C.** A matmul above :data:`_MATMUL_NATIVE_LIMIT` calls
+  the CBLAS ``?gemm`` of the BLAS numpy already mapped into the process
+  (:data:`_GEMM_SYMBOLS`) through a *fn* entry, so it keeps BLAS speed
+  without leaving the segment; where no symbol is found it stays a
+  Python step.
 * **Caching.** The generated source is deterministic, and the compiled
   shared object is cached on disk keyed by the MD5 of source, compiler
   path and flags, so repeat processes skip the C compiler entirely. A
   cached object that no longer loads is discarded and rebuilt once.
+  Threads building the same source take turns: one compiles, the rest
+  load its object.
 * **Graceful degradation.** No working C toolchain, a failed compile or
   an unloadable object falls back to the ``"fused"``-level plan with a
   one-time warning naming the cause; results are unchanged.
@@ -47,12 +59,14 @@ Design notes:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 import warnings
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
@@ -61,14 +75,25 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 import numpy as np
 
 from repro.backend import variables
+from repro.utils import procutil
 
 # Feed-shape signatures lowered per plan before falling back to the
 # wrapped compiled plan for unseen signatures.
 _MAX_BUILDS = 4
 
 # Matmuls up to this many multiply-adds are emitted as native loops;
-# larger ones stay Python steps so they keep hitting BLAS.
+# larger ones call the process's CBLAS GEMM from the C (they stay Python
+# steps only where no GEMM symbol is found, see _GEMM_SYMBOLS).
 _MATMUL_NATIVE_LIMIT = 1 << 16
+
+# CBLAS GEMM entry points looked up in the BLAS objects already mapped
+# into this process, in order, with the C type of their integer
+# arguments: numpy's wheels ship an ILP64 OpenBLAS with decorated names,
+# a system CBLAS is LP64. ``{}`` is the BLAS type letter (s / d).
+_GEMM_SYMBOLS = (("scipy_cblas_{}gemm64_", "long long"),
+                 ("cblas_{}gemm64_", "long long"),
+                 ("cblas_{}gemm", "int"))
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS = 101, 111
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 
@@ -77,6 +102,7 @@ _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 # Toolchain discovery
 # ---------------------------------------------------------------------------
 _TOOLCHAIN: Dict[str, Any] = {"checked": False, "cc": None}
+_TOOLCHAIN_LOCK = threading.Lock()
 _WARNED: Dict[str, bool] = {}
 _DEGRADED = {
     "toolchain": "no C toolchain is available",
@@ -102,20 +128,22 @@ def _probe_cc(cc: str) -> bool:
 
 
 def find_cc() -> Optional[str]:
-    """Path of a working C compiler (cached per process), or None."""
-    if _TOOLCHAIN["checked"]:
+    """Path of a working C compiler (cached per process), or None.
+    Threads asking during the first probe wait for its answer."""
+    with _TOOLCHAIN_LOCK:
+        if _TOOLCHAIN["checked"]:
+            return _TOOLCHAIN["cc"]
+        candidates = []
+        if os.environ.get("CC"):
+            candidates.append(os.environ["CC"])
+        candidates += ["cc", "gcc", "clang"]
+        for cand in candidates:
+            path = shutil.which(cand)
+            if path and _probe_cc(path):
+                _TOOLCHAIN["cc"] = path
+                break
+        _TOOLCHAIN["checked"] = True
         return _TOOLCHAIN["cc"]
-    _TOOLCHAIN["checked"] = True
-    candidates = []
-    if os.environ.get("CC"):
-        candidates.append(os.environ["CC"])
-    candidates += ["cc", "gcc", "clang"]
-    for cand in candidates:
-        path = shutil.which(cand)
-        if path and _probe_cc(path):
-            _TOOLCHAIN["cc"] = path
-            break
-    return _TOOLCHAIN["cc"]
 
 
 def toolchain_available() -> bool:
@@ -140,6 +168,22 @@ def _cache_dir() -> str:
                             "native")
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _find_gemm(ct: str) -> Optional[Tuple[int, str]]:
+    """``(address, integer C type)`` of the CBLAS ``?gemm`` for C float
+    type ``ct`` in a BLAS object already mapped into this process, or
+    None. The address goes into a segment's pointer table, never into
+    the C source, so the cached object is independent of it."""
+    letter = "s" if ct == "float" else "d"
+    for _path, lib in procutil.native_libraries():
+        for pattern, int_ct in _GEMM_SYMBOLS:
+            try:
+                fn = getattr(lib, pattern.format(letter))
+            except AttributeError:
+                continue
+            return ctypes.cast(fn, ctypes.c_void_p).value, int_ct
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +220,23 @@ class _SharedLib:
             self.cast_ptr = lambda addr: addr
 
 
+_BUILD_LOCKS: Dict[str, threading.Lock] = {}
+_BUILD_LOCKS_GUARD = threading.Lock()
+
+
+def _fresh_locks_after_fork() -> None:
+    """A process actor forked while a driver thread probes or compiles
+    would inherit that lock held, with no thread left to release it."""
+    global _TOOLCHAIN_LOCK, _BUILD_LOCKS_GUARD
+    _TOOLCHAIN_LOCK = threading.Lock()
+    _BUILD_LOCKS_GUARD = threading.Lock()
+    _BUILD_LOCKS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_locks_after_fork)
+
+
 def _build_library(source: str, seg_names: List[str]
                    ) -> Tuple[Optional[_SharedLib], bool, Optional[str]]:
     """Compile (or load from the disk cache) the plan library.
@@ -184,29 +245,46 @@ def _build_library(source: str, seg_names: List[str]
     ``cause`` a key of :data:`_DEGRADED`. A cached object that fails to
     load (truncated by a killed writer, built for another platform) is
     unlinked and rebuilt once instead of poisoning its key forever.
+    Threads building one source (a group's replicas, on their first
+    round) serialize on a per-digest lock: the first compiles, the
+    others load its object as a cache hit.
     """
     cc = find_cc()
     if cc is None:
         return None, False, "toolchain"
     digest = hashlib.md5(
         "\0".join([source, cc] + _CFLAGS).encode()).hexdigest()
+    with _BUILD_LOCKS_GUARD:
+        lock = _BUILD_LOCKS.setdefault(digest, threading.Lock())
+    with lock:
+        return _build_locked(source, seg_names, cc, digest)
+
+
+def _build_locked(source, seg_names, cc, digest):
     cache = _cache_dir()
     so_path = os.path.join(cache, f"plan_{digest}.so")
     for cached in ((True, False) if os.path.exists(so_path) else (False,)):
         if not cached:
-            c_path = os.path.join(cache, f"plan_{digest}.c")
-            tmp_so = f"{so_path}.tmp{os.getpid()}"
+            # Unique per process and thread; os.replace publishes each
+            # file whole, so concurrent processes race benignly.
+            tmp = f"{so_path}.tmp{os.getpid()}.{threading.get_ident()}"
             try:
-                with open(c_path, "w") as fh:
+                with open(tmp + ".c", "w") as fh:
                     fh.write(source)
-                res = subprocess.run([cc] + _CFLAGS + [c_path, "-o", tmp_so,
+                res = subprocess.run([cc] + _CFLAGS + [tmp + ".c", "-o", tmp,
                                                        "-lm"],
                                      capture_output=True, timeout=300)
                 if res.returncode != 0:
                     return None, False, "compile"
-                os.replace(tmp_so, so_path)  # concurrent builders race benignly
+                os.replace(tmp + ".c",
+                           os.path.join(cache, f"plan_{digest}.c"))
+                os.replace(tmp, so_path)
             except Exception:
                 return None, False, "compile"
+            finally:
+                for leftover in (tmp, tmp + ".c"):
+                    if os.path.exists(leftover):
+                        os.unlink(leftover)
         try:
             return _SharedLib(so_path, seg_names), cached, None
         except Exception:
@@ -427,8 +505,8 @@ def _member_expr(op: str, attrs: Dict[str, Any], args: List[str],
 # C emission
 # ---------------------------------------------------------------------------
 class _W:
-    """Line writer with a per-block unique-id counter (deterministic, so
-    the generated source — and the disk-cache key — is stable)."""
+    """Line writer with a per-function unique-id counter (deterministic,
+    so the generated source — and the disk-cache key — is stable)."""
 
     def __init__(self):
         self.lines: List[str] = []
@@ -605,13 +683,14 @@ class Lowering(NamedTuple):
 
 
 class _StepCx:
-    """What ``Lowering.emit`` works with: the probed step plus its
-    segment's C writer, pointer-table entries, guards and stores."""
+    """What ``Lowering.emit`` works with: the probed step, its own C
+    writer (the body of the step's function) and its segment's
+    pointer-table entries, guards and stores."""
 
     def __init__(self, step, rec, proto, template, dynamic, native_ids):
         self.step = step
         self.ins, self.out, self.dts = rec
-        self.w = proto["w"]
+        self.w = _W()
         # The step name, made safe for a C comment.
         self.label = str(step.name).replace("/*", "").replace("*/", "")
         self.buf: Optional[np.ndarray] = None  # set by out_buf()
@@ -784,19 +863,38 @@ def _emit_transpose(cx, perm):
 
 
 def _accept_matmul(step, ins, out, dts):
+    """True for a native loop; ``(address, integer C type)`` of the
+    CBLAS GEMM to call above :data:`_MATMUL_NATIVE_LIMIT`."""
     ma, mb = ins
-    return (ma is not None and mb is not None
+    if not (ma is not None and mb is not None
             and len(ma[0]) == 2 and len(mb[0]) == 2 and len(out[0]) == 2
-            and ma[1] == mb[1] == out[1] and _ct(ma[1]) in _FLOAT_CTS
-            and _numel(ma[0]) * int(mb[0][1]) <= _MATMUL_NATIVE_LIMIT)
+            and ma[1] == mb[1] == out[1] and _ct(ma[1]) in _FLOAT_CTS):
+        return None
+    if _numel(ma[0]) * int(mb[0][1]) <= _MATMUL_NATIVE_LIMIT:
+        return True
+    return _find_gemm(_ct(ma[1]))
 
 
-def _emit_matmul(cx, _how):
+def _emit_matmul(cx, how):
     m, k = (int(d) for d in cx.ins[0][0])
     _, n = (int(d) for d in cx.ins[1][0])
     ct = _ct(cx.out[1])
     out_i, a_i, b_i = cx.out_buf(), cx.arg(0), cx.arg(1)
-    w, u = cx.w, cx.w.uid()
+    w = cx.w
+    if how is not True:
+        # C = 1 * A @ B + 0 * C, row-major, through the fn entry.
+        address, it = how
+        f_i = cx.entry(("f", address), ("f", address))
+        w(f"  {{ /* {cx.label} */")
+        w(f"  typedef void (*gemm_t)(int, int, int, {it}, {it}, {it}, {ct}, "
+          f"const {ct} *, {it}, const {ct} *, {it}, {ct}, {ct} *, {it});")
+        w(f"  ((gemm_t)(void *)B[{f_i}])({_CBLAS_ROW_MAJOR}, "
+          f"{_CBLAS_NO_TRANS}, {_CBLAS_NO_TRANS}, {m}, {n}, {k}, "
+          f"({ct})1, (const {ct} *)B[{a_i}], {k}, (const {ct} *)B[{b_i}], "
+          f"{n}, ({ct})0, ({ct} *)B[{out_i}], {n});")
+        w("  }")
+        return
+    u = w.uid()
     w(f"  {{ /* {cx.label} */")
     w(f"  const {ct} *a{u} = (const {ct} *)B[{a_i}];")
     w(f"  const {ct} *b{u} = (const {ct} *)B[{b_i}];")
@@ -1283,6 +1381,8 @@ class _Segment:
             if e[0] == "s":
                 self.ptrs[i] = e[1].ctypes.data
                 self.statics.append(e[1])
+            elif e[0] == "f":
+                self.ptrs[i] = e[1]
             elif e[0] == "v":
                 self.var_entries.append((i, e[1], e[2], e[3]))
             else:
@@ -1318,11 +1418,24 @@ class _Build:
 
 
 def _assemble_source(protos) -> str:
+    """One ``static`` function per lowered step and an exported
+    ``segN(char **B)`` calling them in order. Kept apart (``noinline``)
+    the compiler optimizes each step on its own: compiled as one
+    function, the learner_group DQN's 131-step gradient plan peaks cc1
+    at ~60 MB, against ~49 MB split per step."""
     parts = ["#include <math.h>", "#include <string.h>",
              "#include <limits.h>", ""]
     for p in protos:
+        calls = []
+        for k, lines in enumerate(p["bodies"]):
+            fn = f"{p['name']}_{k}"
+            parts.append(f"static __attribute__((noinline)) "
+                         f"void {fn}(char **B) {{")
+            parts.extend(lines)
+            parts.append("}")
+            calls.append(f"  {fn}(B);")
         parts.append(f"void {p['name']}(char **B) {{")
-        parts.extend(p["w"].lines)
+        parts.extend(calls)
         parts.append("}")
         parts.append("")
     return "\n".join(parts)
@@ -1366,7 +1479,7 @@ def _lower(compiled, records):
         else:
             lo, hi = span
             if j == lo:
-                protos.append({"name": f"seg{len(protos)}", "w": _W(),
+                protos.append({"name": f"seg{len(protos)}", "bodies": [],
                                "entries": [], "eidx": {}, "inseg": {},
                                "guards": [], "gset": set(), "stores": [],
                                "fallback": compiled._steps[lo:hi]})
@@ -1375,6 +1488,8 @@ def _lower(compiled, records):
             cx = _StepCx(step, records[j], protos[-1], compiled._template,
                          dynamic, native_ids)
             low.emit(cx, how)
+            if cx.w.lines:
+                protos[-1]["bodies"].append(cx.w.lines)
             if cx.buf is not None:
                 cx.store(cx.out_index, cx.buf)
         dynamic.add(step.out_slot)

@@ -49,6 +49,7 @@ from repro.execution.parallel import resolve_parallel_spec
 from repro.execution.supervision import ReplicaFactory, Supervisor
 from repro.raylite.collectives import RingMember, SlabRing, allreduce_steps
 from repro.utils.errors import RLGraphError
+from repro.utils.procutil import native_threads_among
 
 ALGORITHMS = ("auto", "ring", "tree")
 
@@ -319,6 +320,16 @@ class LearnerGroup:
         return self.supervisor.retrying(lambda: self._round(batch))
 
     def _round(self, batch: Dict):
+        """One round.  Thread replicas run their gradient plans — GEMMs
+        included — concurrently in this process, so for the round each
+        gets an equal share of the native pools' cores; process replicas
+        cap their own pools, and this process's are left alone."""
+        if self.parallel.is_process:
+            return self._round_body(batch)
+        with native_threads_among(self.world_size):
+            return self._round_body(batch)
+
+    def _round_body(self, batch: Dict):
         shards = split_batch(batch, self.world_size, remainder="last",
                              axis=self._shard_axis, axes=self._shard_axes)
         first = next(k for k in batch

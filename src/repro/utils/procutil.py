@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import multiprocessing
 import os
-from typing import Iterator
+from typing import Iterator, Tuple
 
 
 def default_start_method() -> str:
@@ -32,22 +33,43 @@ _NATIVE_POOLS = (
 )
 
 
-def native_thread_pools() -> list:
-    """``[(path, set_num_threads, get_num_threads)]`` for every BLAS /
-    OpenMP shared object mapped into this process (Linux; empty
-    elsewhere or when nothing recognisable is loaded)."""
+def _mapped_paths() -> set:
+    """Paths of the shared objects mapped into this process (Linux;
+    empty elsewhere)."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(None, 5) for line in fh]
     except OSError:
-        return []
-    paths = {f[5].strip() for f in fields if len(f) == 6}
+        return set()
+    return {f[5].strip() for f in fields if len(f) == 6}
+
+
+@functools.lru_cache(maxsize=None)
+def native_libraries() -> Tuple[Tuple[str, ctypes.CDLL], ...]:
+    """``(path, handle)`` for every BLAS / OpenMP shared object mapped
+    into this process, scanned once per process: parsing the memory map
+    and opening the handles costs ~0.4 ms, against ~1 µs for resizing
+    a pool.  NumPy is imported first so its BLAS is already mapped when
+    the one scan runs; a fork child inherits the scan with the mapping."""
+    import numpy  # noqa: F401
+    return tuple(
+        (path, ctypes.CDLL(path))  # already mapped: same handle
+        for path in sorted(_mapped_paths())
+        if any(fragment in os.path.basename(path)
+               for fragment, _, _ in _NATIVE_POOLS))
+
+
+@functools.lru_cache(maxsize=None)
+def native_thread_pools() -> Tuple[tuple, ...]:
+    """``((path, set_num_threads, get_num_threads), ...)`` for every
+    BLAS / OpenMP shared object mapped into this process (Linux; empty
+    elsewhere or when nothing recognisable is loaded); derived once
+    from :func:`native_libraries`."""
     pools = []
-    for path in sorted(paths):
+    for path, lib in native_libraries():
         for fragment, setter, getter in _NATIVE_POOLS:
             if fragment not in os.path.basename(path):
                 continue
-            lib = ctypes.CDLL(path)  # already mapped: same handle
             for prefix, suffix in itertools.product(
                     ("", "scipy_"), ("", "64_", "_64_")):
                 try:
@@ -59,7 +81,7 @@ def native_thread_pools() -> list:
                 get_fn.argtypes, get_fn.restype = [], ctypes.c_int
                 pools.append((path, set_fn, get_fn))
                 break
-    return pools
+    return tuple(pools)
 
 
 def cap_native_threads() -> None:
@@ -94,13 +116,10 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def native_threads_beside(busy_processes: int) -> Iterator[int]:
+def native_threads_beside(busy_processes: int):
     """Size THIS process's native pools to the cores ``busy_processes``
     compute-bound sibling processes leave free — ``max(1, usable cores
-    - busy_processes)`` — for the block; the previous widths come back
-    on exit, raise or not.  Yields the width; a no-op (nothing resized)
-    where no pool is found.
+    - busy_processes)`` — for a ``with`` block (see :func:`native_threads`).
 
     A full-width pool slows a driver whose process actors keep their
     cores busy: its helper threads fight the actors for those cores,
@@ -108,7 +127,24 @@ def native_threads_beside(busy_processes: int) -> Iterator[int]:
     "Open measurements").  Scoped, not process-wide, because drivers without
     such siblings lose up to 30 % when capped.
     """
-    width = max(1, usable_cores() - busy_processes)
+    return native_threads(max(1, usable_cores() - busy_processes))
+
+
+def native_threads_among(callers: int):
+    """Size THIS process's native pools to an equal share of the usable
+    cores for each of ``callers`` threads that run GEMMs concurrently —
+    ``max(1, usable cores // callers)`` — for a ``with`` block (see
+    :func:`native_threads`).  Without it every caller's GEMM fans out
+    to the full width, and the callers' helper threads oversubscribe
+    the cores the other callers compute on."""
+    return native_threads(max(1, usable_cores() // callers))
+
+
+@contextlib.contextmanager
+def native_threads(width: int) -> Iterator[int]:
+    """Size THIS process's native pools to ``width`` for the block; the
+    previous widths come back on exit, raise or not.  Yields the width;
+    a no-op (nothing resized) where no pool is found."""
     pools = native_thread_pools()
     previous = [get_num_threads() for _, _, get_num_threads in pools]
     for _, set_num_threads, _ in pools:

@@ -34,6 +34,7 @@ from repro.execution.learner_group import (
 from repro.raylite import collectives
 from repro.raylite.shm import get_pool
 from repro.spaces import FloatBox, IntBox
+from repro.utils import procutil
 from repro.utils.errors import RLGraphError
 
 STATE_DIM = 4
@@ -461,3 +462,122 @@ class TestLearnerGroupParity:
         with pytest.raises(RLGraphError):
             LearnerGroup(make_agent("dqn", "none"), _dqn_factory, spec=2,
                          parallel_spec="thread")
+
+
+class FakePool:
+    """A native thread pool stand-in: records every width it is set to."""
+
+    def __init__(self, width=7):
+        self.width = width
+        self.sets = []
+
+    def set(self, width):
+        self.sets.append(width)
+        self.width = width
+
+    def get(self):
+        return self.width
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    pool = FakePool()
+    monkeypatch.setattr(procutil, "native_thread_pools",
+                        lambda: (("fake", pool.set, pool.get),))
+    return pool
+
+
+def _width_recording_factory(pool, seen, fail=False):
+    """Replicas that record the pool width their gradient plan runs at
+    (``fail``: and then raise)."""
+    def factory(worker_index=0):
+        agent = make_agent("dqn")
+        get_gradients = agent.get_gradients
+
+        def recording(batch):
+            seen.append(pool.width)
+            if fail:
+                raise RuntimeError("replica blew up")
+            return get_gradients(batch)
+        agent.get_gradients = recording
+        return agent
+    return factory
+
+
+class TestRoundPoolWidth:
+    """Thread replicas share this process's native pools, so a
+    thread-mode round gives each ``max(1, cores // K)`` and restores the
+    previous width however it ends; nothing else touches the pools."""
+
+    def test_thread_round_shares_the_cores(self, fake_pool):
+        seen = []
+        group = LearnerGroup(make_agent("dqn"),
+                             _width_recording_factory(fake_pool, seen),
+                             spec=2, parallel_spec="thread")
+        try:
+            for batch in batches("dqn", n_updates=2):
+                group.update(batch)
+        finally:
+            group.shutdown()
+        width = max(1, procutil.usable_cores() // 2)
+        assert seen == [width] * 4
+        assert fake_pool.sets == [width, 7] * 2
+        assert fake_pool.width == 7
+
+    def test_width_restored_when_the_round_raises(self, fake_pool):
+        seen = []
+        group = LearnerGroup(
+            make_agent("dqn"),
+            _width_recording_factory(fake_pool, seen, fail=True),
+            spec=2, parallel_spec="thread")
+        try:
+            with pytest.raises(Exception, match="replica blew up"):
+                group.update(batches("dqn", n_updates=1)[0])
+        finally:
+            group.shutdown()
+        # The round raises at the first failed replica, so the other may
+        # start after the restore: only the first is sure to be narrowed.
+        assert seen[0] == max(1, procutil.usable_cores() // 2)
+        assert fake_pool.width == 7
+
+    @pytest.mark.mp_timeout(120)
+    def test_process_group_and_single_agent_never_resize(self, fake_pool):
+        agent = make_agent("dqn")
+        agent.update(batches("dqn", n_updates=1)[0])
+        group = LearnerGroup(make_agent("dqn"), _dqn_factory, spec=2,
+                             parallel_spec="process")
+        try:
+            group.update(batches("dqn", n_updates=1)[0])
+            assert group.updates == 1
+        finally:
+            group.shutdown()
+        assert fake_pool.sets == []
+
+    def test_library_discovery_runs_once_per_process(self, monkeypatch):
+        scans = []
+        mapped_paths = procutil._mapped_paths
+
+        def counted():
+            scans.append(1)
+            return mapped_paths()
+
+        monkeypatch.setattr(procutil, "_mapped_paths", counted)
+        procutil.native_libraries.cache_clear()
+        procutil.native_thread_pools.cache_clear()
+        try:
+            group = LearnerGroup(make_agent("dqn", "native"),
+                                 lambda worker_index=0: make_agent(
+                                     "dqn", "native"),
+                                 spec=2, parallel_spec="thread")
+            try:
+                for batch in batches("dqn", n_updates=3):
+                    group.update(batch)
+            finally:
+                group.shutdown()
+            native._find_gemm("float")
+            native._find_gemm("double")
+            assert len(scans) == 1
+        finally:
+            # Later callers rescan with the real reader.
+            procutil.native_libraries.cache_clear()
+            procutil.native_thread_pools.cache_clear()

@@ -11,7 +11,10 @@ zero Python dispatch (:mod:`repro.backend.native`). These tests pin:
 - per-run guard fallback when value-dependent shapes drift inside a
   built segment, and the feed-signature build cap;
 - the shared-library disk cache (second build of the same source is a
-  cache hit, not a recompile);
+  cache hit, not a recompile — also when threads build it at once);
+- large matmuls calling CBLAS GEMM from the C under both loaders (cffi
+  and ctypes), one static C function per lowered step, and the
+  learner_group DQN's gradient plan as one foreign call;
 - fetch snapshot semantics (persistent C out-buffers are reused across
   runs, so fetched values must be copies);
 - the SessionStats accounting split between graph-compiler time and
@@ -23,11 +26,19 @@ must work precisely when there isn't one.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import re
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.agents import DQNAgent
 from repro.backend import (
     Graph,
     Session,
@@ -36,6 +47,7 @@ from repro.backend import (
     native,
     symbolic_mode,
 )
+from repro.spaces import FloatBox, IntBox
 
 pytestmark = pytest.mark.native
 
@@ -231,6 +243,226 @@ class TestStatsAndCache:
         out = second.run(y, feed)
         np.testing.assert_allclose(out, ref)
         assert second.stats.native_cache_hits >= 1
+
+
+def _gemm_plan():
+    """A plan whose 48x64 @ 64x96 matmul is above the loop limit."""
+    g = _graph()
+    with g.as_default(), symbolic_mode():
+        x = g.placeholder((None, 64), np.float32)
+        w = g.constant(np.linspace(-1, 1, 64 * 96, dtype=np.float32)
+                       .reshape(64, 96))
+        y = F.tanh(F.matmul(F.relu(x), w))
+    feed = {x: np.random.default_rng(3).standard_normal((48, 64))
+            .astype(np.float32)}
+    assert 48 * 64 * 96 > native._MATMUL_NATIVE_LIMIT
+    return g, y, feed
+
+
+@needs_cc
+class TestBlasLowering:
+    """Matmuls above the loop limit call the process's CBLAS GEMM from
+    the generated C, through a function-pointer entry of the segment's
+    pointer table — so a plan is one foreign call."""
+
+    @pytest.mark.parametrize("loader", ["cffi", "ctypes"])
+    def test_both_loaders_run_a_gemm_plan(self, loader, monkeypatch):
+        if loader == "cffi":
+            pytest.importorskip("cffi")
+        else:
+            monkeypatch.setitem(sys.modules, "cffi", None)
+        g, y, feed = _gemm_plan()
+        ref = Session(g, optimize="none").run(y, feed)
+        sess = Session(g, optimize="native")
+        for _ in range(2):  # the probe run, then the C
+            np.testing.assert_allclose(sess.run(y, feed), ref,
+                                       rtol=1e-5, atol=1e-6)
+        plan = sess.compiled_plan(y)
+        (build,) = [b for b in plan._builds.values()
+                    if isinstance(b, native._Build)]
+        assert hasattr(build.lib, "_ffi") == (loader == "cffi")
+        assert plan.stats.native_segments == 1
+        assert plan.stats.native_py_steps == 0
+        # The address lives in the pointer table, not in the source.
+        address, _ = native._find_gemm("float")
+        assert str(address) not in plan.c_source
+        assert "gemm_t" in plan.c_source
+
+    def test_one_static_function_per_lowered_step(self):
+        g, y, feed = _gemm_plan()
+        sess = Session(g, optimize="native")
+        sess.run(y, feed)
+        src = sess.compiled_plan(y).c_source
+        statics = re.findall(
+            r"static __attribute__\(\(noinline\)\) void (seg0_\d+)", src)
+        # relu, matmul, tanh: three steps, three functions, called in
+        # order by the one exported entry point.
+        assert statics == ["seg0_0", "seg0_1", "seg0_2"]
+        body = src[src.index("void seg0(char **B) {"):]
+        assert re.findall(r"(seg0_\d+)\(B\);", body) == statics
+
+
+def _learner_group_dqn():
+    """The learner_group benchmark's DQN (16 -> 64 -> 64, dueling,
+    double-Q, native)."""
+    return DQNAgent(
+        state_space=FloatBox(shape=(16,)), action_space=IntBox(4),
+        network_spec=[{"type": "dense", "units": 64, "activation": "relu"},
+                      {"type": "dense", "units": 64, "activation": "relu"}],
+        double_q=True, dueling=True, sync_interval=50, batch_size=32,
+        memory_capacity=512, seed=3, optimize="native")
+
+
+def _dqn_batch(rows):
+    rng = np.random.default_rng(rows)
+    return {
+        "states": rng.standard_normal((rows, 16)).astype(np.float32),
+        "actions": rng.integers(0, 4, rows),
+        "rewards": rng.standard_normal(rows).astype(np.float32),
+        "terminals": rng.random(rows) < 0.1,
+        "next_states": rng.standard_normal((rows, 16)).astype(np.float32),
+    }
+
+
+def _native_plans(agent):
+    return [p for p in agent.graph.session._compiled.values()
+            if isinstance(p, native.NativePlan) and p.c_source]
+
+
+@needs_cc
+class TestLearnerGroupPlans:
+    def test_gradient_plan_is_one_foreign_call(self):
+        agent = _learner_group_dqn()
+        before = set(map(id, _native_plans(agent)))
+        agent.get_gradients(_dqn_batch(128))
+        (plan,) = [p for p in _native_plans(agent) if id(p) not in before]
+        assert plan.stats.native_segments == 1
+        assert plan.stats.native_py_steps == 0
+        # One function per step that writes C: all but the pointer and
+        # shape-constant bookkeeping.
+        bookkeeping = sum(s.op in ("read_var", "size_of", "shape_of")
+                          for s in plan.steps)
+        assert plan.c_source.count("static __attribute__((noinline))") \
+            == len(plan.steps) - bookkeeping
+
+    def test_update_plan_keeps_only_the_assign_in_python(self):
+        agent = _learner_group_dqn()
+        before = set(map(id, _native_plans(agent)))
+        agent.update(_dqn_batch(256))
+        (plan,) = [p for p in _native_plans(agent) if id(p) not in before]
+        assert plan.stats.native_py_steps == 1
+        assert plan.stats.native_segments == 2
+        assert [s.op for s in plan.steps
+                if s.op not in native._LOWERINGS] == ["assign"]
+
+
+def _report_free_locks(conn):
+    conn.send((native._TOOLCHAIN_LOCK.acquire(timeout=5),
+               native._BUILD_LOCKS_GUARD.acquire(timeout=5),
+               native._BUILD_LOCKS))
+
+
+@needs_cc
+class TestConcurrentColdBuild:
+    def test_threads_building_one_source_compile_once(self, monkeypatch,
+                                                      tmp_path):
+        """A group's replicas build the same plan source on their first
+        round at the same time: one compiler run, the others load its
+        object as cache hits, and no temporary file is left behind."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        native.find_cc()  # toolchain probe outside the count
+        runs = []
+        real_run = subprocess.run
+
+        def slow_counted_run(cmd, **kwargs):
+            runs.append(cmd)
+            time.sleep(0.2)  # keep the other builders waiting on it
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", slow_counted_run)
+        n = 4
+        plans = [TestDiskCacheIntegrity._plan() for _ in range(n)]
+        ref = Session(plans[0][0], optimize="none").run(plans[0][2],
+                                                        plans[0][3])
+        sessions = [Session(g, optimize="native") for g, *_ in plans]
+        outs = [None] * n
+        barrier = threading.Barrier(n)
+
+        def build(i):
+            _g, _x, y, feed = plans[i]
+            barrier.wait()
+            sessions[i].run(y, feed)          # probe + build
+            outs[i] = sessions[i].run(y, feed)  # the loaded library
+
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(runs) == 1
+        assert all(s.stats.plans_native == 1 for s in sessions)
+        assert sum(s.stats.native_cache_hits for s in sessions) == n - 1
+        for out in outs:
+            np.testing.assert_allclose(out, ref, rtol=1e-6)
+        assert sorted(p.name.split(".")[-1] for p in tmp_path.iterdir()) \
+            == ["c", "so"]
+
+    @pytest.mark.mp_timeout(60)
+    @pytest.mark.skipif(
+        not hasattr(os, "register_at_fork")
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="no fork")
+    def test_fork_child_starts_with_free_locks(self):
+        """A process actor forked while a driver thread compiles must
+        not inherit the held build lock (it would wait forever)."""
+        ctx = multiprocessing.get_context("fork")
+        held = native._BUILD_LOCKS.setdefault("held", threading.Lock())
+        reader, writer = ctx.Pipe(duplex=False)
+        try:
+            with held, native._TOOLCHAIN_LOCK:
+                child = ctx.Process(target=_report_free_locks,
+                                    args=(writer,))
+                child.start()
+                got = reader.recv() if reader.poll(30) else None
+                child.join(timeout=30)
+        finally:
+            native._BUILD_LOCKS.pop("held", None)
+        assert not child.is_alive()
+        assert got == (True, True, {})
+
+    def test_threads_asking_during_the_probe_get_its_answer(self,
+                                                            monkeypatch):
+        """Replica threads compiling their first plans ask for the
+        toolchain together; none may see "no compiler" while the first
+        probe is still running."""
+        monkeypatch.setitem(native._TOOLCHAIN, "checked", False)
+        monkeypatch.setitem(native._TOOLCHAIN, "cc", None)
+        probes = []
+
+        def slow_probe(path):
+            probes.append(path)
+            time.sleep(0.2)
+            return True
+
+        monkeypatch.setattr(native, "_probe_cc", slow_probe)
+        found = []
+        threads = [threading.Thread(
+            target=lambda: found.append(native.find_cc()))
+            for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(probes) == 1
+        assert found == probes * 4
 
 
 class TestGracefulDegradation:

@@ -13,7 +13,8 @@ naming ops, so a new entry is exercised — or reported as lacking a case
   pass-through;
 - every op with a C expression / ``Lowering`` lowers in a one-op plan
   and matches the interpreter; ``mod`` is not native because it has no
-  entry.
+  entry; a matmul above the native loop limit calls BLAS from the C,
+  and stays a Python step where no GEMM symbol is found.
 """
 
 from __future__ import annotations
@@ -309,6 +310,22 @@ for _op in native._C_EXPR:
     LOWERING_CASES[_op] = _fed(_op, *_args, **_attrs)
 
 
+def _big_matmul(dtype, transposed):
+    """Case: a matmul above ``_MATMUL_NATIVE_LIMIT`` (so native calls
+    the process's CBLAS GEMM), optionally over a transposed operand."""
+    m, k, n = 64, 96, 80
+    assert m * k * n > native._MATMUL_NATIVE_LIMIT
+    rng = np.random.default_rng(6)
+    a = _rand(rng, (m, k), dtype)
+    b = _rand(rng, (n, k) if transposed else (k, n), dtype)
+
+    def build(g):
+        pa, pb = g.placeholder(a.shape, dtype), g.placeholder(b.shape, dtype)
+        rhs = F.transpose(pb, (1, 0)) if transposed else pb
+        return F.matmul(pa, rhs), {pa: a, pb: b}, []
+    return build
+
+
 def _run_case(build, optimize):
     """Fetch the op under test plus a native tail (fused cast*0.5,
     flattened, summed), so the op's step sits in a viable segment;
@@ -342,6 +359,28 @@ class TestNativeVocabulary:
         assert stats.plans_native == 1
         assert stats.native_steps >= 1
         assert stats.native_py_steps == 0, f"{op} stayed a Python step"
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_matmul_above_the_loop_limit_calls_blas(self, dtype, transposed):
+        case = _big_matmul(dtype, transposed)
+        ref, _ = _run_case(case, "none")
+        out, stats = _run_case(case, "native")
+        for r, o in zip(ref, out):
+            assert np.asarray(o).dtype == np.asarray(r).dtype
+            np.testing.assert_allclose(o, r, **TOL)
+        assert stats.plans_native == 1
+        assert stats.native_py_steps == 0
+
+    def test_matmul_stays_python_without_a_gemm_symbol(self, monkeypatch):
+        monkeypatch.setattr(native, "_find_gemm", lambda ct: None)
+        case = _big_matmul(f32, False)
+        ref, _ = _run_case(case, "none")
+        out, stats = _run_case(case, "native")
+        for r, o in zip(ref, out):
+            np.testing.assert_allclose(o, r, **TOL)
+        assert stats.plans_native == 1  # the tail is still a segment
+        assert stats.native_py_steps == 1
 
     def test_mod_is_not_native_because_it_has_no_entry(self):
         # np.mod's sign semantics differ from C fmod, so the expression
