@@ -1,40 +1,32 @@
 """HTTP/JSON gateway in front of the micro-batching serving stack.
 
-The in-process serving surface (:class:`PolicyServer`,
-:class:`InferenceWorkerPool`) speaks python; real traffic speaks HTTP.
-:class:`HttpGateway` bridges the two with stdlib only — an ``asyncio``
-server on a background thread, no web framework:
+:class:`HttpGateway` serves a :class:`PolicyServer` or
+:class:`InferenceWorkerPool` (``POST /act``, ``GET /metrics``,
+``GET /healthz``) from an ``asyncio`` loop on a background thread,
+stdlib only.  Overload never looks like a hang: a rejection or shed is
+a 503 with ``Retry-After``, an expired deadline a 504, a bad body or
+header value a 400, each with a typed JSON body.  A request that cannot
+be framed gets a 400 (request line, header line, ``Content-Length``),
+413 (body over ``_MAX_BODY``) or 431 (head over ``_HEAD_LIMIT``), and
+its connection is closed.
 
-* ``POST /act`` — body ``{"obs": [...]}``; optional ``X-Deadline-Ms``
-  header carries the caller's remaining budget into the serving front
-  end (the batch loop skips the request once it expires — the deadline
-  is *propagated*, not merely enforced at the edge).
-* ``GET /metrics`` — JSON: per-route client-facing latency/status
-  counters plus the target's own ``metrics_snapshot()`` (queue depth,
-  shed/reject/expired counters, batch-size histogram, autoscaler
-  events).
-* ``GET /healthz`` — liveness: 200 while the target accepts work.
-
-Overload never looks like a hang: a bounded-queue rejection or CoDel
-shed maps to **503** with a ``Retry-After`` hint, an expired deadline
-to **504**, a malformed request to **400** — each with a typed JSON
-body.  Connections are keep-alive HTTP/1.1, one in-flight request per
-connection (the natural shape for a closed-loop policy client); the
-micro-batcher, not the socket layer, provides the cross-client
-parallelism.
-
-Every request is bridged from the serving stack's thread-settled
-``ObjectRef`` onto the event loop via ``call_soon_threadsafe`` — the
-gateway thread never blocks on a policy computation, so thousands of
-queued sockets cost one thread total.
+Each keep-alive connection is one :class:`asyncio.Protocol` with one
+request in flight, served straight from ``data_received`` once its head
+and body are buffered (no coroutine, no task); bytes pipelined behind
+it wait unread until its answer is written.  ``/act`` submits
+synchronously, the ref's done-callback hops onto the loop with one
+``call_soon_threadsafe``, and the answer leaves in one
+``transport.write``.  :class:`HttpPolicyClient` sends each request with
+one ``sendall`` on one keep-alive socket.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
+import socket
 import threading
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -47,14 +39,166 @@ from repro.serving.overload import (
 )
 from repro.utils.errors import RLGraphError
 
+_HEAD_LIMIT = 64 * 1024
 _MAX_BODY = 8 * 1024 * 1024
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error",
-            503: "Service Unavailable", 504: "Gateway Timeout"}
+_GRACE = 1.0  # the gateway's wait past a budget: a wedged backend is a 504
 
 
 class _BadRequest(RLGraphError):
-    """Maps to a 400 with the message in the JSON body."""
+    """A 4xx (400 by default) with the message in the JSON body."""
+
+    def __init__(self, message: str, status=400, error="bad_request"):
+        super().__init__(message)
+        self.status, self.error = status, error
+
+
+def _error_answer(exc: Exception):
+    """``(status, payload, extra headers)`` for a failed request."""
+    if isinstance(exc, OverloadError):
+        extra = ({"Retry-After": f"{exc.retry_after:.3f}"}
+                 if exc.retry_after else {})
+        return 503, {"error": "overload", "reason": exc.reason,
+                     "queue_depth": exc.queue_depth,
+                     "retry_after": exc.retry_after}, extra
+    if isinstance(exc, ServerClosedError):
+        return 503, {"error": "server_closed", "detail": str(exc)}, {}
+    if isinstance(exc, DeadlineExceededError):
+        return 504, {"error": "deadline_exceeded", "detail": str(exc)}, {}
+    if isinstance(exc, _BadRequest):
+        return exc.status, {"error": exc.error, "detail": str(exc)}, {}
+    return 500, {"error": "internal",
+                 "detail": f"{type(exc).__name__}: {exc}"}, {}
+
+
+class _Connection(asyncio.Protocol):
+    """One client socket: requests are cut out of a byte buffer and
+    answered in order, one in flight at a time."""
+
+    def __init__(self, gateway: "HttpGateway", loop):
+        self.gateway, self.loop, self.transport = gateway, loop, None
+        self.buffer = bytearray()
+        self.scanned = 0  # buffer prefix known to hold no end of head
+        self.busy, self.keep_alive = False, True
+        self.stats, self.t0, self.ref, self.timer = None, 0.0, None, None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.gateway._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.gateway._connections.discard(self)
+        self.transport = None
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.busy:
+            self.transport.pause_reading()  # until the answer is written
+        else:
+            self.serve()
+
+    def eof_received(self) -> bool:
+        self.keep_alive = False  # answer what is in flight, then close
+        return self.busy
+
+    def serve(self) -> None:
+        """Serve buffered requests in order until one is in flight."""
+        routes = self.gateway.routes
+        while (not self.busy and self.keep_alive
+               and self.transport is not None):
+            self.busy, self.t0 = True, self.loop.time()
+            self.stats = routes["other"]
+            try:
+                request = self._next_request()
+            except _BadRequest as exc:
+                self.keep_alive = False  # framing is lost: answer, close
+                self.answer(*_error_answer(exc))
+                return
+            if request is None:
+                self.busy = False
+                self.transport.resume_reading()
+                return
+            method, path, headers, body = request
+            self.stats = routes.get(path, self.stats)
+            self.keep_alive = headers.get("connection", "").lower() != "close"
+            self.gateway._dispatch(self, method, path, headers, body)
+
+    def _next_request(self):
+        """The next complete request in the buffer, or None."""
+        buf = self.buffer
+        end = buf.find(b"\r\n\r\n", self.scanned)
+        if not 0 <= end <= _HEAD_LIMIT:
+            if len(buf) > _HEAD_LIMIT:
+                raise _BadRequest("request head too large", 431,
+                                  "head_too_large")
+            self.scanned = max(0, len(buf) - 3)
+            return None
+        self.scanned = end
+        first, *lines = buf[:end].decode("latin-1").split("\r\n")
+        parts, pairs = first.split(), [line.partition(":") for line in lines]
+        if (len(parts) != 3 or not parts[2].startswith("HTTP/")
+                or not all(sep and key.strip() for key, sep, _ in pairs)):
+            raise _BadRequest(f"malformed request head: {first[:200]!r}")
+        headers = {key.strip().lower(): value.strip()
+                   for key, _, value in pairs}
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"bad Content-Length: {length[:50]!r}")
+        if int(length) > _MAX_BODY:
+            raise _BadRequest(f"body of {length} bytes exceeds {_MAX_BODY}",
+                              413, "body_too_large")
+        stop = end + 4 + int(length)
+        if len(buf) < stop:
+            return None
+        body = bytes(buf[end + 4:stop])
+        del buf[:stop]
+        self.scanned = 0
+        return parts[0], parts[1].split("?", 1)[0], headers, body
+
+    def await_ref(self, ref, budget: float) -> None:
+        """Answer when ``ref`` settles, or with a 504 after the grace."""
+        loop = self.loop
+
+        def settle(expired: bool = False) -> None:
+            if self.ref is not ref:
+                return  # answered already
+            try:
+                if expired:
+                    raise DeadlineExceededError(
+                        f"no answer within {budget + _GRACE:.3f}s")
+                answer = 200, {"action": np.asarray(ref.result(0)).tolist()}
+            except Exception as exc:  # noqa: BLE001 - typed below
+                answer = _error_answer(exc)
+            self.answer(*answer)
+            self.serve()
+
+        def on_done(_ref) -> None:
+            try:
+                loop.call_soon_threadsafe(settle)
+            except RuntimeError:
+                pass  # the gateway's loop is closed: nobody left to answer
+
+        self.ref = ref
+        self.timer = loop.call_later(budget + _GRACE, settle, True)
+        ref.add_done_callback(on_done)
+
+    def answer(self, status: int, payload: Dict[str, Any],
+               extra: Optional[Dict[str, str]] = None) -> None:
+        """Record the request in flight and write its whole answer."""
+        body = json.dumps(payload).encode()
+        if self.timer is not None:
+            self.timer.cancel()
+        self.busy, self.ref, self.timer = False, None, None
+        self.stats.record(status, self.loop.time() - self.t0)
+        if self.transport is None:
+            return  # the client left before its answer
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\nConnection: "
+                f"{'keep-alive' if self.keep_alive else 'close'}\r\n")
+        head += "".join(f"{k}: {v}\r\n" for k, v in (extra or {}).items())
+        self.transport.write((head + "\r\n").encode() + body)
+        if not self.keep_alive:
+            self.transport.close()
 
 
 class HttpGateway:
@@ -71,9 +215,7 @@ class HttpGateway:
                  default_deadline: float = 1.0, name: str = "gateway"):
         if default_deadline <= 0:
             raise RLGraphError("default_deadline must be > 0")
-        self.target = target
-        self.host = host
-        self.name = name
+        self.target, self.host, self.name = target, host, name
         self.default_deadline = float(default_deadline)
         self.routes: Dict[str, RouteStats] = {
             "/act": RouteStats(), "/metrics": RouteStats(),
@@ -82,43 +224,37 @@ class HttpGateway:
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._shutdown: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
+        self._connections: set = set()  # live; touched on the loop only
 
-    # -- lifecycle ----------------------------------------------------------
     def start(self) -> "HttpGateway":
         if self._thread is not None and self._thread.is_alive():
             return self
-        self._ready.clear()
-        self._startup_error = None
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=self.name)
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RLGraphError(f"{self.name}: server failed to start "
-                               f"within 10s")
-        if self._startup_error is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        loop = asyncio.new_event_loop()
+        try:
+            server = loop.run_until_complete(loop.create_server(
+                lambda: _Connection(self, loop), host=self.host,
+                port=self._requested_port))
+        except OSError as exc:
+            loop.close()
             raise RLGraphError(
-                f"{self.name}: startup failed: {self._startup_error!r}"
-            ) from self._startup_error
+                f"{self.name}: startup failed: {exc!r}") from exc
+        self._port = server.sockets[0].getsockname()[1]
+        self._loop = loop
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        args=(loop, server), name=self.name)
+        self._thread.start()
         return self
 
     def stop(self) -> None:
         thread, loop = self._thread, self._loop
         if thread is None or loop is None:
             return
-        shutdown = self._shutdown
-        if shutdown is not None:
-            try:
-                loop.call_soon_threadsafe(shutdown.set)
-            except RuntimeError:
-                pass  # loop already closed
+        try:
+            loop.call_soon_threadsafe(loop.stop)
+        except RuntimeError:
+            pass  # loop already closed
         thread.join(timeout=10.0)
-        self._thread = None
-        self._loop = None
+        self._thread = self._loop = None
 
     def __enter__(self):
         return self.start()
@@ -137,222 +273,69 @@ class HttpGateway:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+    def _run(self, loop, server) -> None:
         try:
-            loop.run_until_complete(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced in start()
-            self._startup_error = exc
-            self._ready.set()
-        finally:
-            loop.close()
-
-    async def _main(self) -> None:
-        self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.host,
-            port=self._requested_port)
-        self._port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            await self._shutdown.wait()
+            loop.run_forever()
         finally:
             server.close()
-            await server.wait_closed()
-            # Idle keep-alive connections park their handler in a read;
-            # cancel them so the loop closes clean (no destroyed tasks).
-            tasks = [task for task in asyncio.all_tasks()
-                     if task is not asyncio.current_task()]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            for conn in list(self._connections):
+                conn.transport.abort()
+            # Lets the aborted transports close their sockets first.
+            loop.run_until_complete(server.wait_closed())
+            loop.close()
 
-    # -- HTTP plumbing -------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    # -- routing (on the loop, straight from data_received) -----------------
+    def _dispatch(self, conn: _Connection, method, path, headers, body):
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                status, payload, extra = await self._dispatch(
-                    method, path, headers, body)
-                keep_alive = headers.get("connection", "") != "close"
-                await self._write_response(
-                    writer, status, payload, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            # Gateway shutdown cancelled this handler mid-read.  Exit
-            # normally instead of re-raising: 3.11's StreamReaderProtocol
-            # done-callback calls task.exception() without checking
-            # cancelled() first and would log spurious tracebacks.
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Minimal HTTP/1.1 request parser: request line, headers,
-        Content-Length body.  Returns None on a cleanly closed socket."""
-        try:
-            line = await reader.readline()
-        except (ConnectionError, OSError):
-            return None
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _BadRequest(f"malformed request line: {line!r}")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            raise _BadRequest(f"body of {length} bytes exceeds the "
-                              f"{_MAX_BODY}-byte limit")
-        body = await reader.readexactly(length) if length else b""
-        return method, path.split("?", 1)[0], headers, body
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, payload: Dict[str, Any],
-                              extra_headers: Dict[str, str],
-                              keep_alive: bool) -> None:
-        body = json.dumps(payload).encode()
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                 "Content-Type: application/json",
-                 f"Content-Length: {len(body)}",
-                 f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-        lines.extend(f"{k}: {v}" for k, v in extra_headers.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)
-        await writer.drain()
-
-    # -- routing -------------------------------------------------------------
-    async def _dispatch(self, method: str, path: str,
-                        headers: Dict[str, str], body: bytes):
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        stats = self.routes.get(path, self.routes["other"])
-        extra: Dict[str, str] = {}
-        try:
-            if path == "/act":
-                if method != "POST":
-                    status, payload = 405, {"error": "method_not_allowed"}
-                else:
-                    status, payload = await self._route_act(headers, body)
+            if path == "/act" and method == "POST":
+                conn.await_ref(*self._submit_act(headers, body))
+            elif path == "/act":
+                conn.answer(405, {"error": "method_not_allowed"})
             elif path == "/metrics":
-                status, payload = 200, self.metrics_snapshot()
+                conn.answer(200, self.metrics_snapshot())
             elif path == "/healthz":
-                status, payload = self._route_healthz()
+                conn.answer(*self._route_healthz())
             else:
-                status, payload = 404, {"error": "not_found", "path": path}
-        except OverloadError as exc:
-            status = 503
-            payload = {"error": "overload", "reason": exc.reason,
-                       "queue_depth": exc.queue_depth,
-                       "retry_after": exc.retry_after}
-            if exc.retry_after:
-                extra["Retry-After"] = f"{exc.retry_after:.3f}"
-        except ServerClosedError as exc:
-            status, payload = 503, {"error": "server_closed",
-                                    "detail": str(exc)}
-        except (DeadlineExceededError, asyncio.TimeoutError) as exc:
-            status, payload = 504, {"error": "deadline_exceeded",
-                                    "detail": str(exc)}
-        except _BadRequest as exc:
-            status, payload = 400, {"error": "bad_request",
-                                    "detail": str(exc)}
+                conn.answer(404, {"error": "not_found", "path": path})
         except Exception as exc:  # noqa: BLE001 - must answer the socket
-            status, payload = 500, {"error": "internal",
-                                    "detail": f"{type(exc).__name__}: {exc}"}
-        stats.record(status, loop.time() - t0)
-        return status, payload, extra
+            conn.answer(*_error_answer(exc))
 
     def _route_healthz(self):
-        running = True
         snapshot = getattr(self.target, "metrics_snapshot", None)
-        if callable(snapshot):
-            try:
-                running = bool(snapshot().get("running", True))
-            except Exception:  # noqa: BLE001
-                running = False
-        if running:
-            return 200, {"status": "ok"}
+        try:
+            if not callable(snapshot) or snapshot().get("running", True):
+                return 200, {"status": "ok"}
+        except Exception:  # noqa: BLE001 - a failing target is not healthy
+            pass
         return 503, {"status": "stopped"}
 
-    async def _route_act(self, headers: Dict[str, str], body: bytes):
-        try:
-            doc = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest(f"body is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "obs" not in doc:
-            raise _BadRequest('body must be a JSON object with an "obs" key')
-        try:
-            obs = np.asarray(doc["obs"], dtype=self.target.state_space.dtype)
-        except (TypeError, ValueError) as exc:
-            raise _BadRequest(f"obs is not a valid array: {exc}") from exc
-        budget = self.default_deadline
+    def _submit_act(self, headers: Dict[str, str], body: bytes):
+        """Validate an /act request and submit it: ``(ref, budget)``."""
+        try:  # JSON and Unicode decode errors are ValueErrors
+            obs = np.asarray(json.loads(body or b"{}")["obs"],
+                             dtype=self.target.state_space.dtype)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _BadRequest(f'body must be a JSON object with a valid '
+                              f'"obs" array: {exc!r}') from exc
         raw = headers.get("x-deadline-ms")
-        if raw is not None:
-            try:
-                budget = float(raw) / 1e3
-            except ValueError as exc:
-                raise _BadRequest(
-                    f"X-Deadline-Ms is not a number: {raw!r}") from exc
-            if budget <= 0:
-                raise _BadRequest("X-Deadline-Ms must be > 0")
         try:
-            ref = self.target.submit(obs, deadline=budget)
+            budget = (self.default_deadline if raw is None
+                      else float(raw) / 1e3)
+        except ValueError as exc:
+            raise _BadRequest(
+                f"X-Deadline-Ms is not a number: {raw!r}") from exc
+        if not 0 < budget < float("inf"):
+            raise _BadRequest("X-Deadline-Ms must be finite and > 0")
+        try:
+            return self.target.submit(obs, deadline=budget), budget
         except RLGraphError as exc:
             if isinstance(exc, (OverloadError, ServerClosedError)):
                 raise
             raise _BadRequest(str(exc)) from exc
-        action = await self._await_ref(ref, budget)
-        return 200, {"action": np.asarray(action).tolist()}
 
-    async def _await_ref(self, ref, budget: float):
-        """Bridge a thread-settled ObjectRef onto the event loop.
-
-        The serving front end owns the deadline (it fails the ref with
-        :class:`DeadlineExceededError` once expired); the small grace on
-        top of ``budget`` here is pure insurance against a wedged
-        backend — it converts a would-be socket hang into a 504.
-        """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-
-        def on_done(done_ref) -> None:
-            def transfer() -> None:
-                if future.done():
-                    return
-                try:
-                    future.set_result(done_ref.result(0))
-                except BaseException as exc:  # noqa: BLE001
-                    future.set_exception(exc)
-            loop.call_soon_threadsafe(transfer)
-
-        ref.add_done_callback(on_done)
-        return await asyncio.wait_for(future, timeout=budget + 1.0)
-
-    # -- observability -------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:
-        snap: Dict[str, Any] = {
-            "gateway": {route: stats.snapshot()
-                        for route, stats in self.routes.items()},
-        }
+        snap: Dict[str, Any] = {"gateway": {
+            route: stats.snapshot() for route, stats in self.routes.items()}}
         target_snapshot = getattr(self.target, "metrics_snapshot", None)
         if callable(target_snapshot):
             try:
@@ -368,16 +351,16 @@ class HttpPolicyClient:
     Mirrors :class:`PolicyClient`'s act surface over the wire;
     ``deadline_ms`` rides the ``X-Deadline-Ms`` header.  Raises the
     same typed errors the in-process path raises, so tests and benches
-    can treat both paths uniformly.  Not thread-safe — one instance
-    per driving thread (exactly like an ``http.client`` connection).
+    can treat both paths uniformly.  One socket (``TCP_NODELAY``,
+    ``timeout`` on every send and read), one ``sendall`` per request.
+    Not thread-safe — one instance per driving thread.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
                  deadline_ms: Optional[float] = None):
         self.host, self.port = host, int(port)
-        self.timeout = timeout
-        self.deadline_ms = deadline_ms
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self.timeout, self.deadline_ms = timeout, deadline_ms
+        self._sock = self._reader = None  # one keep-alive socket
 
     @classmethod
     def for_gateway(cls, gateway: HttpGateway, **kwargs
@@ -385,42 +368,59 @@ class HttpPolicyClient:
         host, port = gateway.address
         return cls(host, port, **kwargs)
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def _request(self, method: str, path: str, body=None, headers=None):
-        conn = self._connection()
+    def _request(self, method: str, path: str, body: bytes = b"",
+                 headers: str = ""):
+        message = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: {self.host}:{self.port}\r\n{headers}"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode() + body
         try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = json.loads(response.read().decode() or "{}")
-        except (ConnectionError, http.client.HTTPException, OSError):
-            # One reconnect: the gateway may have closed an idle
-            # keep-alive socket between requests.
+            return self._exchange(message)
+        except ConnectionError:
+            # One reconnect: the gateway may have closed an idle socket.
+            return self._exchange(message)
+
+    def _exchange(self, message: bytes):
+        """One request out; status line, headers and body back."""
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port),
+                                                  timeout=self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._reader = self._sock.makefile("rb")
+        try:
+            self._sock.sendall(message)
+            status = self._reader.readline()
+            headers: Dict[str, str] = {}
+            for line in iter(self._reader.readline, b"\r\n"):
+                if not line:
+                    raise ConnectionResetError("gateway closed the socket")
+                key, _, value = line.decode("latin-1").partition(":")
+                headers[key.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", "0"))
+            body = self._reader.read(length)
+            if len(body) != length:
+                raise ConnectionResetError("gateway closed the socket")
+        except BaseException:
+            self.close()  # the stream's position is unknown
+            raise
+        if headers.get("connection", "").lower() == "close":
             self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = json.loads(response.read().decode() or "{}")
-        return response.status, dict(response.getheaders()), payload
+        return (int(status.split()[1]), headers,
+                json.loads(body.decode() or "{}"))
 
     def act(self, obs, deadline_ms: Optional[float] = None):
-        headers = {"Content-Type": "application/json"}
+        headers = "Content-Type: application/json\r\n"
         budget = deadline_ms if deadline_ms is not None else self.deadline_ms
         if budget is not None:
-            headers["X-Deadline-Ms"] = f"{budget:g}"
-        body = json.dumps({"obs": np.asarray(obs).tolist()})
+            headers += f"X-Deadline-Ms: {budget:g}\r\n"
+        body = json.dumps({"obs": np.asarray(obs).tolist()}).encode()
         status, resp_headers, payload = self._request(
-            "POST", "/act", body=body, headers=headers)
+            "POST", "/act", body, headers)
         if status == 200:
             return np.asarray(payload["action"])
         if status == 503:
             retry_after = payload.get("retry_after")
             if retry_after is None:
-                header = resp_headers.get("Retry-After")
+                header = resp_headers.get("retry-after")
                 retry_after = float(header) if header else None
             raise OverloadError(
                 f"gateway returned 503: {payload}",
@@ -443,11 +443,10 @@ class HttpPolicyClient:
         return status, payload
 
     def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            finally:
-                self._conn = None
+        if self._sock is not None:
+            self._reader.close()  # it holds a reference to the socket
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self):
         return self
