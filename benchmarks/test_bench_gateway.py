@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.agents import DQNAgent
-from repro.serving import HttpGateway, PolicyServer, drive_http_load
+from repro.serving import HttpGateway, PolicyServer, drive_concurrent_load
 from repro.spaces import FloatBox, IntBox
 
 pytestmark = pytest.mark.mp_timeout(300)
@@ -68,17 +68,19 @@ def test_gateway_oversubscription(benchmark, table):
         with HttpGateway(server, default_deadline=DEADLINE_MS / 1e3) \
                 as gateway:
             for level, clients in LEVELS.items():
-                results[level] = drive_http_load(
-                    gateway, clients, DURATION, deadline_ms=DEADLINE_MS,
-                    observations=_observations(clients))
+                results[level] = drive_concurrent_load(
+                    gateway, clients, DURATION,
+                    observations=_observations(clients),
+                    tolerate_overload=True, deadline=DEADLINE_MS / 1e3)
         server.stop()
         # Ablation: same 16x oversubscription, unbounded queue.
         server = PolicyServer(_agent(), max_batch_size=16, batch_window=0.0)
         with HttpGateway(server, default_deadline=DEADLINE_MS / 1e3) \
                 as gateway:
-            results["16x-unbounded"] = drive_http_load(
-                gateway, LEVELS["16x"], DURATION, deadline_ms=DEADLINE_MS,
-                observations=_observations(LEVELS["16x"]))
+            results["16x-unbounded"] = drive_concurrent_load(
+                gateway, LEVELS["16x"], DURATION,
+                observations=_observations(LEVELS["16x"]),
+                tolerate_overload=True, deadline=DEADLINE_MS / 1e3)
         server.stop()
         return results
 

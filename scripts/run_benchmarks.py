@@ -380,7 +380,7 @@ def bench_gateway(duration: float = 0.8) -> dict:
     import numpy as np
 
     from repro.agents import DQNAgent
-    from repro.serving import HttpGateway, PolicyServer, drive_http_load
+    from repro.serving import HttpGateway, PolicyServer, drive_concurrent_load
     from repro.spaces import FloatBox, IntBox
 
     def agent():
@@ -394,10 +394,11 @@ def bench_gateway(duration: float = 0.8) -> dict:
     levels = {"1x": 2, "4x": 8, "16x": 32}
 
     def drive(gateway, clients):
-        load = drive_http_load(
-            gateway, clients, duration, deadline_ms=deadline_ms,
+        load = drive_concurrent_load(
+            gateway, clients, duration,
             observations=rng.standard_normal(
-                (clients, 8)).astype(np.float32))
+                (clients, 8)).astype(np.float32),
+            tolerate_overload=True, deadline=deadline_ms / 1e3)
         return {"clients": clients,
                 "req_per_s": round(load["req_per_s"], 1),
                 "p50_ms": round(load["p50_ms"], 3),

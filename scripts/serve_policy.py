@@ -111,7 +111,6 @@ def main(argv=None) -> int:
         InferenceWorkerPool,
         PolicyServer,
         drive_concurrent_load,
-        drive_http_load,
     )
 
     env = build_env(args.env)
@@ -164,8 +163,9 @@ def main(argv=None) -> int:
         gateway = HttpGateway(server, port=args.gateway_port,
                               default_deadline=(deadline or 30.0)).start()
         summary["gateway"] = gateway.url
-        load = drive_http_load(gateway, args.clients, args.duration,
-                               deadline_ms=args.deadline_ms or None)
+        load = drive_concurrent_load(gateway, args.clients, args.duration,
+                                     tolerate_overload=True,
+                                     deadline=deadline)
         summary.update({
             "requests": load["requests"],
             "attempts": load["attempts"],

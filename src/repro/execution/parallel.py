@@ -25,9 +25,12 @@ the executor always wins over ``env_backend``.
 
 from __future__ import annotations
 
+import logging
 from typing import Optional
 
 from repro.utils.errors import RLGraphError
+
+logger = logging.getLogger(__name__)
 
 _BACKENDS = ("thread", "process")
 
@@ -88,7 +91,7 @@ def notify_weight_listeners(listeners, weights) -> None:
     — each listener is either a callable taking the flat weight vector or
     an object with ``set_weights`` (e.g. a ``PolicyServer`` or an
     ``InferenceWorkerPool``).  Listener failures must never take down the
-    training loop; they surface as a warning on stderr instead.
+    training loop; they surface as a logged warning instead.
     """
     if not listeners:
         return
@@ -97,9 +100,7 @@ def notify_weight_listeners(listeners, weights) -> None:
         try:
             push(weights)
         except Exception as exc:  # pragma: no cover - defensive
-            import sys
-            print(f"weight listener {listener!r} failed: {exc}",
-                  file=sys.stderr)
+            logger.warning("weight listener %r failed: %s", listener, exc)
 
 
 def resolve_parallel_spec(spec) -> ParallelSpec:

@@ -140,22 +140,24 @@ class ObjectRef:
         self._lock = threading.Lock()
         self._callbacks: List[Callable[["ObjectRef"], None]] = []
 
-    def _settle(self, value, error: Optional[BaseException]) -> None:
+    def _settle(self, value, error: Optional[BaseException]) -> bool:
+        """Settle once; True when this call won (e.g. a shutdown race)."""
         with self._lock:
-            if self._event.is_set():  # first settle wins (e.g. shutdown race)
-                return
+            if self._event.is_set():
+                return False
             self._value = value
             self._error = error
             callbacks, self._callbacks = self._callbacks, []
             self._event.set()
         for callback in callbacks:
             callback(self)
+        return True
 
-    def _resolve(self, value):
-        self._settle(value, None)
+    def _resolve(self, value) -> bool:
+        return self._settle(value, None)
 
-    def _fail(self, error: BaseException):
-        self._settle(None, error)
+    def _fail(self, error: BaseException) -> bool:
+        return self._settle(None, error)
 
     def add_done_callback(self, callback: Callable[["ObjectRef"], None]):
         """Run ``callback(self)`` on completion (immediately if done)."""

@@ -1,11 +1,11 @@
 """Policy serving: dynamic micro-batching inference for trained agents.
 
-The missing half of the ROADMAP's "serve heavy traffic" goal: training
-produces weights, this package serves them to many concurrent clients.
+Training produces weights; this package serves them to many concurrent
+clients.
 
-* :class:`PolicyServer` — collects concurrent single-observation
-  requests into micro-batches (batch window + max-batch-size knobs) and
-  executes ONE compiled act call per batch.
+* :class:`PolicyServer` — collects concurrent requests into
+  micro-batches (batch window + max-batch-size knobs) and executes ONE
+  compiled act call per batch.
 * :class:`InferenceWorkerPool` — the same front end sharded over
   raylite thread/process actor replicas with least-loaded routing, plus
   an optional queue-depth autoscaler (``autoscale_spec``).
@@ -19,9 +19,12 @@ produces weights, this package serves them to many concurrent clients.
   admission (``reject`` / ``drop-oldest``), CoDel-style shedding,
   request deadlines, and the queue-depth autoscaler — all opt-in via
   ``admission_spec`` / ``default_deadline`` / ``autoscale_spec``.
-* Flat weight hot-swap (:meth:`PolicyServer.set_weights`) updates a
-  running server mid-traffic without dropping requests; executors push
-  into it via their ``weight_listeners`` hook (eval-during-training).
+* One way to count a request: every request future is settled, and its
+  outcome counted, in one place (``requests == served + errors + shed +
+  expired + closed``); server, client and gateway-route latency
+  percentiles share one bounded :class:`~repro.serving.overload.LatencyWindow`; and
+  :func:`drive_concurrent_load` is the one load driver, in process or
+  over HTTP.
 
 See ``docs/serving.md`` for the architecture, the latency/throughput
 tradeoff of the batching knobs, and the gateway's overload behavior.
@@ -39,11 +42,7 @@ from repro.serving.client import (
     drive_concurrent_load,
     resolve_retry_spec,
 )
-from repro.serving.gateway import (
-    HttpGateway,
-    HttpPolicyClient,
-    drive_http_load,
-)
+from repro.serving.gateway import HttpGateway, HttpPolicyClient
 from repro.serving.overload import (
     AdmissionSpec,
     AutoscaleSpec,
@@ -66,7 +65,6 @@ __all__ = [
     "resolve_retry_spec",
     "HttpGateway",
     "HttpPolicyClient",
-    "drive_http_load",
     "AdmissionSpec",
     "AutoscaleSpec",
     "CoDelShedder",

@@ -1,44 +1,30 @@
 """PolicyClient: a synchronous act interface over any serving target.
 
-Clients see one call — ``act(obs) -> action`` — regardless of what sits
-behind it:
-
-* an **in-process** :class:`PolicyServer` or :class:`InferenceWorkerPool`
-  (the client submits into the micro-batching mailbox and blocks on the
-  raylite-style future), or
-* a raylite :class:`PolicyServerActor` handle **across the actor
-  boundary** (thread or process replica) — the client wraps the
-  observation as a batch of one and issues ``act_batch.remote``, so an
-  executor's eval worker can query a central server without importing
-  any of its internals.
-
-``act_many(observations)`` is the vector-env call: the array goes to a
-front end as ``max_batch_size``-row block requests (one future each) and
-to an actor handle as one ``act_batch`` call — never one request per
-observation.
+Clients see one call — ``act(obs) -> action`` — whether it goes to an
+**in-process** :class:`PolicyServer` or :class:`InferenceWorkerPool`
+(submit into the micro-batching mailbox, block on the future) or to a
+raylite :class:`PolicyServerActor` handle **across the actor boundary**
+(a batch of one through ``act_batch.remote``).  ``act_many`` is the
+vector-env call: ``max_batch_size``-row blocks to a front end, one
+``act_batch`` call to an actor — never one request per observation.
 
 The client records per-request round-trip latency, which is where
 p50/p99 service latency is honestly measured (server-side numbers can't
 see queueing before ``submit`` or wake-up after resolve).
 
-Tail-latency armor (all optional, all deadline-gated):
+Every call runs under one **deadline budget** (``timeout``) that also
+propagates into the front end, so the batch loop skips the request once
+it expires.  ``retry_spec`` adds bounded, deadline-gated **retries** on
+:class:`OverloadError` and optional **hedged sends** (see
+:class:`RetrySpec`).
 
-* every call runs under one **deadline budget** (``timeout``) that also
-  propagates into the serving front end, so the batch loop can skip the
-  request once it expires instead of wasting a batch slot;
-* ``retry_spec`` adds bounded client-side **retries** on
-  :class:`OverloadError` with the supervision module's jitterless
-  exponential backoff (reused, not duplicated) — a retry that could not
-  finish inside the deadline is never attempted;
-* ``hedge_after`` (on the retry spec) adds **hedged sends**: if the
-  primary request has not resolved after that long, a duplicate is
-  issued and the first completion wins — the classic p99 cut for a
-  pure, idempotent request like policy inference.
+:func:`drive_concurrent_load` is the one closed-loop load driver, over
+a front end, a raylite policy actor or an :class:`HttpGateway`.
 """
 
 from __future__ import annotations
 
-import collections
+import threading
 import time
 from typing import List, Optional
 
@@ -46,8 +32,10 @@ import numpy as np
 
 from repro import raylite
 from repro.execution.supervision import BackoffPolicy
+from repro.serving.gateway import HttpGateway, HttpPolicyClient
 from repro.serving.overload import (
     DeadlineExceededError,
+    LatencyWindow,
     OverloadError,
 )
 from repro.utils.errors import RLGraphError
@@ -93,7 +81,7 @@ _RETRY_KEYS = {"max_retries", "hedge_after", "base_delay", "factor",
 
 
 def resolve_retry_spec(spec) -> Optional[RetrySpec]:
-    """``None``/``False`` — no retries (seed behavior).  An int —
+    """``None``/``False`` — no retries.  An int —
     ``max_retries``.  A dict may set ``max_retries``, ``hedge_after``
     and the backoff knobs.  A :class:`RetrySpec` passes through."""
     if spec is None or spec is False:
@@ -126,16 +114,14 @@ def resolve_retry_spec(spec) -> Optional[RetrySpec]:
 class PolicyClient:
     """Synchronous policy queries with client-side latency accounting."""
 
-    #: Latency samples kept for percentiles; the request *count* is
-    #: exact regardless (long-lived eval clients must not leak memory).
-    MAX_LATENCY_SAMPLES = 50_000
+    #: Latency samples kept for percentiles (the request count is exact).
+    MAX_LATENCY_SAMPLES = LatencyWindow.MAX_LATENCY_SAMPLES
 
     def __init__(self, target, timeout: Optional[float] = 30.0,
                  retry_spec=None):
         self.timeout = timeout
         self.retry = resolve_retry_spec(retry_spec)
-        self._latencies = collections.deque(maxlen=self.MAX_LATENCY_SAMPLES)
-        self._num_requests = 0
+        self._latency = LatencyWindow(self.MAX_LATENCY_SAMPLES)
         self.retries = 0
         self.hedges = 0
         submit = getattr(target, "submit", None)
@@ -165,10 +151,6 @@ class PolicyClient:
                ) -> raylite.ObjectRef:
         """Fire-and-forget: returns the action future."""
         return self._submit(obs, deadline=deadline)
-
-    def _record(self, latency: float) -> None:
-        self._num_requests += 1
-        self._latencies.append(latency)
 
     # -- the deadline-gated request path -------------------------------------
     def _await_first(self, refs, timeout: Optional[float]):
@@ -261,7 +243,7 @@ class PolicyClient:
                 attempt += 1
                 self.retries += 1
                 time.sleep(delay)
-        self._record(time.perf_counter() - t0)
+        self._latency.add(time.perf_counter() - t0)
         if self._remote:
             result = np.asarray(result)[0]
         return result
@@ -301,89 +283,97 @@ class PolicyClient:
             rem = None if deadline is None \
                 else max(deadline - time.perf_counter(), 0.0)
             parts.append(np.asarray(ref.result(rem)))
-        self._record((time.perf_counter() - t0) / len(rows))
+        self._latency.add((time.perf_counter() - t0) / len(rows))
         return list(np.concatenate(parts))
 
     # -- latency accounting --------------------------------------------------
     @property
     def num_requests(self) -> int:
-        return self._num_requests
+        return self._latency.count
 
     @property
     def latencies(self) -> np.ndarray:
-        """Recorded per-request round-trip latencies (seconds)."""
-        return np.asarray(self._latencies)
+        """The most recent per-request round-trip latencies (seconds)."""
+        return self._latency.samples
 
     def latency(self, percentile: float) -> Optional[float]:
-        if not self._latencies:
-            return None
-        return float(np.percentile(self._latencies, percentile))
+        return self._latency.percentile(percentile)
 
     def latency_stats(self) -> dict:
-        if not self._latencies:
+        samples = self.latencies
+        if not samples.size:
             return {"requests": 0}
-        arr = np.asarray(self._latencies)
         return {
-            "requests": len(arr),
-            "mean_ms": round(float(arr.mean()) * 1e3, 3),
-            "p50_ms": round(float(np.percentile(arr, 50)) * 1e3, 3),
-            "p99_ms": round(float(np.percentile(arr, 99)) * 1e3, 3),
+            "requests": self.num_requests,
+            "mean_ms": round(float(samples.mean()) * 1e3, 3),
+            "p50_ms": round(self.latency(50) * 1e3, 3),
+            "p99_ms": round(self.latency(99) * 1e3, 3),
             "retries": self.retries,
             "hedges": self.hedges,
         }
 
 
-def drive_concurrent_load(server, num_clients: int, duration: float,
+def drive_concurrent_load(target, num_clients: int, duration: float,
                           observations=None, tolerate_overload: bool = False,
-                          client_timeout: Optional[float] = None,
-                          retry_spec=None, join_timeout: float = 30.0):
-    """Closed-loop synchronous load driver (the serving benchmark shape).
+                          deadline: Optional[float] = None, retry_spec=None,
+                          join_timeout: float = 30.0):
+    """The one closed-loop load driver (serving benches, tests, CLI).
 
-    Spawns ``num_clients`` threads, each a :class:`PolicyClient` looping
-    ``act`` on its own fixed observation for ``duration`` seconds, and
-    aggregates client-side latency.  This is the one driver behind the
-    E13 bench, the tier-1 throughput acceptance, the CLI, and the CI
-    perf snapshot — measurement methodology changes land once, here.
+    ``num_clients`` threads loop ``act`` on their own observation
+    (default: sampled from the target's state space) for ``duration``
+    seconds, each through a :class:`PolicyClient` (front end or raylite
+    policy actor) or a keep-alive :class:`HttpPolicyClient` (an
+    :class:`HttpGateway`; no ``retry_spec``).  ``deadline`` is the
+    per-call budget in seconds sent to the server.  Every successful
+    call is timed into one :class:`LatencyWindow`.  Any client error
+    fails the run; with ``tolerate_overload`` typed overload (backed off
+    by its ``retry_after``) and deadline errors are counted instead.
 
-    ``observations`` is one observation per client; ``None`` samples
-    them from the server's ``state_space``.  Returns a dict with
-    ``requests``, ``req_per_s``, ``p50_ms``, ``p99_ms``, the raw
-    ``latencies`` array (seconds), plus ``stragglers`` (clients still
-    alive after the join deadline — they no longer vanish silently from
-    the stats) and ``overload_errors``.  A failing server fails the
-    measurement loudly: any client whose ``act`` raised re-raises here
-    — a perf snapshot must never average over a dying run.  With
-    ``tolerate_overload=True``, typed :class:`OverloadError` responses
-    are counted (and briefly backed off) instead of failing the run —
-    the shape overload tests and benches need.
+    Returns ``requests`` (successes), ``attempts``, ``wall_time``,
+    ``req_per_s``, ``p50_ms``/``p99_ms`` (NaN without a success),
+    ``overload_errors``, ``deadline_errors``, ``shed_rate``,
+    ``deadline_rate``, ``retries`` and ``stragglers`` (clients still
+    running after ``join_timeout``).
     """
-    import threading
-
+    http = isinstance(target, HttpGateway)
+    if http and retry_spec is not None:
+        raise RLGraphError("drive_concurrent_load: retry_spec is for "
+                           "PolicyClient targets, not an HttpGateway")
     if observations is None:
-        observations = server.state_space.sample(size=max(num_clients, 1))
-    stop = threading.Event()
-    clients = [PolicyClient(server, retry_spec=retry_spec)
-               if client_timeout is None else
-               PolicyClient(server, timeout=client_timeout,
-                            retry_spec=retry_spec)
+        space = (target.target if http else target).state_space
+        observations = space.sample(size=max(num_clients, 1))
+    budget = {} if deadline is None else (
+        {"deadline_ms": deadline * 1e3} if http else {"timeout": deadline})
+    clients = [HttpPolicyClient.for_gateway(target, **budget) if http
+               else PolicyClient(target, retry_spec=retry_spec, **budget)
                for _ in range(num_clients)]
-    client_errors: List[BaseException] = []
-    overload_counts = [0] * num_clients
+    window, stop = LatencyWindow(), threading.Event()
+    failures: List[BaseException] = []
+    overloads, expiries = [0] * num_clients, [0] * num_clients
 
     def loop(index: int) -> None:
-        obs = np.asarray(observations[index])
-        client = clients[index]
+        obs, client = np.asarray(observations[index]), clients[index]
         try:
             while not stop.is_set():
+                t0 = time.perf_counter()
                 try:
                     client.act(obs)
                 except OverloadError as exc:
                     if not tolerate_overload:
                         raise
-                    overload_counts[index] += 1
-                    stop.wait(exc.retry_after or 0.005)
+                    overloads[index] += 1
+                    stop.wait(exc.retry_after or 0.002)
+                except DeadlineExceededError:
+                    if not tolerate_overload:
+                        raise
+                    expiries[index] += 1
+                else:
+                    window.add(time.perf_counter() - t0)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
-            client_errors.append(exc)
+            failures.append(exc)
+        finally:
+            if http:
+                client.close()
 
     threads = [threading.Thread(target=loop, args=(i,), daemon=True)
                for i in range(num_clients)]
@@ -394,27 +384,26 @@ def drive_concurrent_load(server, num_clients: int, duration: float,
     stop.set()
     for thread in threads:
         thread.join(timeout=join_timeout)
-    stragglers = sum(1 for thread in threads if thread.is_alive())
     wall = time.perf_counter() - t0
-    if client_errors:
+    if failures:
         raise RLGraphError(
-            f"drive_concurrent_load: {len(client_errors)}/{num_clients} "
+            f"drive_concurrent_load: {len(failures)}/{num_clients} "
             f"clients failed mid-measurement; first error: "
-            f"{client_errors[0]!r}") from client_errors[0]
-    samples = [c.latencies for c in clients if c.num_requests]
-    if not samples:
+            f"{failures[0]!r}") from failures[0]
+    requests, overload, expired = window.count, sum(overloads), sum(expiries)
+    attempts = requests + overload + expired
+    if not attempts:
         raise RLGraphError(
             "drive_concurrent_load: no request completed within the "
-            "measurement window — the server is wedged or erroring")
-    latencies = np.concatenate(samples)
+            "measurement window — the server is wedged")
+    p50, p99 = (window.percentile(q) if requests else float("nan")
+                for q in (50, 99))
     return {
-        "requests": int(len(latencies)),
-        "wall_time": wall,
-        "req_per_s": len(latencies) / wall,
-        "p50_ms": float(np.percentile(latencies, 50)) * 1e3,
-        "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
-        "latencies": latencies,
-        "stragglers": stragglers,
-        "overload_errors": int(sum(overload_counts)),
-        "retries": int(sum(c.retries for c in clients)),
+        "requests": requests, "attempts": attempts, "wall_time": wall,
+        "req_per_s": requests / wall,
+        "p50_ms": p50 * 1e3, "p99_ms": p99 * 1e3,
+        "overload_errors": overload, "deadline_errors": expired,
+        "shed_rate": overload / attempts, "deadline_rate": expired / attempts,
+        "retries": 0 if http else sum(c.retries for c in clients),
+        "stragglers": sum(thread.is_alive() for thread in threads),
     }

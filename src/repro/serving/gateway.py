@@ -454,87 +454,3 @@ class HttpPolicyClient:
     def __exit__(self, *exc):
         self.close()
 
-
-def drive_http_load(gateway: HttpGateway, num_clients: int,
-                    duration: float, deadline_ms: Optional[float] = None,
-                    observations=None, join_timeout: float = 30.0
-                    ) -> Dict[str, Any]:
-    """Closed-loop HTTP load driver: the over-the-wire twin of
-    :func:`repro.serving.client.drive_concurrent_load`.
-
-    Spawns ``num_clients`` threads, each a keep-alive
-    :class:`HttpPolicyClient` looping ``act`` on its own observation.
-    Typed overload (503) and deadline (504) responses are counted, not
-    fatal — measuring behavior AT overload is the point.  Returns
-    ``requests`` (successes), ``attempts``, ``req_per_s``, ``p50_ms``/
-    ``p99_ms`` over successes, ``shed_rate`` (overload / attempts),
-    ``deadline_rate``, and ``stragglers``.  Any *untyped* client error
-    fails the run loudly.
-    """
-    import threading
-    import time as _time
-
-    if observations is None:
-        observations = gateway.target.state_space.sample(
-            size=max(num_clients, 1))
-    stop = threading.Event()
-    lock = threading.Lock()
-    latencies: list = []
-    counts = {"ok": 0, "overload": 0, "deadline": 0}
-    errors: list = []
-    host, port = gateway.address
-
-    def loop(index: int) -> None:
-        client = HttpPolicyClient(host, port, deadline_ms=deadline_ms)
-        obs = np.asarray(observations[index])
-        try:
-            while not stop.is_set():
-                t0 = _time.perf_counter()
-                try:
-                    client.act(obs)
-                    with lock:
-                        counts["ok"] += 1
-                        latencies.append(_time.perf_counter() - t0)
-                except OverloadError as exc:
-                    with lock:
-                        counts["overload"] += 1
-                    stop.wait(exc.retry_after or 0.002)
-                except DeadlineExceededError:
-                    with lock:
-                        counts["deadline"] += 1
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-        finally:
-            client.close()
-
-    threads = [threading.Thread(target=loop, args=(i,), daemon=True)
-               for i in range(num_clients)]
-    t0 = _time.perf_counter()
-    for thread in threads:
-        thread.start()
-    _time.sleep(duration)
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=join_timeout)
-    stragglers = sum(1 for thread in threads if thread.is_alive())
-    wall = _time.perf_counter() - t0
-    if errors:
-        raise RLGraphError(
-            f"drive_http_load: {len(errors)}/{num_clients} clients "
-            f"failed with untyped errors; first: {errors[0]!r}"
-        ) from errors[0]
-    attempts = counts["ok"] + counts["overload"] + counts["deadline"]
-    arr = np.asarray(latencies) if latencies else np.asarray([float("nan")])
-    return {
-        "requests": counts["ok"],
-        "attempts": attempts,
-        "wall_time": wall,
-        "req_per_s": counts["ok"] / wall,
-        "p50_ms": float(np.percentile(arr, 50)) * 1e3,
-        "p99_ms": float(np.percentile(arr, 99)) * 1e3,
-        "overload": counts["overload"],
-        "deadline_expired": counts["deadline"],
-        "shed_rate": counts["overload"] / attempts if attempts else 0.0,
-        "deadline_rate": counts["deadline"] / attempts if attempts else 0.0,
-        "stragglers": stragglers,
-    }

@@ -1,11 +1,9 @@
 """Overload robustness for the serving stack: admission control,
 deadlines, CoDel shedding, and queue-driven autoscaling.
 
-The micro-batching front ends (PR 5) accept every request into an
-unbounded mailbox: a traffic spike grows queueing delay without bound
-instead of failing fast — the opposite of what "heavy traffic from
-millions of users" requires.  This module is the policy layer the front
-ends and the HTTP gateway share:
+This module is the policy layer the micro-batching front ends and the
+HTTP gateway share, so that a traffic spike fails fast instead of
+growing queueing delay without bound:
 
 * **Admission control** (:class:`AdmissionSpec`): a bounded request
   queue with a configurable full-queue policy — ``"reject"`` raises a
@@ -29,6 +27,8 @@ ends and the HTTP gateway share:
   shrinks it, with a cooldown between actions so restarts/warm-ups
   never thrash.  The decision function is pure (injectable clock) so
   property tests drive it through scenarios in microseconds.
+* **Latency accounting** (:class:`LatencyWindow`): the one bounded
+  window behind every serving latency percentile.
 
 Everything here is deterministic and dependency-free; the stateful
 pieces take explicit ``now`` values so tests never sleep.
@@ -36,6 +36,7 @@ pieces take explicit ``now`` values so tests never sleep.
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
 import time
@@ -406,37 +407,73 @@ class QueueDepthAutoscaler:
 
 
 # ---------------------------------------------------------------------------
-# Per-route metrics (used by the HTTP gateway)
+# Latency accounting (server, client, load driver and gateway routes)
 # ---------------------------------------------------------------------------
-class RouteStats:
-    """Counters + latency percentiles for one gateway route
-    (thread-safe; bounded sample memory like ServerStats)."""
+class LatencyWindow:
+    """Latency samples in seconds: an exact ``count`` of all added, and
+    the most recent ``maxlen`` for percentiles (a long-running server's
+    p99 follows its current traffic, in bounded memory).  Thread-safe;
+    owners hold the reentrant :attr:`lock` to update their counters too."""
 
     MAX_LATENCY_SAMPLES = 50_000
 
+    def __init__(self, maxlen: int = MAX_LATENCY_SAMPLES):
+        self.lock = threading.RLock()
+        self.count = 0
+        self._samples = collections.deque(maxlen=maxlen)
+
+    def add(self, seconds: float) -> None:
+        with self.lock:
+            self.count += 1
+            self._samples.append(seconds)
+
+    def extend(self, seconds) -> None:
+        with self.lock:
+            self.count += len(seconds)
+            self._samples.extend(seconds)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The window's samples, oldest first."""
+        with self.lock:
+            return np.asarray(self._samples)
+
+    def percentile(self, q: float) -> Optional[float]:
+        """The ``q``-th percentile of the window (None when empty)."""
+        samples = self.samples
+        return float(np.percentile(samples, q)) if samples.size else None
+
+
+# ---------------------------------------------------------------------------
+# Per-route metrics (used by the HTTP gateway)
+# ---------------------------------------------------------------------------
+class RouteStats:
+    """Answers by status and latency percentiles for one gateway route
+    (thread-safe; ``requests`` is exact, percentiles cover the most
+    recent :class:`LatencyWindow`)."""
+
+    MAX_LATENCY_SAMPLES = LatencyWindow.MAX_LATENCY_SAMPLES
+
     def __init__(self):
-        self._lock = threading.Lock()
-        self.requests = 0
+        self._latency = LatencyWindow(self.MAX_LATENCY_SAMPLES)
         self.by_status: Dict[int, int] = {}
-        self._latencies: List[float] = []
+
+    @property
+    def requests(self) -> int:
+        return self._latency.count
 
     def record(self, status: int, latency: float) -> None:
-        with self._lock:
-            self.requests += 1
+        with self._latency.lock:
             self.by_status[status] = self.by_status.get(status, 0) + 1
-            if len(self._latencies) < self.MAX_LATENCY_SAMPLES:
-                self._latencies.append(latency)
+            self._latency.add(latency)
 
     def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            latencies = np.asarray(self._latencies)
+        with self._latency.lock:
             snap: Dict[str, Any] = {
                 "requests": self.requests,
                 "by_status": dict(sorted(self.by_status.items())),
             }
-            if latencies.size:
-                snap["p50_ms"] = round(
-                    float(np.percentile(latencies, 50)) * 1e3, 3)
-                snap["p99_ms"] = round(
-                    float(np.percentile(latencies, 99)) * 1e3, 3)
-            return snap
+            if self.requests:
+                snap["p50_ms"] = round(self._latency.percentile(50) * 1e3, 3)
+                snap["p99_ms"] = round(self._latency.percentile(99) * 1e3, 3)
+        return snap

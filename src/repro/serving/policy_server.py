@@ -1,45 +1,32 @@
 """PolicyServer: dynamic micro-batching inference over a built agent.
 
-The ROADMAP's north star is serving a trained policy to heavy concurrent
-traffic; after PRs 2-4 one compiled ``act`` call is fast, so the
-remaining win is *amortizing* it.  Many clients each hold one
-observation; executing them one by one pays the full Python dispatch +
-session overhead per request.  The server instead collects concurrent
-requests into micro-batches — up to ``max_batch_size`` observation rows,
-waiting at most ``batch_window`` seconds for stragglers — and issues ONE
-compiled ``get_greedy_actions`` call for the whole batch, then scatters
-the per-row actions back to each caller.
+Executing concurrent requests one by one pays the full Python dispatch
+and session overhead per request.  The server instead collects them into
+micro-batches — up to ``max_batch_size`` observation rows, waiting at
+most ``batch_window`` seconds for stragglers — and issues ONE compiled
+act call per batch, then scatters the per-row actions back.
 
-A request is a *block* of k >= 1 observation rows behind one future:
-``submit(obs)`` is k = 1, ``submit_block(rows)`` hands over a whole
-``(k, *state_shape)`` array (what a vector-env client holds), so the
-per-request cost — future, admission, queue hand-off — is paid once per
-block, not once per observation.  The collector packs whole blocks and
-never splits one across two batches.
+A request is a *block* of k >= 1 observation rows behind one future
+(``submit(obs)`` is k = 1, ``submit_block(rows)`` hands over a whole
+``(k, *state_shape)`` array), so the per-request cost — future,
+admission, queue hand-off — is paid once per block.  The collector packs
+whole blocks and never splits one across two batches.
 
-Request/response plumbing deliberately reuses raylite's mailbox
-machinery rather than growing a parallel future type: requests queue in
-a ``queue.Queue`` exactly like an actor mailbox, and every pending
-request is a :class:`raylite.ObjectRef` — the same event-driven future
-clients already know from ``.remote()`` calls (``ref.result()`` blocks,
-``add_done_callback`` composes).
-
-Weight hot-swap rides the same mailbox: :meth:`PolicyServer.set_weights`
-enqueues a control item carrying the flat weight vector (PR 4's
-zero-copy sync path), and the batching loop applies it *between*
-batches — a running server updates mid-traffic without dropping or
-corrupting a single request.
+Requests queue in a ``queue.Queue`` like an actor mailbox, and each is a
+:class:`raylite.ObjectRef` — the future clients already know from
+``.remote()`` calls.  Weight hot-swap (:meth:`PolicyServer.set_weights`)
+rides the same mailbox and applies *between* batches, so a running
+server updates mid-traffic without dropping or corrupting a request.
 
 Batch shapes are quantized to power-of-two buckets (``pad_batches``) so
-the backend sees a handful of recurring batch sizes instead of an
-arbitrary one per window; each bucket's compiled act plan and its NumPy
-allocations are warmed once at :meth:`start`, keeping tail latency flat
-from the first request on.
+the backend sees a handful of recurring batch sizes; each bucket's act
+plan is warmed once at :meth:`start`, keeping tail latency flat from the
+first request on.
 """
 
 from __future__ import annotations
 
-import collections
+import logging
 import queue
 import threading
 import time
@@ -50,6 +37,7 @@ import numpy as np
 from repro.raylite import ObjectRef
 from repro.serving.overload import (
     DeadlineExceededError,
+    LatencyWindow,
     OverloadError,
     ServerClosedError,
     deadline_from_budget,
@@ -57,109 +45,69 @@ from repro.serving.overload import (
 )
 from repro.utils.errors import RLGraphError
 
+logger = logging.getLogger(__name__)
+
 
 class ServerStats:
     """Row/batch counters and latency percentiles (thread-safe).
 
-    Counters count observation *rows* (a k-row block request adds k);
-    latency keeps one sample per request, over the most recent
-    ``MAX_LATENCY_SAMPLES`` requests.
+    Counters count observation *rows* (a k-row block request adds k).
+    Every admitted row ends in exactly one outcome, so once traffic has
+    settled ``requests == served + errors + shed + expired + closed``
+    (``served`` is the batch-size histogram's row total; ``rejected``
+    rows were never admitted).  Latency keeps one sample per served
+    request in a :class:`LatencyWindow`.
     """
 
-    MAX_LATENCY_SAMPLES = 50_000
+    MAX_LATENCY_SAMPLES = LatencyWindow.MAX_LATENCY_SAMPLES
+    COUNTERS = ("requests", "batches", "errors", "rejected", "shed",
+                "expired", "closed", "retries", "weight_swaps",
+                "weight_swap_failures")
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.batches = 0
-        self.errors = 0
-        self.weight_swaps = 0
-        self.weight_swap_failures = 0
+        self._latency = LatencyWindow(self.MAX_LATENCY_SAMPLES)
+        self._lock = self._latency.lock  # one lock per served batch
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self.max_batch = 0
-        self.rejected = 0
-        self.shed = 0
-        self.expired = 0
-        self.retries = 0
-        self._batched_requests = 0
         self._batch_hist: Dict[int, int] = {}
-        self._latencies = collections.deque(maxlen=self.MAX_LATENCY_SAMPLES)
 
     def record_batch(self, size: int, latencies) -> None:
+        """The served outcome: one batch of ``size`` rows answered."""
         with self._lock:
             self.batches += 1
-            self._batched_requests += size
             self.max_batch = max(self.max_batch, size)
             self._batch_hist[size] = self._batch_hist.get(size, 0) + 1
-            self._latencies.extend(latencies)
+            self._latency.extend(latencies)
 
-    def record_submit(self, count: int = 1) -> None:
+    def count(self, name: str, rows: int = 1) -> None:
+        """Add ``rows`` to the counter ``name`` (one of ``COUNTERS``)."""
         with self._lock:
-            self.requests += count
-
-    def record_error(self, count: int = 1) -> None:
-        with self._lock:
-            self.errors += count
-
-    def record_reject(self, count: int = 1) -> None:
-        with self._lock:
-            self.rejected += count
-
-    def record_shed(self, count: int = 1) -> None:
-        with self._lock:
-            self.shed += count
-
-    def record_expired(self, count: int = 1) -> None:
-        with self._lock:
-            self.expired += count
-
-    def record_retry(self, count: int = 1) -> None:
-        with self._lock:
-            self.retries += count
+            setattr(self, name, getattr(self, name) + rows)
 
     @property
     def batch_size_histogram(self) -> Dict[int, int]:
         with self._lock:
             return dict(sorted(self._batch_hist.items()))
 
-    def record_swap(self) -> None:
-        with self._lock:
-            self.weight_swaps += 1
-
-    def record_swap_failure(self) -> None:
-        with self._lock:
-            self.weight_swap_failures += 1
-
     @property
     def mean_batch_size(self) -> float:
         with self._lock:
-            return (self._batched_requests / self.batches
-                    if self.batches else 0.0)
+            served = sum(k * v for k, v in self._batch_hist.items())
+            return served / self.batches if self.batches else 0.0
 
     def latency(self, percentile: float) -> Optional[float]:
         """Latency percentile in seconds (None before any request)."""
-        with self._lock:
-            if not self._latencies:
-                return None
-            return float(np.percentile(self._latencies, percentile))
+        return self._latency.percentile(percentile)
 
     def as_dict(self) -> Dict[str, Any]:
         p50, p99 = self.latency(50), self.latency(99)
         with self._lock:
             return {
-                "requests": self.requests,
-                "batches": self.batches,
-                "errors": self.errors,
-                "rejected": self.rejected,
-                "shed": self.shed,
-                "expired": self.expired,
-                "retries": self.retries,
-                "weight_swaps": self.weight_swaps,
-                "weight_swap_failures": self.weight_swap_failures,
-                "mean_batch_size": round(
-                    self._batched_requests / self.batches, 2)
-                    if self.batches else 0.0,
+                **{name: getattr(self, name) for name in self.COUNTERS},
+                "mean_batch_size": round(self.mean_batch_size, 2),
                 "max_batch_size": self.max_batch,
-                "batch_size_histogram": dict(sorted(self._batch_hist.items())),
+                "batch_size_histogram": self.batch_size_histogram,
                 "p50_latency_ms": round(p50 * 1e3, 3) if p50 else None,
                 "p99_latency_ms": round(p99 * 1e3, 3) if p99 else None,
             }
@@ -231,12 +179,28 @@ def bucket_sizes(max_batch_size: int):
     return sorted(sizes)
 
 
+def warm_up(agent, act, sizes) -> None:
+    """Prime an agent's serving ``act`` once per batch size, so no live
+    request pays first-call latency.  The synthetic traffic leaves the
+    timestep counter (and any exploration schedule) as it was."""
+    before = agent.timesteps
+    zeros = agent.state_space.zeros
+    for size in sizes:
+        act(zeros(size=size))
+    agent.timesteps = before
+
+
 class _BatchingFrontEnd:
     """Shared micro-batching front end (mailbox + collector loop).
 
     Subclasses implement :meth:`_dispatch` (execute one collected batch)
-    and :meth:`_apply_weights` (the between-batches hot swap).
+    and :meth:`_apply_weights` (the between-batches hot swap), and set
+    ``pad_batches``.  :meth:`_settle` settles and counts every request.
     """
+
+    #: Exploratory serving never pads: each phantom row would advance
+    #: the exploration schedule and burn RNG draws (greedy rows are free).
+    explore = False
 
     def __init__(self, state_space, max_batch_size: int = 32,
                  batch_window: float = 0.002, name: str = "policy-server",
@@ -288,28 +252,31 @@ class _BatchingFrontEnd:
 
     def stop(self) -> None:
         """Drain-and-stop: requests already queued are still served (the
-        sentinel sits behind them in the mailbox), new submits fail with
-        a typed :class:`ServerClosedError` *synchronously*.  A request
-        that raced past the submit-time check while stop ran is failed
-        here with the same typed error immediately — its caller's
-        ``ref.result()`` raises right away rather than hanging until
-        the client timeout."""
+        sentinel sits behind them in the mailbox); new submits fail
+        synchronously with a typed :class:`ServerClosedError`, and one
+        that raced the stop fails with it at once instead of hanging
+        until its client's timeout."""
         if self._thread is None:
             return
         self._stopped.set()
         self._mailbox.put(_STOP)
         self._thread.join(timeout=30.0)
         self._thread = None
+        self._close_mailbox()
+
+    def _close_mailbox(self) -> None:
+        """Fail everything left in the mailbox with ServerClosedError."""
         while True:
             try:
                 item = self._mailbox.get_nowait()
             except queue.Empty:
-                break
+                return
+            closed = ServerClosedError(f"{self.name}: server is not running")
             if isinstance(item, _Request):
                 self._depth_add(-item.rows)
-            if isinstance(item, (_Request, _Control)):
-                item.ref._fail(ServerClosedError(
-                    f"{self.name}: server is not running"))
+                self._settle(item, "closed", closed)
+            elif isinstance(item, _Control):
+                item.ref._fail(closed)
 
     def __enter__(self):
         return self.start()
@@ -319,6 +286,20 @@ class _BatchingFrontEnd:
 
     def _warm_up(self) -> None:  # pragma: no cover - overridden
         pass
+
+    # -- the one settle path -------------------------------------------------
+    def _settle(self, req: _Request, outcome: str, value) -> bool:
+        """Resolve ``req``'s future with ``value`` (``outcome`` is
+        ``"served"``; :meth:`_scatter` counts served rows per batch) or
+        fail it with ``value`` and count its rows under the ServerStats
+        counter ``outcome`` — only if this call settled it (a stop can
+        race the batch loop).  Returns whether it did."""
+        if outcome == "served":
+            return req.ref._resolve(value)
+        won = req.ref._fail(value)
+        if won:
+            self.stats.count(outcome, req.rows)
+        return won
 
     # -- queue-depth accounting ----------------------------------------------
     def _depth_add(self, rows: int) -> None:
@@ -348,7 +329,7 @@ class _BatchingFrontEnd:
                 self._depth = depth + rows
                 return
         if self.admission.policy == "reject":
-            self.stats.record_reject(rows)
+            self.stats.count("rejected", rows)
             raise OverloadError(
                 f"{self.name}: request queue is full "
                 f"({depth}+{rows}/{max_queue} rows); retry after "
@@ -369,8 +350,7 @@ class _BatchingFrontEnd:
                 continue
             depth -= item.rows
             self._depth_add(-item.rows)
-            self.stats.record_shed(item.rows)
-            item.ref._fail(OverloadError(
+            self._settle(item, "shed", OverloadError(
                 f"{self.name}: dropped as oldest queued request under "
                 f"overload (queue limit {max_queue} rows)",
                 queue_depth=depth, retry_after=self.admission.retry_after,
@@ -428,20 +408,17 @@ class _BatchingFrontEnd:
         now = time.perf_counter()
         if deadline is None:
             deadline = self.default_deadline
-        ref = ObjectRef()
-        self.stats.record_submit(len(rows))
-        self._mailbox.put(_Request(
-            rows, ref, now, deadline_from_budget(deadline, now), single))
+        req = _Request(rows, ObjectRef(), now,
+                       deadline_from_budget(deadline, now), single)
+        self.stats.count("requests", req.rows)
+        self._mailbox.put(req)
         # Re-check after the put: a stop() racing this submit may have
         # already drained the mailbox, leaving the request unread.
-        # Settle-once semantics make this safe — if the loop (or the
-        # stop-drain) did handle it, this _fail is a no-op.
         thread = self._thread
         if self._stopped.is_set() and (thread is None
                                        or not thread.is_alive()):
-            ref._fail(ServerClosedError(
-                f"{self.name}: server is not running"))
-        return ref
+            self._close_mailbox()
+        return req.ref
 
     def act(self, obs, timeout: Optional[float] = None,
             deadline: Optional[float] = None):
@@ -519,26 +496,24 @@ class _BatchingFrontEnd:
                 try:
                     self._dispatch(requests)
                 except BaseException as exc:
-                    self.stats.record_error(num_rows(requests))
                     for req in requests:
-                        req.ref._fail(exc)
+                        self._settle(req, "errors", exc)
             # Controls apply BETWEEN batches: the swap never tears a
             # batch that was already being assembled.
             for control in controls:
                 try:
                     self._apply_weights(control.value)
-                    self.stats.record_swap()
+                    self.stats.count("weight_swaps")
                     control.ref._resolve(True)
                 except BaseException as exc:
                     # Most swap callers are fire-and-forget (executor
                     # weight_listeners): failing only the ref would be
                     # silent, leaving the server on stale weights with
                     # no trace — count it and warn loudly as well.
-                    self.stats.record_swap_failure()
-                    import sys
-                    print(f"{self.name}: weight hot-swap FAILED, still "
-                          f"serving previous weights: {exc}",
-                          file=sys.stderr)
+                    self.stats.count("weight_swap_failures")
+                    logger.warning("%s: weight hot-swap FAILED, still "
+                                   "serving previous weights: %s",
+                                   self.name, exc)
                     control.ref._fail(exc)
 
     def _filter_admitted(self, requests: List[_Request]) -> List[_Request]:
@@ -557,8 +532,7 @@ class _BatchingFrontEnd:
         admitted: List[_Request] = []
         for req in requests:
             if req.deadline is not None and now >= req.deadline:
-                self.stats.record_expired(req.rows)
-                req.ref._fail(DeadlineExceededError(
+                self._settle(req, "expired", DeadlineExceededError(
                     f"{self.name}: deadline expired after "
                     f"{now - req.t_submit:.4f}s in queue (budget "
                     f"{req.deadline - req.t_submit:.4f}s) — request was "
@@ -569,8 +543,7 @@ class _BatchingFrontEnd:
             if self._shedder is not None and self._shedder.on_dequeue(
                     now - req.t_submit, now=now,
                     queue_depth=backlog):
-                self.stats.record_shed(req.rows)
-                req.ref._fail(OverloadError(
+                self._settle(req, "shed", OverloadError(
                     f"{self.name}: shed after {now - req.t_submit:.4f}s "
                     f"queueing delay (CoDel target "
                     f"{self._shedder.target:.4f}s)",
@@ -613,7 +586,7 @@ class _BatchingFrontEnd:
         obs = (requests[0].obs if len(requests) == 1
                else np.concatenate([r.obs for r in requests]))
         n = len(obs)
-        if self.pad_batches:
+        if self.pad_batches and not self.explore:
             target = bucket_size(n, self.max_batch_size)
             if target > n:
                 pad = np.broadcast_to(obs[-1], (target - n,) + obs.shape[1:])
@@ -622,16 +595,20 @@ class _BatchingFrontEnd:
 
     def _scatter(self, requests: List[_Request], actions) -> None:
         """Resolve each request's future with its slice of the batch's
-        actions (rows past the last request are bucket padding)."""
+        actions (rows past the last request are bucket padding), and
+        record the rows and latencies of the requests this served."""
         actions = np.asarray(actions)
         now = time.perf_counter()
-        lo = 0
+        lo = served = 0
+        latencies = []
         for req in requests:
             hi = lo + req.rows
-            req.ref._resolve(actions[lo] if req.single else actions[lo:hi])
+            if self._settle(req, "served",
+                            actions[lo] if req.single else actions[lo:hi]):
+                served += req.rows
+                latencies.append(now - req.t_submit)
             lo = hi
-        self.stats.record_batch(
-            lo, [now - r.t_submit for r in requests])
+        self.stats.record_batch(served, latencies)
 
 
 class PolicyServer(_BatchingFrontEnd):
@@ -662,11 +639,7 @@ class PolicyServer(_BatchingFrontEnd):
             raise RLGraphError("PolicyServer needs a built agent")
         self.agent = agent
         self.explore = explore
-        # Padding feeds phantom duplicate rows through the act call; on
-        # the greedy path that is free, but with explore=True each
-        # phantom row would advance the exploration schedule and burn
-        # RNG draws — so exploratory serving never pads.
-        self.pad_batches = pad_batches and not explore
+        self.pad_batches = pad_batches
         self._act = agent.serving_act_fn(explore=explore)
         super().__init__(agent.state_space, max_batch_size=max_batch_size,
                          batch_window=batch_window, name=name,
@@ -674,15 +647,7 @@ class PolicyServer(_BatchingFrontEnd):
                          default_deadline=default_deadline)
 
     def _warm_up(self) -> None:
-        """Prime the compiled act plan and its allocations for every
-        batch bucket, so no live request pays first-call latency.
-        Warm-up traffic is synthetic: the agent's timestep counter (and
-        with it any exploration schedule) is restored afterwards."""
-        before = self.agent.timesteps
-        zeros = self.state_space.zeros
-        for size in bucket_sizes(self.max_batch_size):
-            self._act(zeros(size=size))
-        self.agent.timesteps = before
+        warm_up(self.agent, self._act, bucket_sizes(self.max_batch_size))
 
     def _dispatch(self, requests: List[_Request]) -> None:
         obs = self._stack(requests)

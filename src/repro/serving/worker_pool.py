@@ -19,12 +19,13 @@ Weight hot-swap broadcasts the flat vector to every replica through the
 normal actor mailboxes — FIFO per actor guarantees each replica applies
 it between its own batches, so a mid-traffic swap is exactly as safe as
 the single-server case (and ships one shared-memory block per process
-replica, PR 4's invariant).
+replica).
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import threading
 from typing import Callable, List, Optional
 
@@ -43,8 +44,11 @@ from repro.serving.policy_server import (
     _Request,
     bucket_sizes,
     num_rows,
+    warm_up,
 )
 from repro.utils.errors import RLGraphError
+
+logger = logging.getLogger(__name__)
 
 # How many times one request may ride a crashed-replica batch before its
 # future fails (each retry lands on a different, live replica).
@@ -77,14 +81,8 @@ class PolicyServerActor:
         return np.asarray(actions)
 
     def warm_up(self, sizes) -> int:
-        """Prime the compiled act plan per batch bucket.  Warm-up is
-        synthetic traffic: the timestep counter (exploration schedule)
-        is restored afterwards, mirroring PolicyServer._warm_up."""
-        before = self.agent.timesteps
-        zeros = self.agent.state_space.zeros
-        for size in sizes:
-            self._act(zeros(size=size))
-        self.agent.timesteps = before
+        """Prime the compiled act plan per batch bucket."""
+        warm_up(self.agent, self._act, sizes)
         return 0
 
     def set_weights(self, weights) -> int:
@@ -122,9 +120,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             raise RLGraphError("num_replicas must be >= 1")
         from repro.spaces.space_utils import space_from_spec
         self.pad_batches = pad_batches
+        self.explore = explore
         self.parallel = resolve_parallel_spec(parallel_spec)
         self._agent_factory = agent_factory
-        self._explore = explore
         # The last hot-swapped weight vector: a restarted replica must
         # rejoin at the CURRENT version, not its factory-fresh init.
         self._current_weights = None
@@ -139,7 +137,6 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         self.autoscale = resolve_autoscale_spec(autoscale_spec)
         self.autoscaler = (QueueDepthAutoscaler(self.autoscale)
                            if self.autoscale is not None else None)
-        self._inflight: set = set()
         self._inflight_lock = threading.Lock()
         self._inflight_drained = threading.Event()
         self._inflight_drained.set()
@@ -161,7 +158,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
 
     def _replica_factory(self, index: int) -> ReplicaFactory:
         return ReplicaFactory(self.parallel, PolicyServerActor,
-                              self._agent_factory, self._explore, index)
+                              self._agent_factory, self.explore, index)
 
     # -- batching hooks ------------------------------------------------------
     def _warm_up(self) -> None:
@@ -231,9 +228,8 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             # A failed grow is a missed opportunity, not an outage:
             # existing replicas keep serving; the controller's cooldown
             # already spaces out the next attempt.
-            import sys
-            print(f"{self.name}: scale-up failed, staying at "
-                  f"{len(self.replicas)} replicas: {exc}", file=sys.stderr)
+            logger.warning("%s: scale-up failed, staying at %d "
+                           "replicas: %s", self.name, len(self.replicas), exc)
             return
         self.replicas.append(self.supervisor.register(
             f"{self.name}-replica-{index}", handle, factory,
@@ -286,7 +282,6 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             self._handle_failed_batch(requests, exc)
             return
         with self._inflight_lock:
-            self._inflight.add(ref.id)
             self._inflight_requests += num_rows(requests)
             self._inflight_drained.clear()
         ref.add_done_callback(
@@ -294,17 +289,19 @@ class InferenceWorkerPool(_BatchingFrontEnd):
 
     def _on_batch_done(self, requests: List[_Request],
                        ref: raylite.ObjectRef) -> None:
-        with self._inflight_lock:
-            self._inflight.discard(ref.id)
-            self._inflight_requests -= num_rows(requests)
-            if not self._inflight:
-                self._inflight_drained.set()
+        # Settle (or re-queue) before leaving the in-flight count: once
+        # stop() has seen it drain, every outcome is counted.
         try:
             actions = ref.result(timeout=0)
         except Exception as exc:
             self._handle_failed_batch(requests, exc)
-            return
-        self._scatter(requests, actions)
+        else:
+            self._scatter(requests, actions)
+        finally:
+            with self._inflight_lock:
+                self._inflight_requests -= num_rows(requests)
+                if not self._inflight_requests:
+                    self._inflight_drained.set()
 
     def _handle_failed_batch(self, requests: List[_Request],
                              exc: Exception) -> None:
@@ -312,24 +309,20 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         the requests, blocks whole (the collector routes them to a live
         replica — zero rows dropped by a crash); a request out of
         attempts resolves with a typed ``replica_lost`` overload error
-        (503 + retry-after at the gateway).  Unsupervised pools keep the
-        seed behavior and fail them with the raw error."""
+        (503 + retry-after at the gateway).  Unsupervised pools fail
+        them with the raw error."""
         if not self.supervisor.spec.enabled or self._stopped.is_set():
-            self.stats.record_error(num_rows(requests))
             for req in requests:
-                req.ref._fail(exc)
+                self._settle(req, "errors", exc)
             return
         for req in requests:
             if req.attempts < _MAX_DISPATCH_ATTEMPTS:
-                # No record_submit: the request was already counted.
-                # It does count as a retry (and re-enters the queue
-                # depth) — the metrics must show crash-induced
-                # re-dispatches.
-                self.stats.record_retry(req.rows)
+                # Counted as a retry, not a new request: the metrics must
+                # show crash-induced re-dispatches.
+                self.stats.count("retries", req.rows)
                 self._depth_add(req.rows)
                 self._mailbox.put(req)
             else:
-                self.stats.record_error(req.rows)
                 lost = OverloadError(
                     f"{self.name}: request lost its replica "
                     f"{req.attempts} times: {exc!r}",
@@ -337,7 +330,7 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                     retry_after=self.admission.retry_after,
                     reason="replica_lost")
                 lost.__cause__ = exc
-                req.ref._fail(lost)
+                self._settle(req, "errors", lost)
 
     def _apply_weights(self, weights) -> None:
         """Broadcast the swap to every replica (FIFO per actor mailbox
@@ -353,8 +346,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         super().stop()
         # The collector has drained; wait for batches already dispatched
         # to replicas, so every accepted request is answered before the
-        # replicas are reaped (the front end's drain-and-stop contract).
+        # replicas are reaped, then close what a lost batch re-queued.
         self._inflight_drained.wait(timeout=30.0)
+        self._close_mailbox()
         if kill_replicas:
             for replica in self.replicas:
                 self.supervisor.kill(replica)

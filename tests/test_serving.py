@@ -15,13 +15,18 @@ import pytest
 from repro import raylite
 from repro.agents import ActorCriticAgent, DQNAgent, SACAgent
 from repro.serving import (
+    DeadlineExceededError,
+    HttpGateway,
     InferenceWorkerPool,
+    OverloadError,
     PolicyClient,
     PolicyServer,
     PolicyServerActor,
+    ServerClosedError,
     bucket_size,
     drive_concurrent_load,
 )
+from repro.serving.overload import RouteStats
 from repro.serving.policy_server import ServerStats
 from repro.spaces import FloatBox, IntBox
 from repro.utils.errors import RLGraphError
@@ -316,29 +321,38 @@ class TestBlockRequestParity:
 
 
 class TestLatencyWindow:
-    """Latency buffers keep the most RECENT window (they used to stop
-    recording once full, freezing p50/p99 at their start-up values)."""
+    """Latency windows keep the most RECENT samples for each of their
+    three owners (they used to stop recording once full, freezing
+    p50/p99 at their start-up values), and the request counts stay
+    exact."""
 
-    def test_server_percentiles_follow_recent_traffic(self):
-        stats = ServerStats()
-        cap = ServerStats.MAX_LATENCY_SAMPLES
-        stats.record_batch(32, [0.001] * cap)
-        stats.record_batch(32, [1.0] * (cap + 7))
-        assert stats.latency(50) == 1.0
-        assert stats.as_dict()["p50_latency_ms"] == 1000.0
-        assert stats.batches == 2           # exact counters unchanged
-
-    def test_client_percentiles_follow_recent_traffic(self):
-        handle = raylite.remote(PolicyServerActor).remote(_dqn_factory)
-        client = PolicyClient(handle)
-        cap = PolicyClient.MAX_LATENCY_SAMPLES
-        for _ in range(cap):
-            client._record(0.001)
-        for _ in range(cap + 7):
-            client._record(1.0)
-        assert client.latency(50) == 1.0
-        assert len(client.latencies) == cap
-        assert client.num_requests == 2 * cap + 7
+    @pytest.mark.parametrize("owner", [ServerStats, PolicyClient,
+                                       RouteStats],
+                             ids=["server", "client", "route"])
+    def test_percentiles_follow_recent_traffic(self, owner):
+        cap = owner.MAX_LATENCY_SAMPLES
+        latencies = [0.001] * cap + [1.0] * (cap + 7)
+        if owner is ServerStats:
+            stats = ServerStats()
+            stats.record_batch(32, latencies[:cap])
+            stats.record_batch(32, latencies[cap:])
+            assert stats.latency(50) == 1.0
+            assert stats.as_dict()["p50_latency_ms"] == 1000.0
+            assert stats.batches == 2           # exact counters unchanged
+        elif owner is PolicyClient:
+            handle = raylite.remote(PolicyServerActor).remote(_dqn_factory)
+            client = PolicyClient(handle)
+            for latency in latencies:
+                client._latency.add(latency)
+            assert client.latency(50) == 1.0
+            assert len(client.latencies) == cap
+            assert client.num_requests == 2 * cap + 7
+        else:
+            route = RouteStats()
+            for latency in latencies:
+                route.record(200, latency)
+            assert route.snapshot()["p50_ms"] == 1000.0
+            assert route.requests == 2 * cap + 7
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +407,20 @@ class TestHotSwap:
         assert served == _greedy_reference(donor, probe)
         server.stop()
 
-    def test_failed_swap_is_counted_and_server_keeps_serving(self):
+    def test_failed_swap_is_counted_and_server_keeps_serving(self, caplog):
         """A bad weight push (wrong layout) must fail loudly — counted
-        in stats, ref failed — while the server keeps serving the
-        previous weights (fire-and-forget pushers would otherwise never
-        notice)."""
+        in stats, logged, ref failed — while the server keeps serving
+        the previous weights (fire-and-forget pushers would otherwise
+        never notice)."""
         server = PolicyServer(_dqn(seed=3), max_batch_size=4)
         probe = _obs_stream(3, seed=2)
         before = [int(server.act(o)) for o in probe]
         ref = server.set_weights(np.zeros(7, np.float32))  # wrong size
         with pytest.raises(Exception):
             ref.result(timeout=10)
+        assert [(r.name, r.levelname) for r in caplog.records
+                if "hot-swap FAILED" in r.getMessage()] == [
+            ("repro.serving.policy_server", "WARNING")]
         assert server.stats.as_dict()["weight_swap_failures"] == 1
         assert server.stats.as_dict()["weight_swaps"] == 0
         assert [int(server.act(o)) for o in probe] == before
@@ -459,6 +476,194 @@ class TestWorkerPool:
     def test_client_rejects_non_target(self):
         with pytest.raises(RLGraphError, match="neither"):
             PolicyClient(object())
+
+    def test_exploratory_pool_never_pads(self):
+        """Like an exploratory PolicyServer, an exploratory pool never
+        pads: a phantom row would advance the replica's exploration
+        schedule and count as served."""
+        pool = InferenceWorkerPool(
+            _dqn_factory, FloatBox(shape=(STATE_DIM,)), num_replicas=1,
+            max_batch_size=8, explore=True, parallel_spec="thread")
+        try:
+            assert len(pool.submit_block(_obs_stream(3)).result(10.0)) == 3
+            assert pool.replica_stats() == [
+                {"batches_served": 1, "requests_served": 3}]
+        finally:
+            pool.stop()
+
+
+# ---------------------------------------------------------------------------
+# Request conservation: every admitted row ends in exactly one outcome
+# ---------------------------------------------------------------------------
+def _outcome(ref) -> str:
+    """The ServerStats counter a settled request's client outcome
+    belongs to."""
+    try:
+        ref.result(0)
+    except OverloadError as exc:
+        return "errors" if exc.reason == "replica_lost" else "shed"
+    except DeadlineExceededError:
+        return "expired"
+    except ServerClosedError:
+        return "closed"
+    except Exception:  # noqa: BLE001 - a failed batch
+        return "errors"
+    return "served"
+
+
+def _conservation_run(front, seed, stop_at, kill=None, submitters=4):
+    """Open-loop random traffic (singles and blocks, random deadlines),
+    ``kill()`` a third of the way in, ``front.stop()`` at ``stop_at``
+    while submitters keep going; then check that every future settled
+    exactly once and the counters add up."""
+    lock = threading.Lock()
+    submitted, settles = [], {}
+    rejected = [0]
+    done = threading.Event()
+
+    def on_settle(ref):
+        with lock:
+            settles[ref.id] = settles.get(ref.id, 0) + 1
+
+    def submitter(index):
+        rng = np.random.default_rng([seed, index])
+        while not done.is_set():
+            rows = int(rng.integers(1, 5))
+            budget = (None, 0.0005, 0.003, 0.05)[int(rng.integers(4))]
+            obs = rng.standard_normal((rows, STATE_DIM)).astype(np.float32)
+            try:
+                ref = (front.submit(obs[0], deadline=budget) if rows == 1
+                       else front.submit_block(obs, deadline=budget))
+            except OverloadError:
+                with lock:
+                    rejected[0] += rows
+            except ServerClosedError:
+                pass
+            else:
+                ref.add_done_callback(on_settle)
+                with lock:
+                    submitted.append((ref, rows))
+            if rng.random() < 0.3:
+                time.sleep(0.0005)
+
+    threads = [threading.Thread(target=submitter, args=(i,), daemon=True)
+               for i in range(submitters)]
+    for thread in threads:
+        thread.start()
+    if kill is not None:
+        time.sleep(stop_at / 3)
+        kill()
+    time.sleep(stop_at * (2 / 3 if kill is not None else 1))
+    front.stop()
+    time.sleep(0.05)
+    done.set()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    refs = [ref for ref, _ in submitted]
+    _, pending = raylite.wait(refs, num_returns=len(refs), timeout=30.0)
+    assert not pending, f"{len(pending)} futures never settled"
+    assert all(settles.get(ref.id) == 1 for ref in refs)
+    stats = front.stats.as_dict()
+    outcomes = {"served": 0, "errors": 0, "shed": 0, "expired": 0,
+                "closed": 0}
+    for ref, rows in submitted:
+        outcomes[_outcome(ref)] += rows
+    served = sum(k * v for k, v in stats["batch_size_histogram"].items())
+    assert stats["requests"] == sum(rows for _, rows in submitted)
+    assert stats["requests"] == (served + stats["errors"] + stats["shed"]
+                                 + stats["expired"] + stats["closed"])
+    assert outcomes == {"served": served, **{
+        key: stats[key] for key in ("errors", "shed", "expired", "closed")}}
+    assert stats["rejected"] == rejected[0]
+    return stats
+
+
+class TestRequestConservation:
+    """requests == served + errors + shed + expired + closed, and the
+    rejected counter matches the OverloadErrors raised at submit, under
+    admission, CoDel, short deadlines and a stop mid-traffic."""
+
+    ADMISSION = {"max_queue": 24, "codel_target": 0.0005,
+                 "codel_interval": 0.005, "retry_after": 0.001}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("policy", ["reject", "drop-oldest"])
+    def test_server_counts_every_request_once(self, policy, seed):
+        server = PolicyServer(_dqn(), max_batch_size=8, batch_window=0.001,
+                              admission_spec=dict(self.ADMISSION,
+                                                  policy=policy))
+        stats = _conservation_run(server, seed, stop_at=0.3)
+        assert stats["shed"] + stats["expired"] + stats["rejected"] > 0
+
+    @pytest.mark.chaos
+    def test_pool_with_a_killed_replica_counts_every_request_once(self):
+        pool = InferenceWorkerPool(
+            _dqn_factory, FloatBox(shape=(STATE_DIM,)), num_replicas=2,
+            max_batch_size=8, batch_window=0.001, parallel_spec="thread",
+            supervision_spec={"base_delay": 0.01},
+            admission_spec=dict(self.ADMISSION, policy="drop-oldest"))
+        victim = pool.supervisor.handle(pool.supervisor.names()[0])
+
+        def kill():  # with batches queued, so they are lost with it
+            deadline = time.perf_counter() + 5.0
+            while (victim.num_pending() < 2
+                   and time.perf_counter() < deadline):
+                time.sleep(0)
+            raylite.kill(victim)
+
+        _conservation_run(pool, 7, stop_at=0.9, kill=kill)
+        assert pool.supervisor.total_restarts >= 1
+
+
+# ---------------------------------------------------------------------------
+# The one load driver, over its three kinds of target
+# ---------------------------------------------------------------------------
+class TestLoadDriver:
+    KEYS = {"requests", "attempts", "wall_time", "req_per_s", "p50_ms",
+            "p99_ms", "overload_errors", "deadline_errors", "shed_rate",
+            "deadline_rate", "retries", "stragglers"}
+
+    @pytest.mark.parametrize("kind", ["front_end", "actor", "gateway"])
+    def test_counts_every_call_past_the_latency_window(self, kind,
+                                                       monkeypatch):
+        """``requests`` is every call the clients made, not the size of
+        a capped latency window, for every kind of target."""
+        monkeypatch.setattr(PolicyClient, "MAX_LATENCY_SAMPLES", 50)
+        obs = _obs_stream(2, seed=6)
+        if kind == "actor":
+            target = raylite.remote(PolicyServerActor).remote(_dqn_factory)
+            load = drive_concurrent_load(target, 2, 0.3, observations=obs)
+            served = raylite.get(target.get_stats.remote())["requests_served"]
+        else:
+            server = PolicyServer(_dqn(), max_batch_size=8,
+                                  batch_window=0.0)
+            try:
+                if kind == "gateway":
+                    with HttpGateway(server) as gateway:
+                        load = drive_concurrent_load(gateway, 2, 0.3,
+                                                     observations=obs,
+                                                     deadline=1.0)
+                else:
+                    load = drive_concurrent_load(server, 2, 0.3,
+                                                 observations=obs)
+            finally:
+                server.stop()
+            served = server.stats.requests
+        assert set(load) == self.KEYS
+        assert load["requests"] > 2 * 50
+        assert load["requests"] == load["attempts"] == served
+        assert load["stragglers"] == 0
+        assert load["p50_ms"] <= load["p99_ms"]
+
+    def test_gateway_target_refuses_retry_spec(self):
+        server = PolicyServer(_dqn(), max_batch_size=8)
+        try:
+            with HttpGateway(server) as gateway:
+                with pytest.raises(RLGraphError, match="retry_spec"):
+                    drive_concurrent_load(gateway, 1, 0.1, retry_spec=2)
+        finally:
+            server.stop()
 
 
 # ---------------------------------------------------------------------------
