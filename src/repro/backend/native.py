@@ -190,34 +190,18 @@ def _find_gemm(ct: str) -> Optional[Tuple[int, str]]:
 # Shared-object build + load
 # ---------------------------------------------------------------------------
 class _SharedLib:
-    """A loaded plan library: one ``void segN(char **)`` per segment.
-
-    Prefers cffi (ABI mode, per-plan FFI instance so cdefs never clash
-    across plans); falls back to ctypes.
-    """
+    """A loaded plan library: one ``void segN(char **)`` per segment,
+    loaded through ctypes (which releases the GIL around each call)."""
 
     def __init__(self, path: str, seg_names: List[str]):
         self.path = path
         self.fns: Dict[str, Any] = {}
-        try:
-            import cffi
-            ffi = cffi.FFI()
-            ffi.cdef("".join(f"void {n}(char **);" for n in seg_names))
-            lib = ffi.dlopen(path)
-            self._ffi, self._lib = ffi, lib
-            for n in seg_names:
-                self.fns[n] = getattr(lib, n)
-            self.cast_ptr = lambda addr: ffi.cast("char **", addr)
-        except Exception:
-            import ctypes
-            lib = ctypes.CDLL(path)
-            self._lib = lib
-            for n in seg_names:
-                fn = getattr(lib, n)
-                fn.argtypes = [ctypes.c_void_p]
-                fn.restype = None
-                self.fns[n] = fn
-            self.cast_ptr = lambda addr: addr
+        self._lib = ctypes.CDLL(path)
+        for n in seg_names:
+            fn = getattr(self._lib, n)
+            fn.argtypes = [ctypes.c_void_p]
+            fn.restype = None
+            self.fns[n] = fn
 
 
 _BUILD_LOCKS: Dict[str, threading.Lock] = {}
@@ -1369,8 +1353,8 @@ class _Segment:
     """One compiled C function plus its pointer-table recipe: a lowered
     proto bound to the loaded library."""
 
-    __slots__ = ("name", "fn", "ptrs", "cast", "statics", "var_entries",
-                 "dyn", "guards", "stores", "fallback")
+    __slots__ = ("name", "fn", "ptrs", "table_addr", "statics",
+                 "var_entries", "dyn", "guards", "stores", "fallback")
 
     def __init__(self, proto, lib):
         self.name = proto["name"]
@@ -1390,7 +1374,7 @@ class _Segment:
         self.guards = proto["guards"]
         self.stores = proto["stores"]
         self.fallback = proto["fallback"]
-        self.cast = lib.cast_ptr(int(self.ptrs.ctypes.data))
+        self.table_addr = int(self.ptrs.ctypes.data)
 
 
 class _Build:
@@ -1518,7 +1502,7 @@ def _run_segment(seg: _Segment, slab) -> bool:
         v = slab[slot]
         if not isinstance(v, (np.ndarray, np.generic)) or v.shape != shape:
             return False
-    seg.fn(seg.cast)
+    seg.fn(seg.table_addr)
     for out_slot, obj, is_var in seg.stores:
         slab[out_slot] = obj.value if is_var else obj
     return True

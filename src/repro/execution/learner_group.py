@@ -47,40 +47,24 @@ from repro import raylite
 from repro.components.common.batch_splitter import shard_sizes, split_batch
 from repro.execution.parallel import resolve_parallel_spec
 from repro.execution.supervision import ReplicaFactory, Supervisor
+from repro.execution.worker import build_agent
 from repro.raylite.collectives import RingMember, SlabRing, allreduce_steps
 from repro.utils.errors import RLGraphError
 from repro.utils.procutil import native_threads_among
 
-ALGORITHMS = ("auto", "ring", "tree")
-
 
 class LearnerSpec:
-    """Resolved configuration for a data-parallel learner group.
+    """Resolved configuration for a data-parallel learner group: the
+    replica count ``K``.  The all-reduce schedule follows from it."""
 
-    ``algorithm="auto"`` picks the binomial tree for ``K <= 2`` (fewer
-    barriers) and the bandwidth-optimal ring above that.  ``parallel``
-    optionally overrides the executor's backend for the learner replicas
-    only (e.g. process learners under thread rollout workers).
-    ``agent_factory`` overrides the executor's worker factory when the
-    learner config differs from the actors'.
-    """
-
-    def __init__(self, num_learners: int, algorithm: str = "auto",
-                 agent_factory: Optional[Callable] = None, parallel=None):
+    def __init__(self, num_learners: int):
         self.num_learners = int(num_learners)
         if self.num_learners < 1:
             raise RLGraphError("learner_spec: num_learners must be >= 1")
-        if algorithm not in ALGORITHMS:
-            raise RLGraphError(
-                f"learner_spec: algorithm must be one of {ALGORITHMS}, "
-                f"got {algorithm!r}")
-        self.algorithm = algorithm
-        self.agent_factory = agent_factory
-        self.parallel = parallel
 
     def resolve_algorithm(self) -> str:
-        if self.algorithm != "auto":
-            return self.algorithm
+        """The binomial tree for ``K <= 2`` (fewer barriers), the
+        bandwidth-optimal ring above that."""
         return "ring" if self.num_learners > 2 else "tree"
 
 
@@ -98,6 +82,9 @@ def resolve_learner_spec(spec) -> Optional[LearnerSpec]:
     if isinstance(spec, int):
         return LearnerSpec(num_learners=spec)
     if isinstance(spec, dict):
+        unknown = set(spec) - {"num_learners"}
+        if unknown:
+            raise RLGraphError(f"Unknown learner_spec keys {sorted(unknown)}")
         return LearnerSpec(**spec)
     raise RLGraphError(f"Cannot resolve learner_spec from {spec!r}")
 
@@ -113,10 +100,7 @@ class LearnerReplicaActor:
     """
 
     def __init__(self, agent_factory: Callable, rank: int, world_size: int):
-        try:
-            self.agent = agent_factory(worker_index=rank)
-        except TypeError:
-            self.agent = agent_factory()
+        self.agent = build_agent(agent_factory, rank)
         self.rank = int(rank)
         self.world_size = int(world_size)
         self._member: Optional[RingMember] = None
@@ -244,11 +228,8 @@ class LearnerGroup:
         self.reference = learner_agent
         self.world_size = self.spec.num_learners
         self.algorithm = self.spec.resolve_algorithm()
-        self.parallel = resolve_parallel_spec(
-            self.spec.parallel if self.spec.parallel is not None
-            else parallel_spec)
-        factory = self.spec.agent_factory or agent_factory
-        if factory is None:
+        self.parallel = resolve_parallel_spec(parallel_spec)
+        if agent_factory is None:
             raise RLGraphError("LearnerGroup needs an agent_factory")
 
         self._grad_n = int(learner_agent.flat_grad_size())
@@ -264,7 +245,7 @@ class LearnerGroup:
         self.replicas = self.supervisor.spawn({
             f"learner-{r}": ReplicaFactory(
                 self.parallel, LearnerReplicaActor,
-                factory, rank=r, world_size=self.world_size)
+                agent_factory, rank=r, world_size=self.world_size)
             for r in range(self.world_size)
         }, on_restart=self._sync_restarted)
 

@@ -10,12 +10,16 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.components.memories import PrioritizedReplayBuffer
-from repro.execution.worker import SingleThreadedWorker, build_vector_env
+from repro.execution.worker import (
+    SingleThreadedWorker,
+    build_agent,
+    build_vector_env,
+)
 
 
 def apex_worker_epsilon(worker_index: int, num_workers: int,
@@ -43,10 +47,7 @@ class ApexWorkerActor:
                  batched_postprocessing: bool = True,
                  worker_index: int = 0, vector_env_spec=None,
                  parallel_spec=None):
-        try:
-            self.agent = agent_factory(worker_index=worker_index)
-        except TypeError:
-            self.agent = agent_factory()
+        self.agent = build_agent(agent_factory, worker_index)
         self.vector_env = build_vector_env(
             env_factory, num_envs, worker_index * 1000,
             vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)

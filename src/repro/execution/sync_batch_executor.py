@@ -12,7 +12,7 @@ loop in :mod:`repro.execution.ray.apex_executor`.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -27,8 +27,12 @@ from repro.execution.supervision import (
     Supervisor,
     gather,
 )
-from repro.execution.worker import build_vector_env, snapshot_fn
-from repro.utils.errors import RLGraphError
+from repro.execution.worker import (
+    act_steps,
+    build_agent,
+    build_vector_env,
+    snapshot_fn,
+)
 
 
 class A2CRolloutActor:
@@ -38,10 +42,7 @@ class A2CRolloutActor:
                  num_envs: int = 2, rollout_length: int = 32,
                  worker_index: int = 0, vector_env_spec=None,
                  parallel_spec=None):
-        try:
-            self.agent = agent_factory(worker_index=worker_index)
-        except TypeError:
-            self.agent = agent_factory()
+        self.agent = build_agent(agent_factory, worker_index)
         self.vector_env = build_vector_env(
             env_factory, num_envs, worker_index * 1000,
             vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)
@@ -57,29 +58,17 @@ class A2CRolloutActor:
 
     def rollout(self, discount: float) -> Dict[str, np.ndarray]:
         """One on-policy rollout; returns flat arrays + returns."""
-        traj = {"states": [], "actions": [], "rewards": [], "terminals": []}
-        for _ in range(self.rollout_length):
-            actions, pre = self.agent.get_actions(self._states)
-            # Snapshot before dispatch (zero-copy buffer safety), then
-            # overlap trajectory assembly with env stepping.
-            pre = self._snap(pre)
-            self.vector_env.step_async(actions)
-            traj["states"].append(pre)
-            traj["actions"].append(actions)
-            next_states, rewards, terminals = self.vector_env.step_wait()
-            traj["rewards"].append(rewards)
-            traj["terminals"].append(terminals)
-            self._states = next_states
-            self.env_frames += self.vector_env.num_envs
+        traj, self._states = act_steps(self.agent.get_actions,
+                                       self.vector_env, self._states,
+                                       self.rollout_length, self._snap)
+        self.env_frames += self.rollout_length * self.vector_env.num_envs
         # Per-env discounted returns, then flattened (T*E).
-        rewards = np.asarray(traj["rewards"], np.float32)     # (T, E)
-        terminals = np.asarray(traj["terminals"], bool)
+        rewards, terminals = traj["rewards"], traj["terminals"]   # (T, E)
         returns = np.empty_like(rewards)
         for e in range(rewards.shape[1]):
             returns[:, e] = discounted_returns(rewards[:, e], terminals[:, e],
                                                discount)
-        flat = lambda arr: np.asarray(arr).reshape(
-            (-1,) + np.asarray(arr).shape[2:])
+        flat = lambda arr: arr.reshape((-1,) + arr.shape[2:])
         # Ship only episodes finished since the previous rollout; the
         # executor accumulates across iterations.
         new_returns, self._episodes_shipped = \

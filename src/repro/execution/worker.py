@@ -12,6 +12,7 @@ worker to the incremental mode for the ablation.
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
@@ -154,6 +155,60 @@ def snapshot_fn(vector_env):
     return lambda arr: np.array(arr, copy=True)
 
 
+def build_agent(agent_factory: Callable, worker_index: int):
+    """Call ``agent_factory`` once, with ``worker_index=`` when its
+    signature takes that keyword (Ape-X per-worker epsilons), else bare.
+
+    The choice comes from the signature, never from a failed call, so a
+    ``TypeError`` the factory itself raises reaches the caller.
+    """
+    try:
+        params = inspect.signature(agent_factory).parameters.values()
+    except (TypeError, ValueError):  # no introspectable signature
+        params = ()
+    if any(p.name == "worker_index" or p.kind is p.VAR_KEYWORD
+           for p in params):
+        return agent_factory(worker_index=worker_index)
+    return agent_factory()
+
+
+def act_steps(get_actions: Callable, vector_env: VectorEnv, states,
+              steps: int, snap: Callable):
+    """The acting loop every actor shares: ``steps`` steps on
+    ``vector_env`` from ``states``.
+
+    ``get_actions(states)`` returns ``(actions, *outputs, preprocessed)``
+    (an agent's ``get_actions``, or a closure around it).  Each step
+    snapshots ``preprocessed`` with ``snap`` before dispatch (zero-copy
+    engines rewrite the buffer it aliases as soon as the envs step), then
+    does its bookkeeping between ``step_async`` and ``step_wait`` so it
+    overlaps env stepping on the threaded/async engines.
+
+    Returns ``(rollout, next_states)``; the rollout holds time-major
+    ``states`` (preprocessed), ``actions``, ``rewards`` (float32),
+    ``terminals`` (bool) and ``outputs``: one ``(T, E)`` array per middle
+    output (IMPALA's behaviour log-probs).
+    """
+    pre_buf, action_buf, output_buf = [], [], []
+    reward_buf, terminal_buf = [], []
+    for _ in range(steps):
+        out = get_actions(states)
+        actions, preprocessed = out[0], snap(out[-1])
+        vector_env.step_async(actions)
+        pre_buf.append(preprocessed)
+        action_buf.append(actions)
+        output_buf.append(out[1:-1])
+        states, rewards, terminals = vector_env.step_wait()
+        reward_buf.append(rewards)
+        terminal_buf.append(terminals)
+    rollout = {"states": np.asarray(pre_buf),
+               "actions": np.asarray(action_buf),
+               "rewards": np.asarray(reward_buf, dtype=np.float32),
+               "terminals": np.asarray(terminal_buf, dtype=bool),
+               "outputs": [np.asarray(col) for col in zip(*output_buf)]}
+    return rollout, states
+
+
 class SingleThreadedWorker:
     """Acts on a vector of environments and post-processes samples.
 
@@ -211,36 +266,18 @@ class SingleThreadedWorker:
 
     # -- RLgraph mode: batched inference + batched post-processing ---------
     def _collect_batched(self, steps: int) -> Dict[str, np.ndarray]:
-        num_envs = self.vector_env.num_envs
-        states_buf, pre_buf, action_buf = [], [], []
-        reward_buf, terminal_buf, next_pre_buf = [], [], []
-        preprocessed = None
-        for _ in range(steps):
-            out = self.agent.get_actions(self._states)
-            # Snapshot before dispatch: in zero-copy mode the buffer that
-            # "preprocessed" aliases is rewritten as soon as envs step.
-            actions, preprocessed = out[0], self._snap(out[-1])
-            # Dispatch stepping, then do rollout bookkeeping while the
-            # envs run (a no-op overlap on the sequential engine).
-            self.vector_env.step_async(actions)
-            pre_buf.append(preprocessed)
-            action_buf.append(actions)
-            next_states, rewards, terminals = self.vector_env.step_wait()
-            reward_buf.append(rewards)
-            terminal_buf.append(terminals)
-            self._states = next_states
+        rollout, self._states = act_steps(self.agent.get_actions,
+                                          self.vector_env, self._states,
+                                          steps, self._snap)
         # Next-state preprocessing: one extra batched call on the final
         # frontier; intermediate next-states are the following row.
-        out = self.agent.get_actions(self._states)
-        frontier_pre = out[-1]
-        pre_arr = np.asarray(pre_buf)                      # (T, E, ...)
+        frontier_pre = self.agent.get_actions(self._states)[-1]
+        pre_arr = rollout["states"]                        # (T, E, ...)
         next_pre_arr = np.concatenate([pre_arr[1:], frontier_pre[None]], axis=0)
-        actions_arr = np.asarray(action_buf)
-        rewards_arr = np.asarray(reward_buf, dtype=np.float32)
-        terminals_arr = np.asarray(terminal_buf, dtype=bool)
 
-        s, a, r, t, ns = batched_n_step(pre_arr, actions_arr, rewards_arr,
-                                        terminals_arr, next_pre_arr,
+        s, a, r, t, ns = batched_n_step(pre_arr, rollout["actions"],
+                                        rollout["rewards"],
+                                        rollout["terminals"], next_pre_arr,
                                         self.n_step, self.discount)
         batch = {"states": s, "actions": a, "rewards": r, "terminals": t,
                  "next_states": ns}

@@ -34,6 +34,7 @@ import numpy as np
 from repro import raylite
 from repro.execution.parallel import resolve_parallel_spec
 from repro.execution.supervision import ReplicaFactory, Supervisor, gather
+from repro.execution.worker import build_agent
 from repro.serving.overload import (
     OverloadError,
     QueueDepthAutoscaler,
@@ -65,10 +66,7 @@ class PolicyServerActor:
 
     def __init__(self, agent_factory: Callable, explore: bool = False,
                  replica_index: int = 0):
-        try:
-            self.agent = agent_factory(worker_index=replica_index)
-        except TypeError:
-            self.agent = agent_factory()
+        self.agent = build_agent(agent_factory, replica_index)
         self._act = self.agent.serving_act_fn(explore=explore)
         self.batches_served = 0
         self.requests_served = 0

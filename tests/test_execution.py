@@ -1,6 +1,8 @@
 """Execution-layer tests: n-step accumulation, workers, the Ape-X
 executor on raylite, the IMPALA runner, and the baselines."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,20 @@ from repro.baselines import (
     RLlibLikeApexExecutor,
 )
 from repro.environments import GridWorld, RandomEnv, SequentialVectorEnv, SimPong
-from repro.execution import NStepAccumulator, SingleThreadedWorker
-from repro.execution.impala_runner import IMPALARunner, _merge_rollouts
-from repro.execution.ray import ApexExecutor
-from repro.execution.worker import batched_n_step
+from repro.execution import (
+    LearnerReplicaActor,
+    NStepAccumulator,
+    SingleThreadedWorker,
+)
+from repro.execution.impala_runner import (
+    IMPALAActorCore,
+    IMPALARunner,
+    _merge_rollouts,
+)
+from repro.execution.ray import ApexExecutor, ApexWorkerActor
+from repro.execution.sync_batch_executor import A2CRolloutActor
+from repro.execution.worker import batched_n_step, build_agent
+from repro.serving.worker_pool import PolicyServerActor
 from repro.spaces import FloatBox, IntBox
 from repro.utils import RLGraphError
 
@@ -253,21 +265,36 @@ class TestProcessBackendExecutors:
 # ---------------------------------------------------------------------------
 # IMPALA runner
 # ---------------------------------------------------------------------------
+def _impala_env_factory(seed):
+    return GridWorld(seed=seed)
+
+
+def _impala_agent_factory(backend=XGRAPH):
+    return IMPALAAgent(state_space=(16,), action_space=IntBox(4),
+                       network_spec=[{"type": "dense", "units": 16,
+                                      "activation": "tanh"}],
+                       backend=backend, seed=2)
+
+
 def _impala_setup(runner_cls=IMPALARunner, num_actors=2, backend=XGRAPH,
                   **kwargs):
-    def env_factory(seed):
-        return GridWorld(seed=seed)
-
     def agent_factory():
-        return IMPALAAgent(state_space=(16,), action_space=IntBox(4),
-                           network_spec=[{"type": "dense", "units": 16,
-                                          "activation": "tanh"}],
-                           backend=backend, seed=2)
+        return _impala_agent_factory(backend)
 
     learner = agent_factory()
     return runner_cls(learner_agent=learner, agent_factory=agent_factory,
-                      env_factory=env_factory, num_actors=num_actors,
+                      env_factory=_impala_env_factory, num_actors=num_actors,
                       rollout_length=8, batch_size=2, **kwargs)
+
+
+def _assert_rollouts_equal(a, b):
+    assert set(a) == set(b)
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert a[key].dtype == b[key].dtype, key
+            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+        else:
+            assert a[key] == b[key], key
 
 
 class TestIMPALARunner:
@@ -278,6 +305,51 @@ class TestIMPALARunner:
         assert result["learner_updates"] > 0
         assert all(np.isfinite(l) for l in result["losses"])
         assert 0 <= result["policy_lag_mean"] <= result["policy_lag_max"]
+
+    @pytest.mark.mp_timeout(120)
+    def test_supervised_thread_actor_survives_a_kill(self):
+        runner = _impala_setup(num_actors=1, supervision_spec={
+            "base_delay": 0.05, "max_delay": 0.5, "max_restarts": 5})
+        updates_at_kill = []
+
+        def kill():
+            updates_at_kill.append(runner._weights_version)
+            raylite.kill(runner.supervisor.handle("impala-actor-0"))
+
+        timer = threading.Timer(1.0, kill)
+        timer.daemon = True
+        timer.start()
+        try:
+            result = runner.run(duration=3.0)
+            timer.join()
+        finally:
+            raylite.shutdown()
+        assert result["restarts"] >= 1
+        assert result["supervision_failures"] == []
+        # The only actor was killed: updates after the kill come from
+        # its restarted incarnation.
+        assert result["learner_updates"] > updates_at_kill[0]
+
+    @pytest.mark.mp_timeout(120)
+    def test_first_rollout_identical_across_backends(self):
+        rollouts = {}
+        for backend in ("thread", "process"):
+            runner = _impala_setup(num_actors=1, parallel_spec=backend)
+            try:
+                rollouts[backend] = raylite.get(
+                    runner.actor_handles[0].rollout.remote())
+            finally:
+                raylite.shutdown()
+        _assert_rollouts_equal(rollouts["thread"], rollouts["process"])
+
+    def test_redundant_assignments_leave_the_rollout_unchanged(self):
+        clean, redundant = (
+            IMPALAActorCore(0, _impala_agent_factory, _impala_env_factory,
+                            rollout_length=8, num_envs=2,
+                            redundant_assignments=flag)
+            for flag in (False, True))
+        for _ in range(3):
+            _assert_rollouts_equal(clean.rollout(), redundant.rollout())
 
     def test_merge_rollouts_shapes(self):
         t, e = 4, 2
@@ -307,6 +379,38 @@ class TestIMPALARunner:
             if r_fast["env_frames"] > r_slow["env_frames"] * 0.9:
                 break
         assert r_fast["env_frames"] > r_slow["env_frames"] * 0.9
+
+
+# ---------------------------------------------------------------------------
+# Agent construction in every actor class
+# ---------------------------------------------------------------------------
+class TestBuildAgent:
+    def test_worker_index_follows_the_signature(self):
+        assert build_agent(lambda: "bare", 3) == "bare"
+        assert build_agent(lambda worker_index: worker_index, 3) == 3
+        assert build_agent(lambda **kw: kw, 3) == {"worker_index": 3}
+
+    @pytest.mark.parametrize("build", [
+        lambda f: A2CRolloutActor(f, None, worker_index=1),
+        lambda f: ApexWorkerActor(f, None, worker_index=1),
+        lambda f: LearnerReplicaActor(f, rank=1, world_size=2),
+        lambda f: IMPALAActorCore(1, f, None),
+        lambda f: PolicyServerActor(f, replica_index=1),
+    ], ids=["a2c", "apex", "learner", "impala", "serving"])
+    def test_factory_type_error_reaches_the_caller(self, build):
+        """A factory's own TypeError is not mistaken for "takes no
+        worker_index": it is called once, and its error propagates."""
+        calls = []
+
+        def factory(worker_index=0):
+            calls.append(worker_index)
+            if worker_index == 1:
+                raise TypeError("factory bug for worker 1")
+            return object()
+
+        with pytest.raises(TypeError, match="factory bug"):
+            build(factory)
+        assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

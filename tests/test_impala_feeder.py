@@ -1,11 +1,12 @@
-"""IMPALA process-mode feeder and driver pool width, on fake actors.
+"""IMPALA feeder, staging area and driver pool width, on fake actors.
 
 The feeder (``IMPALARunner._feed_from_handles``) is driven against
-in-memory stand-ins for raylite process actors: a FIFO mailbox the test
-(or a worker thread) runs one task at a time, so mailbox order, weight
-pushes and versions are observable without spawning a process.  A
-runner built with ``num_actors=0`` spawns nothing; the fakes are
-installed as its ``actor_handles`` / ``actors``.
+in-memory stand-ins for raylite actors: a FIFO mailbox the test (or a
+worker thread) runs one task at a time, so mailbox order, weight pushes
+and versions are observable without spawning a process; or a raylite
+thread actor around a core that rolls out instantly.  A runner built
+with ``num_actors=0`` spawns nothing; the fakes are installed as its
+``actor_handles``.
 """
 
 import collections
@@ -209,19 +210,30 @@ class TestFeederMailbox:
         assert actor.version == 3
 
 
-class _ThreadActor(threading.Thread):
-    """Thread-mode actor stand-in: fills the queue until stopped."""
+class _InstantCore:
+    """What an ``IMPALAActorCore`` answers, at no acting cost."""
 
-    def __init__(self, rollout_queue, stop_event):
-        super().__init__(daemon=True)
-        self.rollout_queue, self.stop_event = rollout_queue, stop_event
+    def __init__(self):
+        self.version = 0
         self.env_frames = 0
 
-    def run(self):
-        while not self.stop_event.is_set():
-            self.rollout_queue.put(_rollout(0))
-            self.env_frames += 2
-            time.sleep(0.002)
+    def rollout(self):
+        time.sleep(0.002)
+        self.env_frames += 2
+        return _rollout(self.version)
+
+    def set_weights(self, weights, version=None):
+        if version is not None:
+            self.version = version
+        return 0
+
+    def get_stats(self):
+        return {"env_frames": self.env_frames}
+
+
+def _thread_actor():
+    """A raylite thread actor on the feeder path, as thread mode runs."""
+    return raylite.remote(_InstantCore).options(backend="thread").remote()
 
 
 @pytest.fixture
@@ -283,8 +295,7 @@ class TestDriverPoolWidth:
                             forbidden)
         learner = StubLearner()
         runner = _runner(learner, parallel_spec=None)
-        runner.actors = [_ThreadActor(runner.rollout_queue,
-                                      runner.stop_event)]
+        runner.actor_handles = [_thread_actor()]
         result = runner.run(duration=0.3)
         assert result["learner_updates"] > 0
         assert all(seen == pools for seen in learner.widths_seen)
@@ -305,17 +316,48 @@ class TestPolicyLag:
 
         runner._dequeue_batch = two_batches
         result = runner.run(duration=0.2)
-        assert result["learner_updates"] == 2
-        # Update 1 (learner at version 0) trains the fresh first batch:
-        # lags 0, 0.  Update 2 (at version 1) trains the staged first
-        # batch again: lags 1, 1.
-        assert result["policy_lag_mean"] == pytest.approx(0.5)
+        assert result["learner_updates"] == 1
+        # The first batch primes the staging area; the update (learner
+        # at version 0) trains it when the second arrives: lags 0, 0.
+        # The second batch stays staged.
+        assert result["policy_lag_mean"] == pytest.approx(0.0)
+        assert result["policy_lag_max"] == 0
+
+    def test_every_batch_but_the_last_trains_once(self):
+        learner = StubLearner()
+        runner = _runner(learner, parallel_spec=None)
+        for batch_id, version in ((1, 0), (2, 0), (3, 1), (4, 1)):
+            item = _rollout(version)
+            item["rewards"][:] = batch_id
+            runner.rollout_queue.put(item)
+        trained = []
+        update = learner.update
+
+        def recording_update(batch):
+            trained.append(int(batch["rewards"][0, 0]))
+            return update(batch)
+
+        learner.update = recording_update
+        dequeue, dequeued = runner._dequeue_batch, []
+
+        def four_batches():
+            if len(dequeued) == 4:
+                return None
+            dequeued.append(dequeue())
+            return dequeued[-1]
+
+        runner._dequeue_batch = four_batches
+        result = runner.run(duration=0.2)
+        assert trained == [1, 2, 3]
+        assert result["learner_updates"] == 3
+        # Updates run at learner versions 0, 1, 2 on rollouts acted
+        # with versions 0, 0, 1: lags 0, 1, 1.
+        assert result["policy_lag_mean"] == pytest.approx(2 / 3)
         assert result["policy_lag_max"] == 1
 
     def test_no_training_no_lag(self):
         runner = _runner(StubLearner(), parallel_spec=None)
-        runner.actors = [_ThreadActor(runner.rollout_queue,
-                                      runner.stop_event)]
+        runner.actor_handles = [_thread_actor()]
         result = runner.run(duration=0.2, updates_enabled=False)
         assert result["policy_lag_mean"] is None
         assert result["policy_lag_max"] is None

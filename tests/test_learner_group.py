@@ -300,9 +300,6 @@ class TestLearnerSpec:
         spec = resolve_learner_spec(4)
         assert spec.num_learners == 4 and spec.resolve_algorithm() == "ring"
         assert resolve_learner_spec(2).resolve_algorithm() == "tree"
-        spec = resolve_learner_spec({"num_learners": 3,
-                                     "algorithm": "tree"})
-        assert spec.resolve_algorithm() == "tree"
         passthrough = LearnerSpec(2)
         assert resolve_learner_spec(passthrough) is passthrough
         with pytest.raises(RLGraphError):

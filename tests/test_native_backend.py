@@ -12,8 +12,8 @@ zero Python dispatch (:mod:`repro.backend.native`). These tests pin:
   built segment, and the feed-signature build cap;
 - the shared-library disk cache (second build of the same source is a
   cache hit, not a recompile — also when threads build it at once);
-- large matmuls calling CBLAS GEMM from the C under both loaders (cffi
-  and ctypes), one static C function per lowered step, and the
+- large matmuls calling CBLAS GEMM from the C through the ctypes
+  loader, one static C function per lowered step, and the
   learner_group DQN's gradient plan as one foreign call;
 - fetch snapshot semantics (persistent C out-buffers are reused across
   runs, so fetched values must be copies);
@@ -26,6 +26,7 @@ must work precisely when there isn't one.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import re
@@ -265,12 +266,7 @@ class TestBlasLowering:
     the generated C, through a function-pointer entry of the segment's
     pointer table — so a plan is one foreign call."""
 
-    @pytest.mark.parametrize("loader", ["cffi", "ctypes"])
-    def test_both_loaders_run_a_gemm_plan(self, loader, monkeypatch):
-        if loader == "cffi":
-            pytest.importorskip("cffi")
-        else:
-            monkeypatch.setitem(sys.modules, "cffi", None)
+    def test_ctypes_loader_runs_a_gemm_plan(self):
         g, y, feed = _gemm_plan()
         ref = Session(g, optimize="none").run(y, feed)
         sess = Session(g, optimize="native")
@@ -280,7 +276,7 @@ class TestBlasLowering:
         plan = sess.compiled_plan(y)
         (build,) = [b for b in plan._builds.values()
                     if isinstance(b, native._Build)]
-        assert hasattr(build.lib, "_ffi") == (loader == "cffi")
+        assert isinstance(build.lib._lib, ctypes.CDLL)
         assert plan.stats.native_segments == 1
         assert plan.stats.native_py_steps == 0
         # The address lives in the pointer table, not in the source.
