@@ -52,7 +52,7 @@ def run(executor_cls, label, num_workers):
     result = executor.execute_workload(duration=8.0)
     print(f"  [{label:>10}] {result.env_frames_per_second:9.0f} env frames/s"
           f"   {result.learner_updates:4d} learner updates"
-          f"   mean return {result.mean_worker_return}")
+          f"   mean return {result.mean_return}")
     return result
 
 

@@ -11,6 +11,7 @@ from repro.execution.worker import (
     WorkerStats,
     build_vector_env,
 )
+from repro.execution.executor import Executor, RunResult
 from repro.execution.sync_batch_executor import A2CRolloutActor, SyncBatchExecutor
 from repro.execution.supervision import (
     BackoffPolicy,
@@ -22,6 +23,7 @@ from repro.execution.supervision import (
     resolve_supervision_spec,
 )
 from repro.execution.checkpointing import (
+    CheckpointError,
     CheckpointManager,
     CheckpointSpec,
     ResumableTrainer,
@@ -35,13 +37,13 @@ from repro.execution.learner_group import (
 )
 
 __all__ = ["NStepAccumulator", "SingleThreadedWorker", "WorkerStats",
-           "A2CRolloutActor", "SyncBatchExecutor",
+           "Executor", "RunResult", "A2CRolloutActor", "SyncBatchExecutor",
            "ParallelSpec", "resolve_parallel_spec", "build_vector_env",
            "notify_weight_listeners",
            "BackoffPolicy", "ReplicaFactory", "RestartEvent",
            "SupervisionError", "SupervisionSpec", "Supervisor",
            "resolve_supervision_spec",
-           "CheckpointManager", "CheckpointSpec", "ResumableTrainer",
+           "CheckpointError", "CheckpointManager", "CheckpointSpec", "ResumableTrainer",
            "resolve_checkpoint_spec",
            "LearnerGroup", "LearnerReplicaActor", "LearnerSpec",
            "resolve_learner_spec"]

@@ -21,7 +21,8 @@ never interrupted — the resume-equivalence property
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-save
 never corrupts the latest good checkpoint, and old checkpoints are
-pruned to a bounded ``keep`` count.
+pruned to a bounded ``keep`` count.  Records carry
+:data:`FORMAT_VERSION`; others raise :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.utils.errors import RLGraphError
 
 _CKPT_RE = re.compile(r"^ckpt-(\d+)\.pkl$")
+
+#: Record layout: ``{"format", "step", "payload"}``.
+FORMAT_VERSION = 1
+
+
+class CheckpointError(RLGraphError):
+    """A checkpoint this code cannot restore: an unknown record format,
+    or an executor payload of another pattern."""
 
 
 class CheckpointSpec:
@@ -101,7 +110,8 @@ class CheckpointManager:
             dir=self.spec.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                pickle.dump({"step": int(step), "payload": payload}, f,
+                pickle.dump({"format": FORMAT_VERSION, "step": int(step),
+                             "payload": payload}, f,
                             protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_path, path)  # atomic: never a torn checkpoint
         except BaseException:
@@ -147,6 +157,10 @@ class CheckpointManager:
         path = os.path.join(self.spec.directory, f"ckpt-{int(step):012d}.pkl")
         with open(path, "rb") as f:
             record = pickle.load(f)
+        if not isinstance(record, dict) \
+                or record.get("format") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path} is not a format-{FORMAT_VERSION} checkpoint")
         self._last_saved_step = record["step"]
         return record["payload"], record["step"]
 

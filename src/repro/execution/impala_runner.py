@@ -13,24 +13,15 @@ the actor", §5.1): every acting step re-assigns the full policy weight
 set, exactly the memcpy the reference implementation wasted. Removing it
 "yielded 20% improvement in a single-worker setting" — bench E8.
 
-Every actor is an :class:`IMPALAActorCore` on a raylite actor, of the
-backend ``parallel_spec`` selects (thread by default, ``"process"`` for
-real multi-core acting); both run the same feeder path.  The feeder
-keeps **two** ``rollout()`` tasks in flight per actor (so the next one
-is already queued when the actor replies), drains completed rollouts
-(process actors ship them through shared memory, decoded zero-copy) into
-the FIFO queue, and pushes the newest weight version at each reply,
-before the re-arm.  The push queues behind the rollout already in the
-mailbox, so actors act at most one rollout behind the reply that
-delivered their weights — lag v-trace corrects for, and which
-:meth:`IMPALARunner.run` reports (``policy_lag_mean`` /
-``policy_lag_max``).  With process actors, for the duration of ``run()``
-the driver's BLAS/OpenMP pools are sized to the cores those actors
-leave free (:func:`~repro.utils.procutil.native_threads_beside`).
-
-Every rollout carries the weight version its actor acted with; the
-policy lag of a rollout is the number of versions the learner has
-published between that version and the update that trains on it.
+Every actor is an :class:`IMPALAActorCore` on a raylite actor of the
+backend ``parallel_spec`` selects; both backends run the same feeder
+(:meth:`IMPALARunner._feed_from_handles`: two rollouts in flight per
+actor, the newest weight version pushed at each reply).  Every rollout
+carries the version its actor acted with; ``run()`` reports the policy
+lag, the versions the learner published between acting and the update
+that trains on it.  With process actors ``run()`` sizes the driver's
+BLAS/OpenMP pools to the cores they leave free
+(:func:`~repro.utils.procutil.native_threads_beside`).
 """
 
 from __future__ import annotations
@@ -43,26 +34,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.execution.checkpointing import (
-    CheckpointManager,
-    resolve_checkpoint_spec,
-)
-from repro.execution.parallel import (
-    notify_weight_listeners,
-    resolve_parallel_spec,
-)
-from repro.execution.supervision import (
-    Pump,
-    ReplicaFactory,
-    SupervisionError,
-    Supervisor,
-)
-from repro.execution.worker import (
-    act_steps,
-    build_agent,
-    build_vector_env,
-    snapshot_fn,
-)
+from repro.execution.executor import Executor, RunResult, recent_mean
+from repro.execution.supervision import Pump, ReplicaFactory, SupervisionError
+from repro.execution.worker import PolicyActor
 from repro.utils.errors import RLGraphError
 from repro.utils.procutil import native_threads_beside
 
@@ -73,7 +47,7 @@ from repro.utils.procutil import native_threads_beside
 ROLLOUTS_IN_FLIGHT = 2
 
 
-class IMPALAActorCore:
+class IMPALAActorCore(PolicyActor):
     """One IMPALA actor: local agent copy, env vector, and the rollout
     post-processing around the shared acting loop (bootstrap states,
     finished episodes, the weight version acted with).  Runs as a
@@ -83,32 +57,14 @@ class IMPALAActorCore:
                  env_factory: Callable, rollout_length: int = 20,
                  num_envs: int = 1, redundant_assignments: bool = False,
                  vector_env_spec=None, parallel_spec=None):
-        self.actor_index = actor_index
-        self.agent = build_agent(agent_factory, actor_index)
-        self.vector_env = build_vector_env(
-            env_factory, num_envs, actor_index * 1000,
-            vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)
-        self._snap = snapshot_fn(self.vector_env)
+        super().__init__(agent_factory, env_factory, num_envs, actor_index,
+                         vector_env_spec, parallel_spec)
         self.rollout_length = int(rollout_length)
         self.redundant_assignments = redundant_assignments
-        self.env_frames = 0
         self.rollouts_produced = 0
-        self._episodes_shipped = 0
-        self._states = None
-        # The learner weight version this actor acts with (0: the
-        # factory-fresh init, which equals the learner's).
-        self.weights_version = 0
-
-    def set_weights(self, weights, version: Optional[int] = None) -> int:
-        self.agent.set_weights(weights)
-        if version is not None:
-            self.weights_version = version
-        return self.actor_index
 
     def rollout(self) -> Dict:
         """Produce one time-major rollout item."""
-        if self._states is None:
-            self._states = self.vector_env.reset_all()
         agent = self.agent
         get_actions = agent.get_actions
         if self.redundant_assignments:
@@ -117,16 +73,8 @@ class IMPALAActorCore:
                 # weight set every acting step.
                 agent.set_weights(agent.get_weights())
                 return agent.get_actions(states)
-        rollout, self._states = act_steps(get_actions, self.vector_env,
-                                          self._states, self.rollout_length,
-                                          self._snap)
-        self.env_frames += self.rollout_length * self.vector_env.num_envs
+        rollout, new_returns = self.act(get_actions, self.rollout_length)
         bootstrap = self._snap(agent.get_actions(self._states)[-1])
-        # Ship only episodes finished since the previous rollout — the
-        # runner accumulates across rollouts, so resending the full
-        # history would double-count old episodes in mean_return.
-        new_returns, self._episodes_shipped = \
-            self.vector_env.finished_returns_since(self._episodes_shipped)
         self.rollouts_produced += 1
         return {
             "states": rollout["states"],
@@ -136,7 +84,7 @@ class IMPALAActorCore:
             "rewards": rollout["rewards"],
             "terminals": rollout["terminals"],
             "bootstrap_states": bootstrap,
-            "episode_returns": list(new_returns),
+            "episode_returns": new_returns,
             "weights_version": self.weights_version,
         }
 
@@ -145,8 +93,11 @@ class IMPALAActorCore:
                 "rollouts_produced": self.rollouts_produced}
 
 
-class IMPALARunner:
+class IMPALARunner(Executor):
     """Coordinates actors and the learner loop."""
+
+    PATTERN = "impala"
+    ACTORS = "actor_handles"
 
     def __init__(self, learner_agent, agent_factory: Callable,
                  env_factory: Callable, num_actors: int = 2,
@@ -156,55 +107,23 @@ class IMPALARunner:
                  vector_env_spec=None, parallel_spec=None,
                  weight_listeners=None, supervision_spec=None,
                  checkpoint_spec=None):
-        self.learner = learner_agent
+        super().__init__(learner_agent, agent_factory, parallel_spec,
+                         weight_listeners, supervision_spec,
+                         checkpoint_spec)
         self.batch_size = int(batch_size)
-        # Eval-during-training hook: every published weight version also
-        # goes to these listeners (e.g. a serving PolicyServer).
-        self.weight_listeners = list(weight_listeners or [])
-        self.parallel = resolve_parallel_spec(parallel_spec)
         self.rollout_queue: "queue.Queue" = queue.Queue(maxsize=queue_capacity)
         self.stop_event = threading.Event()
-        self._weights_lock = threading.Lock()
-        # Versioned pushes travel flat: one ndarray per publish (one
-        # shared-memory block in process mode), scattered in place on
-        # the actor side. Checkpoints keep the dict path.
-        self._weights = learner_agent.get_weights(flat=True)
-        self._weights_version = 0
         self._staged: Optional[List[Dict]] = None  # one-slot staging area
-        self.supervisor = Supervisor(supervision_spec)
         self.supervision_failures: List[str] = []
-        ckpt = resolve_checkpoint_spec(checkpoint_spec)
-        self.checkpoints = CheckpointManager(ckpt) if ckpt else None
         self.actor_handles: List = self.supervisor.spawn({
             f"impala-actor-{i}": ReplicaFactory(
-                self.parallel, IMPALAActorCore,
-                i, agent_factory, env_factory,
-                rollout_length=rollout_length,
-                num_envs=envs_per_actor,
+                self.parallel, IMPALAActorCore, i, agent_factory, env_factory,
+                rollout_length=rollout_length, num_envs=envs_per_actor,
                 redundant_assignments=redundant_assignments,
-                vector_env_spec=vector_env_spec,
-                parallel_spec=self.parallel)
+                vector_env_spec=vector_env_spec, parallel_spec=self.parallel)
             for i in range(num_actors)
-        }, on_restart=self._sync_restarted_actor)
+        }, on_restart=self._sync_restarted)
         self.episode_returns: List[float] = []
-
-    def _versioned_weights(self):
-        """``(version, flat weights)`` of the latest published update."""
-        with self._weights_lock:
-            return self._weights_version, self._weights
-
-    def _publish_weights(self):
-        with self._weights_lock:
-            self._weights = self.learner.get_weights(flat=True)
-            self._weights_version += 1
-            weights = self._weights
-        notify_weight_listeners(self.weight_listeners, weights)
-
-    def _sync_restarted_actor(self, handle) -> None:
-        """Push the current published weight version to a rejoined actor
-        so it rolls out at the latest policy, not its fresh init."""
-        version, weights = self._versioned_weights()
-        handle.set_weights.remote(weights, version)
 
     # -- the feeder -----------------------------------------------------------
     def _feed_from_handles(self):
@@ -234,7 +153,7 @@ class IMPALARunner:
                             continue  # back-pressure: learner is saturated
                     else:
                         return  # stopping: the rollout is dropped
-                    version, weights = self._versioned_weights()
+                    weights, version = self.published()
                     if version > synced.get(handle, 0):
                         handle.set_weights.remote(weights, version)
                         synced[handle] = version
@@ -258,13 +177,10 @@ class IMPALARunner:
         return items
 
     def run(self, duration: float = 5.0,
-            updates_enabled: bool = True) -> Dict:
-        """Run actors + learner loop for ``duration`` seconds.
-
-        With process actors the driver's native pools are sized to the
-        cores those actors leave free for this call only; the previous
-        widths come back however it ends.
-        """
+            updates_enabled: bool = True) -> RunResult:
+        """Run actors + learner loop for ``duration`` seconds.  With
+        process actors the driver's native pools are sized to the cores
+        they leave free for this call only (restored however it ends)."""
         pools = (native_threads_beside(len(self.actor_handles))
                  if self.parallel.is_process else contextlib.nullcontext())
         try:
@@ -273,16 +189,12 @@ class IMPALARunner:
         finally:
             self.stop_event.set()
 
-    def _run(self, duration: float, updates_enabled: bool) -> Dict:
+    def _run(self, duration: float, updates_enabled: bool) -> RunResult:
         feeder = threading.Thread(target=self._feed_from_handles,
                                   daemon=True, name="impala-feeder")
         feeder.start()
-        t_start = time.perf_counter()
-        updates = 0
-        losses = []
-        policy_lags = []
-        reward_timeline = []
-        while time.perf_counter() - t_start < duration:
+        result = RunResult()
+        while result.elapsed() < duration:
             batch = self._dequeue_batch()
             if batch is None:
                 continue
@@ -295,71 +207,21 @@ class IMPALARunner:
             for item in train_batch:
                 self.episode_returns.extend(item.pop("episode_returns", []))
             if updates_enabled:
-                policy_lags.extend(self._weights_version
-                                   - item["weights_version"]
-                                   for item in train_batch)
-                merged = _merge_rollouts(train_batch)
-                loss, _, _ = self.learner.update(merged)
-                losses.append(loss)
-                updates += 1
-                self._publish_weights()
-                if self.checkpoints is not None:
-                    self.checkpoints.maybe_save(
-                        lambda: {"learner": self.learner.full_state()},
-                        updates)
-                reward_timeline.append(
-                    (time.perf_counter() - t_start,
-                     float(np.mean(self.episode_returns[-20:]))
-                     if self.episode_returns else float("nan")))
+                result.policy_lags.extend(self._weights_version
+                                          - item["weights_version"]
+                                          for item in train_batch)
+                loss, _, _ = self.learner.update(_merge_rollouts(train_batch))
+                self.publish()
+                self.count_update(result, loss)
+                mean = recent_mean(self.episode_returns)
+                result.reward_timeline.append(
+                    (result.elapsed(), float("nan") if mean is None else mean))
         self.stop_event.set()
         feeder.join(timeout=5.0)
-        env_frames = self._drain_handle_stats()
-        wall = time.perf_counter() - t_start
-        return {
-            "env_frames": env_frames,
-            "env_frames_per_second": env_frames / wall,
-            "learner_updates": updates,
-            "wall_time": wall,
-            "losses": losses,
-            "reward_timeline": reward_timeline,
-            # Learner versions between acting and training, per trained
-            # rollout (None when nothing was trained).
-            "policy_lag_mean": (float(np.mean(policy_lags))
-                                if policy_lags else None),
-            "policy_lag_max": max(policy_lags) if policy_lags else None,
-            "mean_return": (float(np.mean(self.episode_returns[-20:]))
-                            if self.episode_returns else None),
-            "restarts": self.supervisor.total_restarts,
-            "supervision_failures": list(self.supervision_failures),
-        }
-
-    def restore_latest(self) -> bool:
-        """Restore the learner from the newest checkpoint and publish
-        the restored weights as a fresh version for the actors."""
-        if self.checkpoints is None:
-            raise RLGraphError("IMPALARunner has no checkpoint_spec")
-        latest = self.checkpoints.load_latest()
-        if latest is None:
-            return False
-        self.learner.restore_full_state(latest[0]["learner"])
-        self._publish_weights()
-        return True
-
-    def _drain_handle_stats(self) -> int:
-        """Collect env-frame counts from the actors, then reap them."""
-        env_frames = 0
-        for handle in self.actor_handles:
-            # Leave supervision first: asking a dead slot for its stats
-            # must not resurrect it.
-            handle = self.supervisor.retire(handle)
-            try:
-                stats = handle.get_stats.remote().result(timeout=5.0)
-                env_frames += stats["env_frames"]
-            except Exception:
-                pass  # actor died mid-run; its frames are lost
-            self.supervisor.kill(handle)
-        self.actor_handles = []
-        return env_frames
+        self.finish(result, retire=True)
+        result.mean_return = recent_mean(self.episode_returns)
+        result.supervision_failures = list(self.supervision_failures)
+        return result
 
 
 def _merge_rollouts(items: List[Dict]) -> Dict:

@@ -4,7 +4,6 @@ executor which can execute arbitrary RLgraph implementations on Ray's
 centralized execution model")."""
 
 from repro.execution.ray.actors import ApexWorkerActor, ReplayShardActor
-from repro.execution.ray.apex_executor import ApexExecutor, ApexResult
+from repro.execution.ray.apex_executor import ApexExecutor
 
-__all__ = ["ApexWorkerActor", "ReplayShardActor", "ApexExecutor",
-           "ApexResult"]
+__all__ = ["ApexWorkerActor", "ReplayShardActor", "ApexExecutor"]

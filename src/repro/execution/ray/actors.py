@@ -15,11 +15,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.components.memories import PrioritizedReplayBuffer
-from repro.execution.worker import (
-    SingleThreadedWorker,
-    build_agent,
-    build_vector_env,
-)
+from repro.execution.worker import PolicyActor, SingleThreadedWorker
 
 
 def apex_worker_epsilon(worker_index: int, num_workers: int,
@@ -32,7 +28,7 @@ def apex_worker_epsilon(worker_index: int, num_workers: int,
     return base ** (1.0 + worker_index / (num_workers - 1) * alpha)
 
 
-class ApexWorkerActor:
+class ApexWorkerActor(PolicyActor):
     """Builds a local agent + vectorized worker inside the actor thread.
 
     ``agent_factory`` may accept a ``worker_index`` kwarg to configure
@@ -47,24 +43,15 @@ class ApexWorkerActor:
                  batched_postprocessing: bool = True,
                  worker_index: int = 0, vector_env_spec=None,
                  parallel_spec=None):
-        self.agent = build_agent(agent_factory, worker_index)
-        self.vector_env = build_vector_env(
-            env_factory, num_envs, worker_index * 1000,
-            vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)
+        super().__init__(agent_factory, env_factory, num_envs, worker_index,
+                         vector_env_spec, parallel_spec)
         self.worker = SingleThreadedWorker(
             self.agent, self.vector_env, n_step=n_step, discount=discount,
             worker_side_prioritization=worker_side_prioritization,
             batched_postprocessing=batched_postprocessing)
-        self.worker_index = worker_index
 
     def collect(self, num_samples: int) -> Dict[str, np.ndarray]:
         return self.worker.collect_samples(num_samples)
-
-    def set_weights(self, weights) -> int:
-        """Apply a learner weight push: a flat vector (the executors'
-        single-shm-block path) or a per-variable dict."""
-        self.agent.set_weights(weights)
-        return self.worker_index
 
     def get_stats(self) -> Dict:
         stats = self.worker.stats
@@ -98,8 +85,7 @@ class ReplayShardActor:
         """Returns (records, indices, weights) or None if underfilled."""
         if len(self.buffer) < max(batch_size, self.min_sample_size):
             return None
-        records, idx, weights = self.buffer.sample(batch_size)
-        return records, idx, weights
+        return self.buffer.sample(batch_size)
 
     def update_priorities(self, indices, priorities) -> int:
         self.buffer.update_priorities(indices, priorities)

@@ -16,59 +16,24 @@ RLlib's bottleneck — this is the E3/E4 comparison axis.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional
+import logging
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro import raylite
-from repro.execution.checkpointing import (
-    CheckpointManager,
-    resolve_checkpoint_spec,
-)
-from repro.execution.learner_group import LearnerGroup, resolve_learner_spec
-from repro.execution.parallel import (
-    notify_weight_listeners,
-    resolve_parallel_spec,
-)
+from repro.execution.executor import Executor, RunResult, recent_mean
 from repro.execution.ray.actors import ApexWorkerActor, ReplayShardActor
-from repro.execution.supervision import (
-    Pump,
-    ReplicaFactory,
-    Supervisor,
-    broadcast,
-    gather,
-)
+from repro.execution.supervision import Pump, ReplicaFactory, broadcast, gather
 from repro.utils.errors import RLGraphError
 
-
-class ApexResult:
-    """Outcome of one executor workload."""
-
-    def __init__(self):
-        self.env_frames = 0
-        self.learner_updates = 0
-        self.wall_time = 0.0
-        self.mean_worker_return: Optional[float] = None
-        self.reward_timeline: List[tuple] = []  # (seconds, mean return)
-        self.loss_timeline: List[tuple] = []
-
-    @property
-    def env_frames_per_second(self) -> float:
-        return self.env_frames / self.wall_time if self.wall_time else 0.0
-
-    def as_dict(self):
-        return {
-            "env_frames": self.env_frames,
-            "env_frames_per_second": self.env_frames_per_second,
-            "learner_updates": self.learner_updates,
-            "wall_time": self.wall_time,
-            "mean_worker_return": self.mean_worker_return,
-        }
+logger = logging.getLogger(__name__)
 
 
-class ApexExecutor:
+class ApexExecutor(Executor):
     """Centralized-control executor for distributed prioritized replay."""
+
+    PATTERN = "apex"
 
     def __init__(self, learner_agent, agent_factory: Callable,
                  env_factory: Callable, num_workers: int = 2,
@@ -84,52 +49,30 @@ class ApexExecutor:
                  checkpoint_spec=None, learner_spec=None):
         if worker_mode not in ("rlgraph", "rllib_like"):
             raise RLGraphError(f"Unknown worker_mode {worker_mode!r}")
-        self.learner = learner_agent
-        # Eval-during-training hook: every weight broadcast also goes to
-        # these listeners (e.g. a serving PolicyServer).
-        self.weight_listeners = list(weight_listeners or [])
-        self.parallel = resolve_parallel_spec(parallel_spec)
-        # Data-parallel learner group: replay-sampled batches shard over
-        # K replicas (same batch_splitter policy as everywhere else),
-        # gradients all-reduce over shared memory, and the group answers
-        # update/get_weights/full_state exactly like one learner —
-        # priorities and checkpoints flow through unchanged.
-        lspec = resolve_learner_spec(learner_spec)
-        if lspec is not None:
-            self.learner = LearnerGroup(
-                learner_agent, agent_factory=agent_factory, spec=lspec,
-                parallel_spec=self.parallel,
-                supervision_spec=supervision_spec)
+        super().__init__(learner_agent, agent_factory, parallel_spec,
+                         weight_listeners, supervision_spec,
+                         checkpoint_spec, learner_spec)
         self.batch_size = int(batch_size)
         self.task_size = int(task_size)
         self.learning_starts = int(learning_starts)
         self.weight_sync_steps = int(weight_sync_steps)
-        self.envs_per_worker = int(envs_per_worker)
         # Atari frame-skip: env frames per sample step (paper counts
         # frames *including* skips).
         self.frame_multiplier = int(frame_multiplier)
 
-        batched = worker_mode == "rlgraph"
         # parallel_spec selects the raylite backend: thread actors (seed
         # behavior) or process actors whose sample batches travel through
         # shared memory and decode zero-copy on the learner side.
-        # Actors are built through ReplicaFactory recipes so the
-        # supervisor can restart a crashed one with the exact same
-        # configuration.
-        self.supervisor = Supervisor(supervision_spec)
         self.workers = self.supervisor.spawn({
             f"apex-worker-{i}": ReplicaFactory(
-                self.parallel, ApexWorkerActor,
-                agent_factory, env_factory,
-                num_envs=envs_per_worker, n_step=n_step,
-                discount=discount,
+                self.parallel, ApexWorkerActor, agent_factory, env_factory,
+                num_envs=envs_per_worker, n_step=n_step, discount=discount,
                 worker_side_prioritization=True,
-                batched_postprocessing=batched,
-                worker_index=i,
-                vector_env_spec=vector_env_spec,
+                batched_postprocessing=worker_mode == "rlgraph",
+                worker_index=i, vector_env_spec=vector_env_spec,
                 parallel_spec=self.parallel)
             for i in range(num_workers)
-        }, on_restart=self._sync_restarted_worker)
+        }, on_restart=self._sync_restarted)
         # A restarted shard rejoins EMPTY: its samples are lost (as in
         # Ray), but inserts/samples flow again and the run survives.
         self.shards = self.supervisor.spawn({
@@ -140,50 +83,29 @@ class ApexExecutor:
             for i in range(num_replay_shards)
         })
         self._shard_rr = 0
-        ckpt = resolve_checkpoint_spec(checkpoint_spec)
-        self.checkpoints = CheckpointManager(ckpt) if ckpt else None
 
-    # -- fault tolerance ------------------------------------------------
-    def _sync_restarted_worker(self, handle) -> None:
-        """Re-push the current flat weight vector so a rejoined worker
-        resumes at the current version, not its factory-fresh init."""
-        handle.set_weights.remote(self.learner.get_weights(flat=True))
-
-    # -- checkpoint/resume ----------------------------------------------
-    def _checkpoint_payload(self) -> Dict:
-        payload = {"learner": self.learner.full_state(),
-                   "shard_rr": self._shard_rr}
+    # -- checkpoint: the replay shards beside the learner ---------------
+    def extra_state(self) -> Dict:
         try:
-            payload["shards"] = raylite.get(
+            shards = raylite.get(
                 [s.state_dict.remote() for s in self.shards], timeout=30.0)
-        except Exception:  # a shard mid-restart: weights still save
-            payload["shards"] = None
-        return payload
+        except Exception as exc:  # a shard mid-restart: weights still save
+            logger.warning("Ape-X checkpoint saved without its replay "
+                           "shards: %r", exc)
+            shards = None
+        return {"shard_rr": self._shard_rr, "shards": shards}
 
-    def restore_latest(self) -> bool:
-        """Restore the newest checkpoint (learner full state + replay
-        shards) and resync all workers to the restored weights.  Returns
-        False when the directory has no checkpoint yet."""
-        if self.checkpoints is None:
-            raise RLGraphError("ApexExecutor has no checkpoint_spec")
-        latest = self.checkpoints.load_latest()
-        if latest is None:
-            return False
-        payload, _ = latest
-        self.learner.restore_full_state(payload["learner"])
-        self._shard_rr = int(payload.get("shard_rr", 0))
-        shard_states = payload.get("shards")
-        if shard_states:
-            raylite.get([s.load_state_dict.remote(state) for s, state
-                         in zip(self.shards, shard_states)], timeout=30.0)
-        broadcast(self.workers, "set_weights",
-                  self.learner.get_weights(flat=True))
-        return True
+    def load_extra_state(self, payload: Dict) -> None:
+        self._shard_rr = int(payload["shard_rr"])
+        if payload["shards"] is None:  # saved mid-restart: start empty
+            return
+        raylite.get([s.load_state_dict.remote(state) for s, state
+                     in zip(self.shards, payload["shards"])], timeout=30.0)
 
     # ------------------------------------------------------------------
     def execute_workload(self, num_samples: Optional[int] = None,
                          duration: Optional[float] = None,
-                         updates_enabled: bool = True) -> ApexResult:
+                         updates_enabled: bool = True) -> RunResult:
         """Run the coordination loop until ``num_samples`` collected or
         ``duration`` seconds elapsed.
 
@@ -195,8 +117,7 @@ class ApexExecutor:
         """
         if num_samples is None and duration is None:
             raise RLGraphError("Provide num_samples or duration")
-        result = ApexResult()
-        t_start = time.perf_counter()
+        result = RunResult()
 
         # One collect task in flight per worker and at most one sample
         # request at a shard.  A task lost with a crashed incarnation is
@@ -211,8 +132,7 @@ class ApexExecutor:
         def done() -> bool:
             if num_samples is not None and samples_collected >= num_samples:
                 return True
-            if duration is not None and \
-                    time.perf_counter() - t_start >= duration:
+            if duration is not None and result.elapsed() >= duration:
                 return True
             return False
 
@@ -231,13 +151,8 @@ class ApexExecutor:
             # stale; harmless — a shard samples only the prefix it
             # has refilled, and inserts reset priorities.
             shard.update_priorities.remote(idx, np.abs(td) + 1e-6)
-            result.learner_updates += 1
             updates_since_sync += 1
-            result.loss_timeline.append(
-                (time.perf_counter() - t_start, loss))
-            if self.checkpoints is not None:
-                self.checkpoints.maybe_save(
-                    self._checkpoint_payload, result.learner_updates)
+            self.count_update(result, loss)
 
         while not done():
             # 0. Supervision: restart any crashed actor (bounded backoff,
@@ -258,16 +173,12 @@ class ApexExecutor:
                 for shard, sampled in samples.reap(timeout=0):
                     learn(shard, sampled)
 
-            # 3. Broadcast weights — as ONE flat ndarray (the learner's
-            # deterministic flat layout matches the workers', same agent
-            # class), so the process backend ships exactly one
-            # shared-memory block per push and the receiver scatters it
-            # with a handful of memcpys instead of a sorted dict walk.
+            # 3. Publish a version and broadcast it as ONE flat ndarray
+            # (the learner's flat layout matches the workers'), so the
+            # process backend ships one shared-memory block per push.
             if updates_since_sync >= self.weight_sync_steps:
                 updates_since_sync = 0
-                weights = self.learner.get_weights(flat=True)
-                broadcast(self.workers, "set_weights", weights)
-                notify_weight_listeners(self.weight_listeners, weights)
+                broadcast(self.workers, "set_weights", *self.publish())
 
         # Termination contract (docstring).  The retries are submitted
         # after every insert and mailboxes are FIFO, so each retried
@@ -281,13 +192,9 @@ class ApexExecutor:
                 for shard, sampled in samples.drain(timeout=30.0):
                     learn(shard, sampled)
 
-        # Drain: collect final stats from workers.  Supervised runs
-        # tolerate a worker dying during the drain (its frames are lost).
-        stats = gather(self.workers, "get_stats")
-        result.wall_time = time.perf_counter() - t_start
-        result.env_frames = sum(s["env_frames"] for s in stats) \
-            * self.frame_multiplier
-        result.mean_worker_return = _mean_recent_return(stats)
+        stats = self.finish(result)
+        result.env_frames *= self.frame_multiplier
+        result.mean_return = _mean_recent_return(stats)
         return result
 
     def reward_snapshot(self) -> Optional[float]:
@@ -299,10 +206,8 @@ class ApexExecutor:
 def _mean_recent_return(stats, last_n: int = 20) -> Optional[float]:
     """Average the per-worker tails so one fast-looping worker cannot
     drown out the others' recent episodes."""
-    per_worker = [s["episode_returns"][-last_n:] for s in stats
-                  if s["episode_returns"]]
-    if not per_worker:
-        return None
-    return float(np.mean([np.mean(tail) for tail in per_worker]))
+    tails = [recent_mean(s["episode_returns"], last_n) for s in stats
+             if s["episode_returns"]]
+    return float(np.mean(tails)) if tails else None
 
 

@@ -2,66 +2,41 @@
 
 The paper notes that "implementing other distributed semantics on Ray
 with RLgraph only requires extending the generic Ray executor to
-implement a coordination loop" (§5.1). This executor is that second
-loop: the A2C/PPO pattern — all workers collect one on-policy rollout
-with the *current* weights, the learner updates once on the merged
-batch, weights broadcast, repeat. Contrast with the asynchronous Ape-X
-loop in :mod:`repro.execution.ray.apex_executor`.
+implement a coordination loop" (§5.1).  This is such a loop on the
+generic :class:`~repro.execution.executor.Executor`, the A2C/PPO
+pattern: all workers collect one on-policy rollout with the *current*
+weights, the learner updates once on the merged batch, weights
+broadcast, repeat.  Contrast with the asynchronous Ape-X loop in
+:mod:`repro.execution.ray.apex_executor`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.agents.actor_critic_agent import discounted_returns
-from repro.execution.learner_group import LearnerGroup, resolve_learner_spec
-from repro.execution.parallel import (
-    notify_weight_listeners,
-    resolve_parallel_spec,
-)
-from repro.execution.supervision import (
-    ReplicaFactory,
-    Supervisor,
-    gather,
-)
-from repro.execution.worker import (
-    act_steps,
-    build_agent,
-    build_vector_env,
-    snapshot_fn,
-)
+from repro.execution.executor import Executor, RunResult, recent_mean
+from repro.execution.supervision import ReplicaFactory, gather
+from repro.execution.worker import PolicyActor
 
 
-class A2CRolloutActor:
+class A2CRolloutActor(PolicyActor):
     """Collects fixed-length on-policy rollouts with the pushed weights."""
 
     def __init__(self, agent_factory: Callable, env_factory: Callable,
                  num_envs: int = 2, rollout_length: int = 32,
                  worker_index: int = 0, vector_env_spec=None,
                  parallel_spec=None):
-        self.agent = build_agent(agent_factory, worker_index)
-        self.vector_env = build_vector_env(
-            env_factory, num_envs, worker_index * 1000,
-            vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)
-        self._snap = snapshot_fn(self.vector_env)
+        super().__init__(agent_factory, env_factory, num_envs, worker_index,
+                         vector_env_spec, parallel_spec)
         self.rollout_length = int(rollout_length)
-        self._states = self.vector_env.reset_all()
-        self.env_frames = 0
-        self._episodes_shipped = 0
-
-    def set_weights(self, weights) -> int:
-        self.agent.set_weights(weights)
-        return 0
 
     def rollout(self, discount: float) -> Dict[str, np.ndarray]:
         """One on-policy rollout; returns flat arrays + returns."""
-        traj, self._states = act_steps(self.agent.get_actions,
-                                       self.vector_env, self._states,
-                                       self.rollout_length, self._snap)
-        self.env_frames += self.rollout_length * self.vector_env.num_envs
+        traj, new_returns = self.act(self.agent.get_actions,
+                                     self.rollout_length)
         # Per-env discounted returns, then flattened (T*E).
         rewards, terminals = traj["rewards"], traj["terminals"]   # (T, E)
         returns = np.empty_like(rewards)
@@ -69,15 +44,11 @@ class A2CRolloutActor:
             returns[:, e] = discounted_returns(rewards[:, e], terminals[:, e],
                                                discount)
         flat = lambda arr: arr.reshape((-1,) + arr.shape[2:])
-        # Ship only episodes finished since the previous rollout; the
-        # executor accumulates across iterations.
-        new_returns, self._episodes_shipped = \
-            self.vector_env.finished_returns_since(self._episodes_shipped)
         return {
             "states": flat(traj["states"]),
             "actions": flat(traj["actions"]),
             "returns": returns.reshape(-1),
-            "episode_returns": list(new_returns),
+            "episode_returns": new_returns,
         }
 
     def get_stats(self) -> Dict:
@@ -86,8 +57,10 @@ class A2CRolloutActor:
                     self.vector_env.finished_episode_returns)}
 
 
-class SyncBatchExecutor:
+class SyncBatchExecutor(Executor):
     """Synchronous parallel A2C: rollout barrier -> one update -> sync."""
+
+    PATTERN = "a2c"
 
     def __init__(self, learner_agent, agent_factory: Callable,
                  env_factory: Callable, num_workers: int = 2,
@@ -95,68 +68,37 @@ class SyncBatchExecutor:
                  discount: float = 0.99, vector_env_spec=None,
                  parallel_spec=None, weight_listeners=None,
                  supervision_spec=None, learner_spec=None):
-        self.learner = learner_agent
+        super().__init__(learner_agent, agent_factory, parallel_spec,
+                         weight_listeners, supervision_spec,
+                         learner_spec=learner_spec)
         self.discount = float(discount)
-        # Eval-during-training hook: every published weight vector also
-        # goes to these listeners (e.g. a serving PolicyServer).
-        self.weight_listeners = list(weight_listeners or [])
-        self.parallel = resolve_parallel_spec(parallel_spec)
-        # Data-parallel learner group: K replicas shard each merged
-        # batch, all-reduce flat gradient slabs over shared memory, and
-        # present the same update/get_weights interface as one agent.
-        lspec = resolve_learner_spec(learner_spec)
-        if lspec is not None:
-            self.learner = LearnerGroup(
-                learner_agent, agent_factory=agent_factory, spec=lspec,
-                parallel_spec=self.parallel,
-                supervision_spec=supervision_spec)
-        self.supervisor = Supervisor(supervision_spec)
         self.workers = self.supervisor.spawn({
             f"a2c-worker-{i}": ReplicaFactory(
-                self.parallel, A2CRolloutActor,
-                agent_factory, env_factory,
-                num_envs=envs_per_worker,
-                rollout_length=rollout_length, worker_index=i,
-                vector_env_spec=vector_env_spec,
+                self.parallel, A2CRolloutActor, agent_factory, env_factory,
+                num_envs=envs_per_worker, rollout_length=rollout_length,
+                worker_index=i, vector_env_spec=vector_env_spec,
                 parallel_spec=self.parallel)
             for i in range(num_workers)
-        }, on_restart=lambda h: h.set_weights.remote(
-            self.learner.get_weights(flat=True)))
+        }, on_restart=self._sync_restarted)
 
-    def execute_workload(self, num_iterations: int = 10) -> Dict:
-        t0 = time.perf_counter()
-        losses: List[float] = []
-        episode_returns: List[float] = []
+    def execute_workload(self, num_iterations: int = 10) -> RunResult:
+        result = RunResult()
+        episode_returns = []
         for _ in range(num_iterations):
             # Barrier: all workers roll out with current weights.  In
             # supervised mode a worker that died is restarted (weights
             # re-pushed by the restart hook) and this iteration trains
-            # on the surviving rollouts.
+            # on the surviving rollouts; with none, it trains nothing.
             rollouts = gather(self.workers, "rollout", self.discount)
             if not rollouts:
                 continue
             for r in rollouts:
                 episode_returns.extend(r.pop("episode_returns", []))
-            merged = {
-                "states": np.concatenate([r["states"] for r in rollouts]),
-                "actions": np.concatenate([r["actions"] for r in rollouts]),
-                "returns": np.concatenate([r["returns"] for r in rollouts]),
-            }
+            merged = {key: np.concatenate([r[key] for r in rollouts])
+                      for key in ("states", "actions", "returns")}
             total, _, _ = self.learner.update(merged)
-            losses.append(total)
-            # Flat broadcast: one ndarray (one shm block in process mode).
-            weights = self.learner.get_weights(flat=True)
-            gather(self.workers, "set_weights", weights)
-            notify_weight_listeners(self.weight_listeners, weights)
-        stats = gather(self.workers, "get_stats")
-        wall = time.perf_counter() - t0
-        env_frames = sum(s["env_frames"] for s in stats)
-        return {
-            "env_frames": env_frames,
-            "env_frames_per_second": env_frames / wall,
-            "updates": num_iterations,
-            "wall_time": wall,
-            "losses": losses,
-            "mean_return": (float(np.mean(episode_returns[-20:]))
-                            if episode_returns else None),
-        }
+            self.count_update(result, total)
+            gather(self.workers, "set_weights", *self.publish())
+        self.finish(result)
+        result.mean_return = recent_mean(episode_returns)
+        return result

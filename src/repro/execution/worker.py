@@ -172,6 +172,50 @@ def build_agent(agent_factory: Callable, worker_index: int):
     return agent_factory()
 
 
+class PolicyActor:
+    """What every executor's actor shares: a local agent copy, an env
+    vector seeded from ``index * 1000`` and versioned weight pushes."""
+
+    def __init__(self, agent_factory: Callable, env_factory: Callable,
+                 num_envs: int, index: int, vector_env_spec=None,
+                 parallel_spec=None):
+        self.agent = build_agent(agent_factory, index)
+        self.vector_env = build_vector_env(
+            env_factory, num_envs, index * 1000,
+            vector_env_spec=vector_env_spec, parallel_spec=parallel_spec)
+        self._snap = snapshot_fn(self.vector_env)
+        self._states = None
+        self.env_frames = 0
+        self._episodes_shipped = 0
+        # The learner weight version this actor acts with (0: the
+        # factory-fresh init, which equals the learner's).
+        self.weights_version = 0
+
+    def act(self, get_actions: Callable, steps: int):
+        """:func:`act_steps` from the current states; returns the rollout
+        and only the episodes finished since the previous call."""
+        if self._states is None:
+            self._states = self.vector_env.reset_all()
+        rollout, self._states = act_steps(get_actions, self.vector_env,
+                                          self._states, steps, self._snap)
+        self.env_frames += steps * self.vector_env.num_envs
+        returns, self._episodes_shipped = \
+            self.vector_env.finished_returns_since(self._episodes_shipped)
+        return rollout, list(returns)
+
+    def set_weights(self, weights, version: Optional[int] = None) -> int:
+        """Apply a learner weight push (a flat vector or a per-variable
+        dict) and record its version, if given; returns the version."""
+        self.agent.set_weights(weights)
+        if version is not None:
+            self.weights_version = version
+        return self.weights_version
+
+    def get_weights(self):
+        """``(flat weights, version)`` this actor acts with."""
+        return self.agent.get_weights(flat=True), self.weights_version
+
+
 def act_steps(get_actions: Callable, vector_env: VectorEnv, states,
               steps: int, snap: Callable):
     """The acting loop every actor shares: ``steps`` steps on

@@ -291,3 +291,175 @@ def test_sac_full_state_resume_bitwise(backend):
     for name, value in state_b["variables"].items():
         np.testing.assert_array_equal(state_a["variables"][name], value,
                                       err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint header and the executors' one restore path
+# ---------------------------------------------------------------------------
+def test_checkpoint_manager_refuses_a_bare_record(tmp_path):
+    import pickle
+
+    from repro.execution.checkpointing import (
+        CheckpointError,
+        CheckpointManager,
+    )
+    from repro.utils.errors import RLGraphError
+
+    manager = CheckpointManager(str(tmp_path))
+    with open(tmp_path / "ckpt-000000000007.pkl", "wb") as f:
+        pickle.dump({"step": 7, "payload": {"learner": {}}}, f)
+    with pytest.raises(CheckpointError) as info:
+        manager.load_latest()
+    assert isinstance(info.value, RLGraphError)
+
+
+# Module-level factories: process actors ship their construction recipe.
+def _executor_env(seed):
+    from repro.environments import GridWorld
+    return GridWorld(seed=seed)
+
+
+def _apex_agent(worker_index=0):
+    from repro.agents import ApexAgent
+    return ApexAgent(state_space=(16,), action_space=IntBox(4),
+                     network_spec=[{"type": "dense", "units": 16}], seed=1)
+
+
+def _impala_agent():
+    return IMPALAAgent(state_space=(16,), action_space=IntBox(4),
+                       network_spec=[{"type": "dense", "units": 16,
+                                      "activation": "tanh"}], seed=2)
+
+
+def _executor(pattern, backend="thread", checkpoint=None, cls=None):
+    from repro.execution.impala_runner import IMPALARunner
+    from repro.execution.ray import ApexExecutor
+
+    if pattern == "apex":
+        return (cls or ApexExecutor)(
+            learner_agent=_apex_agent(), agent_factory=_apex_agent,
+            env_factory=_executor_env, num_workers=2, envs_per_worker=2,
+            num_replay_shards=2, task_size=40, batch_size=16,
+            replay_capacity=4096, learning_starts=80, weight_sync_steps=5,
+            parallel_spec=backend, checkpoint_spec=checkpoint)
+    return IMPALARunner(
+        learner_agent=_impala_agent(), agent_factory=_impala_agent,
+        env_factory=_executor_env, num_actors=2, rollout_length=8,
+        batch_size=2, parallel_spec=backend, checkpoint_spec=checkpoint)
+
+
+def _assert_same(a, b, path="state"):
+    """Nested dicts/lists/arrays/scalars equal, arrays bitwise."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for key in a:
+            _assert_same(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{path}/{i}")
+    else:
+        np.testing.assert_array_equal(a, b, err_msg=path)
+
+
+@pytest.mark.mp_timeout(240)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("pattern", ["apex", "impala"])
+def test_executor_resume(pattern, backend, tmp_path):
+    """Train with a checkpoint_spec, then restore into a fresh executor
+    of the same config: the learner's full state is the saved one
+    bitwise, every actor acts with the learner's weights at the fresh
+    version, and Ape-X's replay shards come back as saved."""
+    from repro import raylite
+
+    spec = {"directory": str(tmp_path), "interval": 2}
+    try:
+        trained = _executor(pattern, backend, spec)
+        if pattern == "apex":
+            trained.execute_workload(duration=3.0)
+        else:
+            trained.run(duration=3.0)
+        assert trained.checkpoints.steps()
+        saved, _ = trained.checkpoints.load_latest()
+        assert saved["pattern"] == pattern
+        raylite.shutdown()
+
+        fresh = _executor(pattern, backend, spec)
+        assert fresh.restore_latest() is True
+        _assert_same(fresh.learner.full_state(), saved["learner"])
+        weights = fresh.learner.get_weights(flat=True)
+        actors = fresh.workers if pattern == "apex" else fresh.actor_handles
+        pushed = raylite.get([h.get_weights.remote() for h in actors],
+                             timeout=30.0)
+        assert len(pushed) == 2
+        for actor_weights, version in pushed:
+            np.testing.assert_array_equal(actor_weights, weights)
+            assert version == fresh._weights_version == 1
+        if pattern == "apex":
+            assert saved["shards"] is not None
+            shards = raylite.get([s.state_dict.remote()
+                                  for s in fresh.shards], timeout=30.0)
+            _assert_same(shards, saved["shards"], "shards")
+    finally:
+        raylite.shutdown()
+
+
+@pytest.mark.parametrize("pattern", ["apex", "impala"])
+def test_executor_restore_without_a_checkpoint(pattern, tmp_path):
+    from repro import raylite
+    from repro.utils.errors import RLGraphError
+
+    try:
+        assert _executor(pattern, checkpoint=str(tmp_path)) \
+            .restore_latest() is False
+        with pytest.raises(RLGraphError):
+            _executor(pattern).restore_latest()
+    finally:
+        raylite.shutdown()
+
+
+def test_executor_checkpoints_load_by_pattern_not_class(tmp_path):
+    """The RLlib-like baseline's checkpoints restore into ApexExecutor
+    (same pattern); an IMPALA checkpoint does not."""
+    from repro import raylite
+    from repro.baselines import RLlibLikeApexExecutor
+    from repro.execution.checkpointing import CheckpointError
+
+    apex_dir, impala_dir = str(tmp_path / "apex"), str(tmp_path / "impala")
+    try:
+        baseline = _executor("apex", checkpoint=apex_dir,
+                             cls=RLlibLikeApexExecutor)
+        baseline.checkpoints.save(baseline._checkpoint_payload(), 1)
+        assert _executor("apex", checkpoint=apex_dir).restore_latest()
+
+        impala = _executor("impala", checkpoint=impala_dir)
+        impala.checkpoints.save(impala._checkpoint_payload(), 1)
+        with pytest.raises(CheckpointError, match="impala"):
+            _executor("apex", checkpoint=impala_dir).restore_latest()
+    finally:
+        raylite.shutdown()
+
+
+def test_apex_checkpoint_without_shards_warns_and_restores(tmp_path, caplog):
+    """A shard that cannot answer at save time drops the replay from
+    the checkpoint with a logged warning naming the cause; the weights
+    still save and restore."""
+    import logging
+
+    from repro import raylite
+
+    class _ShardMidRestart:
+        def __getattr__(self, name):
+            raise RuntimeError("shard mid-restart")
+
+    try:
+        executor = _executor("apex", checkpoint=str(tmp_path))
+        shards, executor.shards = executor.shards, [_ShardMidRestart()]
+        with caplog.at_level(logging.WARNING):
+            executor.checkpoints.save(executor._checkpoint_payload(), 1)
+        assert "shard mid-restart" in caplog.text
+        executor.shards = shards
+        assert executor.checkpoints.load_latest()[0]["shards"] is None
+        assert _executor("apex", checkpoint=str(tmp_path)).restore_latest()
+    finally:
+        raylite.shutdown()

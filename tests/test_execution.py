@@ -257,7 +257,7 @@ class TestProcessBackendExecutors:
         try:
             result = executor.execute_workload(num_iterations=3)
             assert result["env_frames"] == 3 * 2 * 2 * 8
-            assert result["updates"] == 3
+            assert result["learner_updates"] == 3
         finally:
             raylite.shutdown()
 

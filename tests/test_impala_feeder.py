@@ -168,7 +168,7 @@ class TestFeederMailbox:
             wait_until(lambda: actor.queued("rollout") == ROLLOUTS_IN_FLIGHT)
             for k in range(replies):
                 for _ in range(list(publish_before).count(k)):
-                    runner._publish_weights()
+                    runner.publish()
                 while actor.step() != "rollout":
                     pass  # weight pushes queued ahead of the rollout
                 wait_until(lambda: runner.rollout_queue.qsize() == k + 1
@@ -202,9 +202,9 @@ class TestFeederMailbox:
     def test_restart_hook_pushes_the_current_version(self):
         runner = _runner()
         for _ in range(3):
-            runner._publish_weights()
+            runner.publish()
         actor = MailboxActor()
-        runner._sync_restarted_actor(actor)
+        runner._sync_restarted(actor)
         assert actor.pushes == [(3, 0)]
         actor.step()
         assert actor.version == 3

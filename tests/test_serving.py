@@ -811,7 +811,7 @@ class TestEvalDuringTraining:
             env_factory=lambda seed: GridWorld("4x4", max_steps=20,
                                                seed=seed),
             num_actors=1, weight_listeners=[pushed.append])
-        runner._publish_weights()
+        runner.publish()
         assert len(pushed) == 1
         np.testing.assert_array_equal(
             pushed[0], runner.learner.get_weights(flat=True))

@@ -85,7 +85,43 @@ class TestSyncBatchExecutor:
             rollout_length=20, discount=0.95)
         result = executor.execute_workload(num_iterations=80)
         assert result["env_frames"] == 80 * 2 * 2 * 20
-        assert result["updates"] == 80
+        assert result["learner_updates"] == 80
         assert all(np.isfinite(l) for l in result["losses"])
         assert result["mean_return"] is not None
         assert result["mean_return"] > 0.3, result["mean_return"]
+
+    def test_a_barrier_without_rollouts_applies_no_update(self, monkeypatch):
+        """An iteration whose gather returns no rollouts (every worker
+        lost) skips its update; the result counts only updates that
+        ran."""
+        from repro.execution import sync_batch_executor
+
+        def agent_factory(worker_index=None):
+            return ActorCriticAgent(
+                state_space=(8,), action_space=IntBox(4),
+                network_spec=[{"type": "dense", "units": 8,
+                               "activation": "tanh"}],
+                backend=XGRAPH, seed=4)
+
+        gather, barriers = sync_batch_executor.gather, []
+
+        def gather_losing_the_second_barrier(handles, method, *args):
+            if method == "rollout":
+                barriers.append(method)
+                if len(barriers) == 2:
+                    return []
+            return gather(handles, method, *args)
+
+        monkeypatch.setattr(sync_batch_executor, "gather",
+                            gather_losing_the_second_barrier)
+        executor = SyncBatchExecutor(
+            learner_agent=agent_factory(), agent_factory=agent_factory,
+            env_factory=lambda seed: GridWorld("corridor", max_steps=20,
+                                               seed=seed),
+            num_workers=1, envs_per_worker=1, rollout_length=4)
+        result = executor.execute_workload(num_iterations=3)
+        assert len(barriers) == 3
+        assert result["learner_updates"] == 2
+        assert len(result["losses"]) == 2
+        assert executor.learner.updates == 2
+        assert executor._weights_version == 2
