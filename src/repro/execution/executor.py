@@ -48,6 +48,8 @@ class RunResult:
         # rollout (for patterns whose samples carry their version).
         self.policy_lags: List[int] = []
         self.supervision_failures: List[str] = []
+        # Rows into replay and rows the learner trained on (Ape-X).
+        self.rows_inserted = self.rows_sampled = 0
 
     def __getitem__(self, key: str):
         return getattr(self, key)
@@ -62,6 +64,13 @@ class RunResult:
     @property
     def env_frames_per_second(self) -> float:
         return self.env_frames / self.wall_time if self.wall_time else 0.0
+
+    @property
+    def replay_ratio(self) -> Optional[float]:
+        """Achieved samples per insert (None when nothing was inserted)."""
+        if not self.rows_inserted:
+            return None
+        return self.rows_sampled / self.rows_inserted
 
     @property
     def policy_lag_mean(self) -> Optional[float]:

@@ -3,10 +3,10 @@
 Reproduces the coordination loop the paper benchmarks in Fig. 6/7:
 workers collect n-step-adjusted, pre-prioritized sample batches in
 parallel; completed batches are routed round-robin to replay shards; the
-learner pulls prioritized batches, trains through
-``update_from_external`` and pushes priority corrections back to the
-owning shard; worker weights are refreshed every ``weight_sync_steps``
-learner updates.
+learner pulls prioritized batches — as many as ``samples_per_insert``
+rows per inserted row pay for — trains through ``update_from_external``
+and pushes priority corrections back to the owning shard; worker
+weights are refreshed every ``weight_sync_steps`` learner updates.
 
 ``worker_mode="rlgraph"`` uses batched post-processing (one executor call
 per batch); ``worker_mode="rllib_like"`` switches workers to the
@@ -24,10 +24,21 @@ import numpy as np
 from repro import raylite
 from repro.execution.executor import Executor, RunResult, recent_mean
 from repro.execution.ray.actors import ApexWorkerActor, ReplayShardActor
-from repro.execution.supervision import Pump, ReplicaFactory, broadcast, gather
+from repro.execution.supervision import (
+    Pump,
+    ReplicaFactory,
+    broadcast,
+    gather,
+    wait_any,
+)
 from repro.utils.errors import RLGraphError
 
 logger = logging.getLogger(__name__)
+
+#: Sample requests kept in flight across the shards: one is trained on
+#: while the next is already sampled, and a deeper queue would only add
+#: staleness — the replay ratio, not the depth, bounds the learner.
+SAMPLES_IN_FLIGHT = 2
 
 
 class ApexExecutor(Executor):
@@ -46,9 +57,13 @@ class ApexExecutor(Executor):
                  frame_multiplier: int = 1,
                  seed: int = 0, vector_env_spec=None, parallel_spec=None,
                  weight_listeners=None, supervision_spec=None,
-                 checkpoint_spec=None, learner_spec=None):
+                 checkpoint_spec=None, learner_spec=None,
+                 samples_per_insert: float = 0.25):
         if worker_mode not in ("rlgraph", "rllib_like"):
             raise RLGraphError(f"Unknown worker_mode {worker_mode!r}")
+        if not samples_per_insert > 0:
+            raise RLGraphError(
+                f"samples_per_insert must be > 0, got {samples_per_insert!r}")
         super().__init__(learner_agent, agent_factory, parallel_spec,
                          weight_listeners, supervision_spec,
                          checkpoint_spec, learner_spec)
@@ -56,6 +71,9 @@ class ApexExecutor(Executor):
         self.task_size = int(task_size)
         self.learning_starts = int(learning_starts)
         self.weight_sync_steps = int(weight_sync_steps)
+        # Rows the learner samples per row inserted (Reverb's rate
+        # limiter): the learner's share of the driver, stated.
+        self.samples_per_insert = float(samples_per_insert)
         # Atari frame-skip: env frames per sample step (paper counts
         # frames *including* skips).
         self.frame_multiplier = int(frame_multiplier)
@@ -109,8 +127,13 @@ class ApexExecutor(Executor):
         """Run the coordination loop until ``num_samples`` collected or
         ``duration`` seconds elapsed.
 
-        Termination contract: before returning, the armed ``sample`` is
-        drained and the update it pays for runs.  A call that reached
+        The learner is bounded by the replay ratio: a sample request is
+        armed only while rows trained on, plus rows armed, plus one
+        more batch stay within ``samples_per_insert`` times the rows
+        inserted by this call.
+
+        Termination contract: before returning, the armed samples are
+        drained and the updates they pay for run.  A call that reached
         ``learning_starts`` without applying an update then asks each
         shard once more, so if any shard holds ``>= batch_size`` rows
         the call returns with at least one learner update.
@@ -119,29 +142,32 @@ class ApexExecutor(Executor):
             raise RLGraphError("Provide num_samples or duration")
         result = RunResult()
 
-        # One collect task in flight per worker and at most one sample
-        # request at a shard.  A task lost with a crashed incarnation is
-        # re-armed on the slot's replacement inside the pump; without
-        # supervision the failure raises here.
+        # One collect task in flight per worker, up to SAMPLES_IN_FLIGHT
+        # sample requests across the shards.  A task lost with a crashed
+        # incarnation is re-armed on the slot's replacement inside the
+        # pump (slot handles restart at submit); without supervision
+        # the failure raises here.
         collects, samples = Pump(), Pump()
         for worker in self.workers:
             collects.arm(worker, "collect", self.task_size)
-        samples_collected = 0
         updates_since_sync = 0
+        sample_rr = 0
+        # A shard answered None (underfilled, or restarted empty): ask
+        # again only after the next insert, so an empty replay cannot
+        # spin the learner against the actors.
+        starved = False
 
         def done() -> bool:
-            if num_samples is not None and samples_collected >= num_samples:
+            if num_samples is not None and result.rows_inserted >= num_samples:
                 return True
             if duration is not None and result.elapsed() >= duration:
                 return True
             return False
 
-        def next_shard():
-            return self.shards[self._shard_rr % len(self.shards)]
-
         def learn(shard, sampled) -> None:
-            nonlocal updates_since_sync
-            if sampled is None:  # shard underfilled (or restarted)
+            nonlocal updates_since_sync, starved
+            if sampled is None:
+                starved = True
                 return
             records, idx, weights = sampled
             batch = dict(records)
@@ -152,26 +178,39 @@ class ApexExecutor(Executor):
             # has refilled, and inserts reset priorities.
             shard.update_priorities.remote(idx, np.abs(td) + 1e-6)
             updates_since_sync += 1
+            result.rows_sampled += len(idx)
             self.count_update(result, loss)
 
         while not done():
-            # 0. Supervision: restart any crashed actor (bounded backoff,
-            # weights re-pushed by the on_restart hook).
-            self.supervisor.probe()
+            # One wait over both streams: a finished (or failed) collect
+            # or sample wakes the loop, and nothing else does.
+            timeout = (None if duration is None
+                       else max(0.0, duration - result.elapsed()))
+            wait_any(collects, samples, timeout=timeout)
 
-            # 1. Reap completed worker tasks, re-arm workers immediately.
-            for worker, batch in collects.reap(timeout=0.05):
-                samples_collected += len(batch["rewards"])
-                next_shard().insert.remote(batch)
+            # 1. Route completed batches round-robin into the shards and
+            # re-arm their workers.
+            for worker, batch in collects.reap(timeout=0):
+                result.rows_inserted += len(batch["rewards"])
+                self.shards[self._shard_rr % len(self.shards)].insert.remote(
+                    batch)
                 self._shard_rr += 1
+                starved = False
                 collects.arm(worker, "collect", self.task_size)
 
-            # 2. Learner step: pull a prioritized batch from a shard.
-            if updates_enabled and samples_collected >= self.learning_starts:
-                if not samples:
-                    samples.arm(next_shard(), "sample", self.batch_size)
-                for shard, sampled in samples.reap(timeout=0):
-                    learn(shard, sampled)
+            # 2. Train on every prioritized batch that came back, then
+            # arm the next requests the replay ratio pays for.
+            for shard, sampled in samples.reap(timeout=0):
+                learn(shard, sampled)
+            if (updates_enabled and not starved
+                    and result.rows_inserted >= self.learning_starts):
+                budget = self.samples_per_insert * result.rows_inserted
+                while (len(samples) < SAMPLES_IN_FLIGHT
+                       and result.rows_sampled
+                       + (len(samples) + 1) * self.batch_size <= budget):
+                    samples.arm(self.shards[sample_rr % len(self.shards)],
+                                "sample", self.batch_size)
+                    sample_rr += 1
 
             # 3. Publish a version and broadcast it as ONE flat ndarray
             # (the learner's flat layout matches the workers'), so the
@@ -183,7 +222,7 @@ class ApexExecutor(Executor):
         # Termination contract (docstring).  The retries are submitted
         # after every insert and mailboxes are FIFO, so each retried
         # shard answers with all the rows routed to it.
-        if updates_enabled and samples_collected >= self.learning_starts:
+        if updates_enabled and result.rows_inserted >= self.learning_starts:
             for retry in [None, *self.shards]:
                 if retry is not None:
                     if result.learner_updates:

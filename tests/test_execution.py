@@ -18,6 +18,7 @@ from repro.environments import GridWorld, RandomEnv, SequentialVectorEnv, SimPon
 from repro.execution import (
     LearnerReplicaActor,
     NStepAccumulator,
+    RunResult,
     SingleThreadedWorker,
 )
 from repro.execution.impala_runner import (
@@ -193,12 +194,25 @@ class TestApexExecutor:
         d = result.as_dict()
         assert set(d) >= {"env_frames", "learner_updates", "wall_time"}
 
+    def test_learner_stays_within_its_replay_ratio(self):
+        executor = _apex_setup(samples_per_insert=0.5)
+        result = executor.execute_workload(num_samples=400)
+        assert result.rows_inserted >= 400
+        assert result.learner_updates > 0
+        assert result.rows_sampled == 16 * result.learner_updates
+        # Up to one batch past the ratio: the termination retry.
+        assert result.rows_sampled <= 0.5 * result.rows_inserted + 16
+        assert result.replay_ratio == (result.rows_sampled
+                                       / result.rows_inserted)
+        assert RunResult().replay_ratio is None  # nothing inserted
+
     def test_throughput_only_mode(self):
         executor = _apex_setup()
         result = executor.execute_workload(num_samples=300,
                                            updates_enabled=False)
         assert result.learner_updates == 0
         assert result.env_frames > 0
+        assert result.rows_sampled == 0 and result.replay_ratio == 0.0
 
     def test_rllib_like_baseline_runs(self):
         executor = _apex_setup(executor_cls=RLlibLikeApexExecutor)

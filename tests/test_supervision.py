@@ -2,7 +2,9 @@
 deterministic under a seeded clock), Supervisor restart semantics with
 fake handles, the one supervised call path (slot handles + pump /
 broadcast / gather / retrying) as a deterministic matrix of scripted
-deaths, spec resolution, factory picklability, and the raylite liveness
+deaths, ``wait_any`` over pumps of plain refs, the Ape-X termination
+contract and replay ratio, spec resolution, factory picklability, and
+the raylite liveness
 signal the supervisor is built on (SIGKILLed process actors flip
 ``is_alive()`` and fire death callbacks; deliberate kills do not).
 """
@@ -19,6 +21,7 @@ import pytest
 from repro import raylite
 from repro.execution.parallel import resolve_parallel_spec
 from repro.execution.ray import ApexExecutor
+from repro.execution.ray import apex_executor
 from repro.execution.supervision import (
     BackoffPolicy,
     Pump,
@@ -31,6 +34,7 @@ from repro.execution.supervision import (
     broadcast,
     gather,
     resolve_supervision_spec,
+    wait_any,
 )
 from repro.utils.errors import RLGraphError
 
@@ -708,11 +712,28 @@ def worker_script(rows):
     replies = {"collect": lambda _: {"rewards": np.zeros(rows)},
                "get_stats": lambda: {"env_frames": 0,
                                      "episode_returns": []},
-               "set_weights": lambda _: None}
+               "set_weights": lambda *_: None}
 
     def script(handle):
         method, args, ref = handle.pending.pop()
         ref._resolve(replies[method](*args))
+    return script
+
+
+def timed_worker_script(rows, delay):
+    """:func:`worker_script`, but ``collect`` answers from a timer
+    ``delay`` seconds after its submit."""
+    answer = worker_script(rows)
+
+    def script(handle):
+        method, _, ref = handle.pending[-1]
+        if method != "collect":
+            return answer(handle)
+        handle.pending.pop()
+        timer = threading.Timer(delay, ref._resolve,
+                                ({"rewards": np.zeros(rows)},))
+        timer.daemon = True
+        timer.start()
     return script
 
 
@@ -781,20 +802,21 @@ class TestApexTermination:
         assert shard0.log[-1] == ("submit", shard0, "update_priorities")
 
     def test_underfilled_shard_retries_the_others_once(self):
-        # Worker 0's 4 rows go to shard 0, worker 1's 40 to shard 1; the
-        # armed sample hits shard 0 and comes back None.
+        # Worker 0's 4 rows go to shard 0, worker 1's 40 to shard 1.  The
+        # 44 rows pay for 0.25 * 44 = 11 < 16 sampled rows, so the loop
+        # arms no sample; the retry asks shard 0 (None), then shard 1.
         shards = [ShardScript(), ShardScript()]
         executor = self._executor([4, 40], shards)
         result = executor.execute_workload(num_samples=44)
         assert result.learner_updates == 1
-        assert [s.samples for s in shards] == [2, 1]
+        assert [s.samples for s in shards] == [1, 1]
 
     def test_no_shard_holds_a_batch_returns_without_update(self):
         shards = [ShardScript(), ShardScript()]
         executor = self._executor([4, 4], shards)
         result = executor.execute_workload(num_samples=8)
         assert result.learner_updates == 0
-        assert [s.samples for s in shards] == [2, 1]
+        assert [s.samples for s in shards] == [1, 1]
 
     def test_updates_disabled_never_samples(self):
         shards = [ShardScript(), ShardScript()]
@@ -803,6 +825,116 @@ class TestApexTermination:
                                            updates_enabled=False)
         assert result.learner_updates == 0
         assert [s.samples for s in shards] == [0, 0]
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("worker_rows", [
+        [40, 40], [7, 130, 64], [200], [16, 3, 90, 41]])
+    def test_replay_ratio_bounds_the_learner(self, monkeypatch,
+                                             worker_rows, ratio):
+        peaks = {}
+
+        class PeakPump(Pump):
+            def arm(self, handle, method, *args):
+                super().arm(handle, method, *args)
+                peaks[method] = max(peaks.get(method, 0), len(self))
+
+        monkeypatch.setattr(apex_executor, "Pump", PeakPump)
+        shards = [ShardScript(), ShardScript()]
+        executor = self._executor(worker_rows, shards,
+                                  samples_per_insert=ratio)
+        log = []
+        for handle in executor.shards:
+            handle.log = log
+        result = executor.execute_workload(num_samples=1000)
+        inserted = sum(s.rows for s in shards)
+        assert result.rows_inserted == inserted >= 1000
+        assert result.learner_updates >= 1
+        assert result.rows_sampled == 16 * result.learner_updates
+        # Only the termination retry may go past the ratio, by one batch.
+        assert result.rows_sampled <= ratio * inserted + 16
+        assert result.replay_ratio == result.rows_sampled / inserted
+        assert peaks["sample"] <= apex_executor.SAMPLES_IN_FLIGHT == 2
+        targets = [handle for _, handle, method in log if method == "sample"]
+        assert targets == [executor.shards[i % 2]
+                           for i in range(len(targets))]
+
+    def test_underfilled_replay_does_not_spin_the_learner(self):
+        # Every sample comes back None while collects land every 10 ms:
+        # a None holds sampling until the next insert, so the shards
+        # see at most SAMPLES_IN_FLIGHT requests per insert.
+        class EmptyShard(ShardScript):
+            def reply(self, method, *args):
+                return None
+
+        shards = [EmptyShard(), EmptyShard()]
+        executor = self._executor([], shards, samples_per_insert=1.0)
+        executor.workers = [FakeHandle(script=timed_worker_script(40, 0.01))]
+        result = executor.execute_workload(duration=0.3)
+        inserts = result.rows_inserted // 40
+        assert inserts >= 1 and result.learner_updates == 0
+        # + 2: the termination retry asks each shard once more.
+        assert sum(s.samples for s in shards) <= 2 * inserts + 2
+
+    def test_replay_ratio_must_be_positive(self):
+        with pytest.raises(RLGraphError):
+            self._executor([40], [ShardScript()], samples_per_insert=0)
+
+
+# ---------------------------------------------------------------------------
+# wait_any: one wait over several pumps (plain refs, no actors)
+# ---------------------------------------------------------------------------
+@pytest.mark.mp_timeout(30)
+class TestWaitAny:
+    def _pumps(self):
+        handles = [FakeHandle(), FakeHandle()]
+        pumps = [Pump(), Pump()]
+        for handle, pump in zip(handles, pumps):
+            pump.arm(handle, "work")
+        return handles, pumps
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_wakes_on_first_completion_from_either_pump(self, first):
+        handles, pumps = self._pumps()
+        timer = threading.Timer(0.05, handles[first].finish, ("done",))
+        timer.start()
+        assert wait_any(*pumps, timeout=10.0)
+        timer.join()
+        assert list(pumps[first].reap(timeout=0)) == [(handles[first],
+                                                       "done")]
+        assert list(pumps[1 - first].reap(timeout=0)) == []
+        assert len(pumps[1 - first]) == 1
+
+    def test_wakes_on_a_failed_ref(self):
+        handles, pumps = self._pumps()
+        timer = threading.Timer(0.05, handles[1].die)
+        timer.start()
+        start = time.monotonic()
+        assert wait_any(*pumps, timeout=10.0)
+        timer.join()
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(raylite.RayliteError):  # raw handle: re-raise
+            list(pumps[1].reap(timeout=0))
+
+    def test_returns_at_its_timeout(self):
+        _, pumps = self._pumps()
+        start = time.monotonic()
+        assert not wait_any(*pumps, timeout=0.1)
+        assert 0.09 <= time.monotonic() - start < 5.0
+        assert [len(pump) for pump in pumps] == [1, 1]
+
+    def test_leaves_no_callback_on_pending_refs(self):
+        handles, pumps = self._pumps()
+        refs = [ref for handle in handles for _, _, ref in handle.pending]
+        assert not wait_any(*pumps, timeout=0.01)
+        handles[0].finish("done")
+        assert wait_any(*pumps, timeout=10.0)
+        assert refs[1]._callbacks == []
+
+    def test_returns_at_once_when_nothing_is_armed(self):
+        start = time.monotonic()
+        assert wait_any(Pump(), Pump(), timeout=None) is False
+        assert wait_any() is False
+        assert time.monotonic() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
