@@ -3,7 +3,7 @@
 Reproduces the coordination loop the paper benchmarks in Fig. 6/7:
 workers collect n-step-adjusted, pre-prioritized sample batches in
 parallel; completed batches are routed round-robin to replay shards; the
-learner pulls prioritized batches — as many as ``samples_per_insert``
+learner pulls prioritized batches — as many as ``SAMPLES_PER_INSERT``
 rows per inserted row pay for — trains through ``update_from_external``
 and pushes priority corrections back to the owning shard; worker
 weights are refreshed every ``weight_sync_steps`` learner updates.
@@ -17,6 +17,7 @@ RLlib's bottleneck — this is the E3/E4 comparison axis.
 from __future__ import annotations
 
 import logging
+import time
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -24,13 +25,7 @@ import numpy as np
 from repro import raylite
 from repro.execution.executor import Executor, RunResult, recent_mean
 from repro.execution.ray.actors import ApexWorkerActor, ReplayShardActor
-from repro.execution.supervision import (
-    Pump,
-    ReplicaFactory,
-    broadcast,
-    gather,
-    wait_any,
-)
+from repro.execution.supervision import Pump, ReplicaFactory, broadcast, gather
 from repro.utils.errors import RLGraphError
 
 logger = logging.getLogger(__name__)
@@ -39,6 +34,12 @@ logger = logging.getLogger(__name__)
 #: while the next is already sampled, and a deeper queue would only add
 #: staleness — the replay ratio, not the depth, bounds the learner.
 SAMPLES_IN_FLIGHT = 2
+
+#: Rows the learner samples per row inserted (Reverb's rate limiter):
+#: the learner's share of the driver, stated.  0.25 replaces the ~0.15
+#: an old 50 ms poll happened to allow; higher ratios shorten the update
+#: gap but take more of the GIL from thread actors (docs/benchmarks.md).
+SAMPLES_PER_INSERT = 0.25
 
 
 class ApexExecutor(Executor):
@@ -57,13 +58,9 @@ class ApexExecutor(Executor):
                  frame_multiplier: int = 1,
                  seed: int = 0, vector_env_spec=None, parallel_spec=None,
                  weight_listeners=None, supervision_spec=None,
-                 checkpoint_spec=None, learner_spec=None,
-                 samples_per_insert: float = 0.25):
+                 checkpoint_spec=None, learner_spec=None):
         if worker_mode not in ("rlgraph", "rllib_like"):
             raise RLGraphError(f"Unknown worker_mode {worker_mode!r}")
-        if not samples_per_insert > 0:
-            raise RLGraphError(
-                f"samples_per_insert must be > 0, got {samples_per_insert!r}")
         super().__init__(learner_agent, agent_factory, parallel_spec,
                          weight_listeners, supervision_spec,
                          checkpoint_spec, learner_spec)
@@ -71,9 +68,6 @@ class ApexExecutor(Executor):
         self.task_size = int(task_size)
         self.learning_starts = int(learning_starts)
         self.weight_sync_steps = int(weight_sync_steps)
-        # Rows the learner samples per row inserted (Reverb's rate
-        # limiter): the learner's share of the driver, stated.
-        self.samples_per_insert = float(samples_per_insert)
         # Atari frame-skip: env frames per sample step (paper counts
         # frames *including* skips).
         self.frame_multiplier = int(frame_multiplier)
@@ -129,7 +123,7 @@ class ApexExecutor(Executor):
 
         The learner is bounded by the replay ratio: a sample request is
         armed only while rows trained on, plus rows armed, plus one
-        more batch stay within ``samples_per_insert`` times the rows
+        more batch stay within ``SAMPLES_PER_INSERT`` times the rows
         inserted by this call.
 
         Termination contract: before returning, the armed samples are
@@ -142,16 +136,18 @@ class ApexExecutor(Executor):
             raise RLGraphError("Provide num_samples or duration")
         result = RunResult()
 
-        # One collect task in flight per worker, up to SAMPLES_IN_FLIGHT
-        # sample requests across the shards.  A task lost with a crashed
+        # One pump carries both streams, told apart by their handle: a
+        # collect task per worker and up to SAMPLES_IN_FLIGHT sample
+        # requests across the shards.  A task lost with a crashed
         # incarnation is re-armed on the slot's replacement inside the
         # pump (slot handles restart at submit); without supervision
         # the failure raises here.
-        collects, samples = Pump(), Pump()
+        tasks = Pump()
         for worker in self.workers:
-            collects.arm(worker, "collect", self.task_size)
-        updates_since_sync = 0
+            tasks.arm(worker, "collect", self.task_size)
+        sampling = 0  # sample requests in flight
         sample_rr = 0
+        updates_since_sync = 0
         # A shard answered None (underfilled, or restarted empty): ask
         # again only after the next insert, so an empty replay cannot
         # spin the learner against the actors.
@@ -164,8 +160,14 @@ class ApexExecutor(Executor):
                 return True
             return False
 
+        def arm_sample(shard) -> None:
+            nonlocal sampling
+            tasks.arm(shard, "sample", self.batch_size)
+            sampling += 1
+
         def learn(shard, sampled) -> None:
-            nonlocal updates_since_sync, starved
+            nonlocal sampling, updates_since_sync, starved
+            sampling -= 1
             if sampled is None:
                 starved = True
                 return
@@ -186,33 +188,30 @@ class ApexExecutor(Executor):
             # or sample wakes the loop, and nothing else does.
             timeout = (None if duration is None
                        else max(0.0, duration - result.elapsed()))
-            wait_any(collects, samples, timeout=timeout)
-
-            # 1. Route completed batches round-robin into the shards and
-            # re-arm their workers.
-            for worker, batch in collects.reap(timeout=0):
-                result.rows_inserted += len(batch["rewards"])
+            for handle, reply in tasks.reap(timeout):
+                if handle in self.shards:
+                    learn(handle, reply)
+                    continue
+                # Route a completed batch round-robin into the shards
+                # and re-arm its worker.
+                result.rows_inserted += len(reply["rewards"])
                 self.shards[self._shard_rr % len(self.shards)].insert.remote(
-                    batch)
+                    reply)
                 self._shard_rr += 1
                 starved = False
-                collects.arm(worker, "collect", self.task_size)
+                tasks.arm(handle, "collect", self.task_size)
 
-            # 2. Train on every prioritized batch that came back, then
-            # arm the next requests the replay ratio pays for.
-            for shard, sampled in samples.reap(timeout=0):
-                learn(shard, sampled)
+            # Arm the sample requests the replay ratio pays for.
             if (updates_enabled and not starved
                     and result.rows_inserted >= self.learning_starts):
-                budget = self.samples_per_insert * result.rows_inserted
-                while (len(samples) < SAMPLES_IN_FLIGHT
+                budget = SAMPLES_PER_INSERT * result.rows_inserted
+                while (sampling < SAMPLES_IN_FLIGHT
                        and result.rows_sampled
-                       + (len(samples) + 1) * self.batch_size <= budget):
-                    samples.arm(self.shards[sample_rr % len(self.shards)],
-                                "sample", self.batch_size)
+                       + (sampling + 1) * self.batch_size <= budget):
+                    arm_sample(self.shards[sample_rr % len(self.shards)])
                     sample_rr += 1
 
-            # 3. Publish a version and broadcast it as ONE flat ndarray
+            # Publish a version and broadcast it as ONE flat ndarray
             # (the learner's flat layout matches the workers'), so the
             # process backend ships one shared-memory block per push.
             if updates_since_sync >= self.weight_sync_steps:
@@ -221,15 +220,24 @@ class ApexExecutor(Executor):
 
         # Termination contract (docstring).  The retries are submitted
         # after every insert and mailboxes are FIFO, so each retried
-        # shard answers with all the rows routed to it.
+        # shard answers with all the rows routed to it.  Collects that
+        # land meanwhile are dropped: their rows are not inserted.
         if updates_enabled and result.rows_inserted >= self.learning_starts:
-            for retry in [None, *self.shards]:
-                if retry is not None:
-                    if result.learner_updates:
+            retries = iter(self.shards)
+            deadline = time.monotonic() + 30.0
+            while True:
+                if not sampling:
+                    retry = next(retries, None)
+                    if retry is None or result.learner_updates:
                         break
-                    samples.arm(retry, "sample", self.batch_size)
-                for shard, sampled in samples.drain(timeout=30.0):
-                    learn(shard, sampled)
+                    arm_sample(retry)
+                    deadline = time.monotonic() + 30.0
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                for handle, reply in tasks.reap(remaining):
+                    if handle in self.shards:
+                        learn(handle, reply)
 
         stats = self.finish(result)
         result.env_frames *= self.frame_multiplier

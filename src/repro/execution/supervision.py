@@ -29,8 +29,7 @@ submit to a dead incarnation restarts the slot, runs the hook and
 re-submits.  What a coordination loop does when a *result* is lost is
 written once here too: :class:`Pump` (one task per arm, any number
 per slot; a task lost with its incarnation is re-armed on the
-replacement; :func:`wait_any` blocks on several pumps at once),
-:func:`broadcast` / :func:`gather` (a slot that dies is
+replacement), :func:`broadcast` / :func:`gather` (a slot that dies is
 skipped — its restart hook re-syncs it) and :meth:`Supervisor.retrying`
 (re-run a whole round).  With supervision off ``spawn`` returns the raw
 raylite handles, and the same call shapes re-raise the original
@@ -564,19 +563,6 @@ class Pump:
             if remaining <= 0:
                 return
             yield from self.reap(remaining)
-
-
-def wait_any(*pumps: Pump, timeout: Optional[float] = None) -> bool:
-    """Block until a task armed on any of ``pumps`` completes or fails,
-    or ``timeout`` seconds pass (``None``: no limit).  True when one is
-    ready; returns at once when nothing is armed.  Nothing is consumed —
-    the caller then reaps each pump with ``timeout=0``.  The completion
-    callbacks are detached from the refs still pending."""
-    refs = [ref for pump in pumps for ref in pump._tasks]
-    if not refs:
-        return False
-    ready, _ = raylite.wait(refs, num_returns=1, timeout=timeout)
-    return bool(ready)
 
 
 def broadcast(handles, method: str, *args) -> List[Tuple]:

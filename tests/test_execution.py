@@ -26,7 +26,7 @@ from repro.execution.impala_runner import (
     IMPALARunner,
     _merge_rollouts,
 )
-from repro.execution.ray import ApexExecutor, ApexWorkerActor
+from repro.execution.ray import ApexExecutor, ApexWorkerActor, apex_executor
 from repro.execution.sync_batch_executor import A2CRolloutActor
 from repro.execution.worker import batched_n_step, build_agent
 from repro.serving.worker_pool import PolicyServerActor
@@ -194,8 +194,9 @@ class TestApexExecutor:
         d = result.as_dict()
         assert set(d) >= {"env_frames", "learner_updates", "wall_time"}
 
-    def test_learner_stays_within_its_replay_ratio(self):
-        executor = _apex_setup(samples_per_insert=0.5)
+    def test_learner_stays_within_its_replay_ratio(self, monkeypatch):
+        monkeypatch.setattr(apex_executor, "SAMPLES_PER_INSERT", 0.5)
+        executor = _apex_setup()
         result = executor.execute_workload(num_samples=400)
         assert result.rows_inserted >= 400
         assert result.learner_updates > 0

@@ -2,7 +2,7 @@
 deterministic under a seeded clock), Supervisor restart semantics with
 fake handles, the one supervised call path (slot handles + pump /
 broadcast / gather / retrying) as a deterministic matrix of scripted
-deaths, ``wait_any`` over pumps of plain refs, the Ape-X termination
+deaths, one pump's wait over plain refs, the Ape-X termination
 contract and replay ratio, spec resolution, factory picklability, and
 the raylite liveness
 signal the supervisor is built on (SIGKILLed process actors flip
@@ -34,7 +34,6 @@ from repro.execution.supervision import (
     broadcast,
     gather,
     resolve_supervision_spec,
-    wait_any,
 )
 from repro.utils.errors import RLGraphError
 
@@ -831,17 +830,25 @@ class TestApexTermination:
         [40, 40], [7, 130, 64], [200], [16, 3, 90, 41]])
     def test_replay_ratio_bounds_the_learner(self, monkeypatch,
                                              worker_rows, ratio):
-        peaks = {}
+        sampling = [0, 0]  # in flight, peak
 
         class PeakPump(Pump):
             def arm(self, handle, method, *args):
                 super().arm(handle, method, *args)
-                peaks[method] = max(peaks.get(method, 0), len(self))
+                if method == "sample":
+                    sampling[0] += 1
+                    sampling[1] = max(sampling)
+
+            def reap(self, timeout):
+                for handle, reply in super().reap(timeout):
+                    if handle in executor.shards:
+                        sampling[0] -= 1
+                    yield handle, reply
 
         monkeypatch.setattr(apex_executor, "Pump", PeakPump)
+        monkeypatch.setattr(apex_executor, "SAMPLES_PER_INSERT", ratio)
         shards = [ShardScript(), ShardScript()]
-        executor = self._executor(worker_rows, shards,
-                                  samples_per_insert=ratio)
+        executor = self._executor(worker_rows, shards)
         log = []
         for handle in executor.shards:
             handle.log = log
@@ -853,12 +860,13 @@ class TestApexTermination:
         # Only the termination retry may go past the ratio, by one batch.
         assert result.rows_sampled <= ratio * inserted + 16
         assert result.replay_ratio == result.rows_sampled / inserted
-        assert peaks["sample"] <= apex_executor.SAMPLES_IN_FLIGHT == 2
+        assert 1 <= sampling[1] <= apex_executor.SAMPLES_IN_FLIGHT == 2
         targets = [handle for _, handle, method in log if method == "sample"]
         assert targets == [executor.shards[i % 2]
                            for i in range(len(targets))]
 
-    def test_underfilled_replay_does_not_spin_the_learner(self):
+    def test_underfilled_replay_does_not_spin_the_learner(self,
+                                                          monkeypatch):
         # Every sample comes back None while collects land every 10 ms:
         # a None holds sampling until the next insert, so the shards
         # see at most SAMPLES_IN_FLIGHT requests per insert.
@@ -866,8 +874,9 @@ class TestApexTermination:
             def reply(self, method, *args):
                 return None
 
+        monkeypatch.setattr(apex_executor, "SAMPLES_PER_INSERT", 1.0)
         shards = [EmptyShard(), EmptyShard()]
-        executor = self._executor([], shards, samples_per_insert=1.0)
+        executor = self._executor([], shards)
         executor.workers = [FakeHandle(script=timed_worker_script(40, 0.01))]
         result = executor.execute_workload(duration=0.3)
         inserts = result.rows_inserted // 40
@@ -875,65 +884,58 @@ class TestApexTermination:
         # + 2: the termination retry asks each shard once more.
         assert sum(s.samples for s in shards) <= 2 * inserts + 2
 
-    def test_replay_ratio_must_be_positive(self):
-        with pytest.raises(RLGraphError):
-            self._executor([40], [ShardScript()], samples_per_insert=0)
-
 
 # ---------------------------------------------------------------------------
-# wait_any: one wait over several pumps (plain refs, no actors)
+# The loop's one wait: a pump holding two streams (plain refs, no actors)
 # ---------------------------------------------------------------------------
 @pytest.mark.mp_timeout(30)
-class TestWaitAny:
-    def _pumps(self):
+class TestPumpWait:
+    def _pump(self):
         handles = [FakeHandle(), FakeHandle()]
-        pumps = [Pump(), Pump()]
-        for handle, pump in zip(handles, pumps):
-            pump.arm(handle, "work")
-        return handles, pumps
+        pump = Pump()
+        pump.arm(handles[0], "collect")
+        pump.arm(handles[1], "sample")
+        return handles, pump
 
     @pytest.mark.parametrize("first", [0, 1])
-    def test_wakes_on_first_completion_from_either_pump(self, first):
-        handles, pumps = self._pumps()
+    def test_wakes_on_first_completion_of_either_stream(self, first):
+        handles, pump = self._pump()
         timer = threading.Timer(0.05, handles[first].finish, ("done",))
         timer.start()
-        assert wait_any(*pumps, timeout=10.0)
+        assert list(pump.reap(timeout=10.0)) == [(handles[first], "done")]
         timer.join()
-        assert list(pumps[first].reap(timeout=0)) == [(handles[first],
-                                                       "done")]
-        assert list(pumps[1 - first].reap(timeout=0)) == []
-        assert len(pumps[1 - first]) == 1
+        assert len(pump) == 1
+        assert list(pump.reap(timeout=0)) == []
 
     def test_wakes_on_a_failed_ref(self):
-        handles, pumps = self._pumps()
+        handles, pump = self._pump()
         timer = threading.Timer(0.05, handles[1].die)
         timer.start()
         start = time.monotonic()
-        assert wait_any(*pumps, timeout=10.0)
+        with pytest.raises(raylite.RayliteError):  # raw handle: re-raise
+            list(pump.reap(timeout=10.0))
         timer.join()
         assert time.monotonic() - start < 5.0
-        with pytest.raises(raylite.RayliteError):  # raw handle: re-raise
-            list(pumps[1].reap(timeout=0))
+        assert len(pump) == 1
 
     def test_returns_at_its_timeout(self):
-        _, pumps = self._pumps()
+        _, pump = self._pump()
         start = time.monotonic()
-        assert not wait_any(*pumps, timeout=0.1)
+        assert list(pump.reap(timeout=0.1)) == []
         assert 0.09 <= time.monotonic() - start < 5.0
-        assert [len(pump) for pump in pumps] == [1, 1]
+        assert len(pump) == 2
 
     def test_leaves_no_callback_on_pending_refs(self):
-        handles, pumps = self._pumps()
+        handles, pump = self._pump()
         refs = [ref for handle in handles for _, _, ref in handle.pending]
-        assert not wait_any(*pumps, timeout=0.01)
+        assert list(pump.reap(timeout=0.01)) == []
         handles[0].finish("done")
-        assert wait_any(*pumps, timeout=10.0)
+        assert list(pump.reap(timeout=10.0)) == [(handles[0], "done")]
         assert refs[1]._callbacks == []
 
     def test_returns_at_once_when_nothing_is_armed(self):
         start = time.monotonic()
-        assert wait_any(Pump(), Pump(), timeout=None) is False
-        assert wait_any() is False
+        assert list(Pump().reap(timeout=None)) == []
         assert time.monotonic() - start < 1.0
 
 
