@@ -153,8 +153,11 @@ def cast(x, dtype):
 
 
 # -- linear algebra / reductions -----------------------------------------------
-def matmul(x, y):
-    return _op("matmul", [x, y])
+def matmul(x, y, transpose_a=False, transpose_b=False):
+    """``(x.T if transpose_a else x) @ (y.T if transpose_b else y)``; the
+    flags reach BLAS as its transpose arguments instead of a copy."""
+    return _op("matmul", [x, y], {"transpose_a": bool(transpose_a),
+                                  "transpose_b": bool(transpose_b)})
 
 
 def reduce_sum(x, axis=None, keepdims=False):

@@ -35,11 +35,14 @@ Design notes:
   lookup hits and the entry accepts its probed metadata. Each lowered
   step becomes one ``static`` C function, called in order by its
   segment's exported ``segN``.
-* **GEMM from C.** A matmul above :data:`_MATMUL_NATIVE_LIMIT` calls
-  the CBLAS ``?gemm`` of the BLAS numpy already mapped into the process
-  (:data:`_GEMM_SYMBOLS`) through a *fn* entry, so it keeps BLAS speed
-  without leaving the segment; where no symbol is found it stays a
-  Python step.
+* **GEMM from C.** Every float matmul calls the CBLAS ``?gemm`` of the
+  BLAS numpy already mapped into the process (:data:`_GEMM_SYMBOLS`)
+  through a *fn* entry, so it keeps BLAS speed without leaving the
+  segment. The op's ``transpose_a`` / ``transpose_b`` flags (how a
+  matmul adjoint is built) become GEMM's ``CblasTrans`` over the stored
+  layout, so no transpose is ever copied. Only where no symbol is found
+  does :data:`_MATMUL_NATIVE_LIMIT` matter: up to it a C loop, above it
+  a Python step.
 * **Caching.** The generated source is deterministic, and the compiled
   shared object is cached on disk keyed by the MD5 of source, compiler
   path and flags, so repeat processes skip the C compiler entirely. A
@@ -81,9 +84,9 @@ from repro.utils import procutil
 # wrapped compiled plan for unseen signatures.
 _MAX_BUILDS = 4
 
-# Matmuls up to this many multiply-adds are emitted as native loops;
-# larger ones call the process's CBLAS GEMM from the C (they stay Python
-# steps only where no GEMM symbol is found, see _GEMM_SYMBOLS).
+# Where no GEMM symbol is found (see _GEMM_SYMBOLS), matmuls up to this
+# many multiply-adds are emitted as native loops and larger ones stay
+# Python steps; with a GEMM every float matmul calls it from the C.
 _MATMUL_NATIVE_LIMIT = 1 << 16
 
 # CBLAS GEMM entry points looked up in the BLAS objects already mapped
@@ -93,7 +96,7 @@ _MATMUL_NATIVE_LIMIT = 1 << 16
 _GEMM_SYMBOLS = (("scipy_cblas_{}gemm64_", "long long"),
                  ("cblas_{}gemm64_", "long long"),
                  ("cblas_{}gemm", "int"))
-_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS = 101, 111
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_TRANS = 101, 111, 112
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 
@@ -504,6 +507,15 @@ class _W:
         self.lines.append(line)
 
 
+def _temp_ct(dt) -> str:
+    """C type of a chain's scalar temporary. A bool is held as ``int``:
+    its values are 0/1 either way, and a temporary as wide as a float
+    lane lets the compiler vectorize a ``greater -> cast -> mul`` chain
+    (the ReLU adjoint). ``uint8`` keeps its own type, which wraps like
+    NumPy's."""
+    return "int" if np.dtype(dt) == np.dtype(np.bool_) else _ct(dt)
+
+
 def _emit_elementwise(cx, instrs, member_dts, ext_metas, data) -> None:
     """One loop nest computing a chain of elementwise members
     (``instrs``: ``(op, _, attrs, refs)`` with result dtypes
@@ -538,7 +550,8 @@ def _emit_elementwise(cx, instrs, member_dts, ext_metas, data) -> None:
                     args.append(f"t{u}_{r}")
                     dts.append(member_dts[r])
             expr = _member_expr(mop, mattrs, args, dts, member_dts[m_i])
-            w(f"{indent}const {_ct(member_dts[m_i])} t{u}_{m_i} = {expr};")
+            w(f"{indent}const {_temp_ct(member_dts[m_i])} t{u}_{m_i} = "
+              f"{expr};")
         w(f"{indent}o{u}[{out_ix}] = t{u}_{len(instrs) - 1};")
 
     flat = all(
@@ -847,37 +860,50 @@ def _emit_transpose(cx, perm):
 
 
 def _accept_matmul(step, ins, out, dts):
-    """True for a native loop; ``(address, integer C type)`` of the
-    CBLAS GEMM to call above :data:`_MATMUL_NATIVE_LIMIT`."""
+    """``(address, integer C type)`` of the CBLAS GEMM to call; where no
+    GEMM is found, True for a native loop up to
+    :data:`_MATMUL_NATIVE_LIMIT`."""
     ma, mb = ins
     if not (ma is not None and mb is not None
             and len(ma[0]) == 2 and len(mb[0]) == 2 and len(out[0]) == 2
             and ma[1] == mb[1] == out[1] and _ct(ma[1]) in _FLOAT_CTS):
         return None
-    if _numel(ma[0]) * int(mb[0][1]) <= _MATMUL_NATIVE_LIMIT:
-        return True
-    return _find_gemm(_ct(ma[1]))
+    gemm = _find_gemm(_ct(ma[1]))
+    if gemm is not None:
+        return gemm
+    return _numel(ma[0]) * int(out[0][1]) <= _MATMUL_NATIVE_LIMIT or None
 
 
 def _emit_matmul(cx, how):
-    m, k = (int(d) for d in cx.ins[0][0])
-    _, n = (int(d) for d in cx.ins[1][0])
+    ta = bool(cx.step.attrs.get("transpose_a"))
+    tb = bool(cx.step.attrs.get("transpose_b"))
+    # Stored (row-major) operand shapes; op(A) is m x k, op(B) is k x n.
+    ra, ca = (int(d) for d in cx.ins[0][0])
+    rb, cb = (int(d) for d in cx.ins[1][0])
+    m, k = (ca, ra) if ta else (ra, ca)
+    n = rb if tb else cb
     ct = _ct(cx.out[1])
     out_i, a_i, b_i = cx.out_buf(), cx.arg(0), cx.arg(1)
     w = cx.w
     if how is not True:
-        # C = 1 * A @ B + 0 * C, row-major, through the fn entry.
+        # C = 1 * op(A) @ op(B) + 0 * C, row-major, through the fn entry;
+        # a leading dimension is its stored row length (at least 1).
         address, it = how
         f_i = cx.entry(("f", address), ("f", address))
+        flag = {False: _CBLAS_NO_TRANS, True: _CBLAS_TRANS}
         w(f"  {{ /* {cx.label} */")
         w(f"  typedef void (*gemm_t)(int, int, int, {it}, {it}, {it}, {ct}, "
           f"const {ct} *, {it}, const {ct} *, {it}, {ct}, {ct} *, {it});")
         w(f"  ((gemm_t)(void *)B[{f_i}])({_CBLAS_ROW_MAJOR}, "
-          f"{_CBLAS_NO_TRANS}, {_CBLAS_NO_TRANS}, {m}, {n}, {k}, "
-          f"({ct})1, (const {ct} *)B[{a_i}], {k}, (const {ct} *)B[{b_i}], "
-          f"{n}, ({ct})0, ({ct} *)B[{out_i}], {n});")
+          f"{flag[ta]}, {flag[tb]}, {m}, {n}, {k}, "
+          f"({ct})1, (const {ct} *)B[{a_i}], {max(ca, 1)}, "
+          f"(const {ct} *)B[{b_i}], {max(cb, 1)}, ({ct})0, "
+          f"({ct} *)B[{out_i}], {max(n, 1)});")
         w("  }")
         return
+    # The loop reads op(A)[i][p] and op(B)[p][j] from the stored layout.
+    a_ix = f"p * {m} + i" if ta else f"i * {k} + p"
+    b_ix = f"j * {k} + p" if tb else f"p * {n} + j"
     u = w.uid()
     w(f"  {{ /* {cx.label} */")
     w(f"  const {ct} *a{u} = (const {ct} *)B[{a_i}];")
@@ -886,9 +912,9 @@ def _emit_matmul(cx, how):
     w(f"  for (long long i = 0; i < {m}; i++) {{")
     w(f"    for (long long j = 0; j < {n}; j++) o{u}[i * {n} + j] = 0;")
     w(f"    for (long long p = 0; p < {k}; p++) {{")
-    w(f"      const {ct} av = a{u}[i * {k} + p];")
+    w(f"      const {ct} av = a{u}[{a_ix}];")
     w(f"      for (long long j = 0; j < {n}; j++) "
-      f"o{u}[i * {n} + j] += av * b{u}[p * {n} + j];")
+      f"o{u}[i * {n} + j] += av * b{u}[{b_ix}];")
     w("    }")
     w("  }")
     w("  }")
@@ -1520,6 +1546,14 @@ def _derives_from(value, native_ids) -> bool:
     return False
 
 
+def _feed_key(slot, value):
+    """A feed's part of a build's signature: slot, shape and dtype (the
+    dtype object, which hashes and compares like its name)."""
+    if value.__class__ is not np.ndarray:
+        value = np.asarray(value)
+    return slot, value.shape, value.dtype
+
+
 # ---------------------------------------------------------------------------
 # NativePlan
 # ---------------------------------------------------------------------------
@@ -1547,8 +1581,7 @@ class NativePlan:
         if self._broken:
             return compiled.run(feed_values)
         slab = compiled.feed_slab(feed_values)
-        sig = tuple((slot, np.shape(slab[slot]),
-                     str(np.asarray(slab[slot]).dtype))
+        sig = tuple(_feed_key(slot, slab[slot])
                     for _ph, slot in compiled._feed_slots)
         build = self._builds.get(sig)
         if build is None and len(self._builds) < _MAX_BUILDS:

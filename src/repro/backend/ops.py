@@ -230,7 +230,8 @@ def _matmul_shape(shapes, attrs):
         return None
     if len(a) != 2 or len(b) != 2:
         return None
-    return (a[0], b[1])
+    return (a[1] if attrs.get("transpose_a") else a[0],
+            b[0] if attrs.get("transpose_b") else b[1])
 
 
 def _bool_dtype(dtypes, attrs):
@@ -432,14 +433,26 @@ register_op("cast", lambda i, a: np.asarray(i[0]).astype(a["dtype"]), _grad_cast
             out=_cast_out, **_EW)
 
 # ======================= linear algebra ======================================
+def _matmul_fwd(i, a):
+    x, y = i
+    return ((x.T if a.get("transpose_a") else x)
+            @ (y.T if a.get("transpose_b") else y))
+
+
 def _grad_matmul(inputs, output, g, attrs):
+    """The adjoints as flagged matmuls: the transposes become GEMM
+    flags, never nodes (``op(x) = x.T`` where the flag is set)."""
     F = _F()
     x, y = inputs
-    return (F.matmul(g, F.transpose(y, (1, 0))),
-            F.matmul(F.transpose(x, (1, 0)), g))
+    ta, tb = attrs.get("transpose_a", False), attrs.get("transpose_b", False)
+    gx = (F.matmul(y, g, transpose_a=tb, transpose_b=True) if ta
+          else F.matmul(g, y, transpose_b=not tb))
+    gy = (F.matmul(g, x, transpose_a=True, transpose_b=ta) if tb
+          else F.matmul(x, g, transpose_a=not ta))
+    return gx, gy
 
 
-register_op("matmul", lambda i, a: i[0] @ i[1], _grad_matmul, _matmul_shape,
+register_op("matmul", _matmul_fwd, _grad_matmul, _matmul_shape,
             dtype_fn=_float_dtype, fresh=True)
 
 # ======================= reductions ==========================================

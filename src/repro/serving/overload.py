@@ -346,7 +346,10 @@ class QueueDepthAutoscaler:
 
     :meth:`decide` is side-effect-free apart from its own bookkeeping
     and never touches replicas — the pool owns the (blocking) scale
-    mechanics, this owns only the *when*.
+    mechanics, this owns only the *when*.  ``events`` lists the actions
+    the pool applied (:meth:`record`), not the decisions: a grow that
+    failed to build its replica, or a shrink deferred because every
+    replica was busy, leaves no event (its cooldown still runs).
     """
 
     def __init__(self, spec: AutoscaleSpec,
@@ -375,7 +378,7 @@ class QueueDepthAutoscaler:
             if (num_replicas < spec.max_replicas
                     and now - self._above_since >= spec.sustain
                     and not self._in_cooldown(now)):
-                self._record(now, "grow", queue_depth, num_replicas)
+                self._acted(now)
                 return 1
             return 0
         if queue_depth <= spec.low_watermark:
@@ -385,7 +388,7 @@ class QueueDepthAutoscaler:
             if (num_replicas > spec.min_replicas
                     and now - self._below_since >= spec.idle_after
                     and not self._in_cooldown(now)):
-                self._record(now, "shrink", queue_depth, num_replicas)
+                self._acted(now)
                 return -1
             return 0
         # Between watermarks: the comfortable band, reset both timers.
@@ -393,13 +396,18 @@ class QueueDepthAutoscaler:
         self._below_since = None
         return 0
 
-    def _record(self, now: float, action: str, depth: int,
-                replicas: int) -> None:
+    def _acted(self, now: float) -> None:
         self._last_action_at = now
         self._above_since = None
         self._below_since = None
-        self.events.append({"at": now, "action": action,
-                            "queue_depth": depth, "replicas": replicas})
+
+    def record(self, action: str, queue_depth: int, replicas: int,
+               now: Optional[float] = None) -> None:
+        """Log an applied ``"grow"``/``"shrink"``: the depth that drove
+        it and the replica count it started from."""
+        self.events.append({"at": self._clock() if now is None else now,
+                            "action": action, "queue_depth": queue_depth,
+                            "replicas": replicas})
 
     def __repr__(self):
         return (f"QueueDepthAutoscaler({self.spec!r}, "

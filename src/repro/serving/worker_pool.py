@@ -135,6 +135,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         self.autoscale = resolve_autoscale_spec(autoscale_spec)
         self.autoscaler = (QueueDepthAutoscaler(self.autoscale)
                            if self.autoscale is not None else None)
+        # Held while the replica list changes together with its event,
+        # so a reader sees both before or both after (metrics_snapshot).
+        self._scale_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
         self._inflight_drained = threading.Event()
         self._inflight_drained.set()
@@ -201,20 +204,27 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         mutation never races dispatch."""
         if self.autoscaler is None or self._stopped.is_set():
             return
-        decision = self.autoscaler.decide(self.outstanding(),
-                                          len(self.replicas))
+        depth = self.outstanding()
+        decision = self.autoscaler.decide(depth, len(self.replicas))
         if decision > 0:
-            self._scale_up()
+            self._scale_up(depth)
         elif decision < 0:
-            self._scale_down()
+            self._scale_down(depth)
 
-    def _scale_up(self) -> None:
+    def _record_scale(self, action: str, queue_depth: int) -> None:
+        """Log an applied scale action; the caller holds ``_scale_lock``
+        and has not yet changed ``replicas``."""
+        if self.autoscaler is not None:
+            self.autoscaler.record(action, queue_depth, len(self.replicas))
+
+    def _scale_up(self, queue_depth: int = 0) -> None:
         """Add one replica, fully warmed, at the current weight version.
 
         The new replica only joins the routing set once its compiled
         act plans are primed and the current flat weights applied —
         scale events must preserve bitwise action parity, so a cold or
-        stale replica never sees a batch.
+        stale replica never sees a batch.  The grow event is recorded
+        as it joins; a failed grow records none.
         """
         index = self._next_replica_index
         self._next_replica_index += 1
@@ -229,11 +239,14 @@ class InferenceWorkerPool(_BatchingFrontEnd):
             logger.warning("%s: scale-up failed, staying at %d "
                            "replicas: %s", self.name, len(self.replicas), exc)
             return
-        self.replicas.append(self.supervisor.register(
+        handle = self.supervisor.register(
             f"{self.name}-replica-{index}", handle, factory,
-            on_restart=self._sync_restarted_replica))
+            on_restart=self._sync_restarted_replica)
+        with self._scale_lock:
+            self._record_scale("grow", queue_depth)
+            self.replicas.append(handle)
 
-    def _scale_down(self) -> None:
+    def _scale_down(self, queue_depth: int = 0) -> None:
         """Retire one idle replica (newest first).
 
         Only a replica with an empty mailbox (``num_pending() == 0``)
@@ -247,7 +260,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
                     continue
             except Exception:
                 continue
-            self.replicas.remove(handle)
+            with self._scale_lock:
+                self._record_scale("shrink", queue_depth)
+                self.replicas.remove(handle)
             # Retires the slot BEFORE the kill: a slot still supervised
             # would be resurrected by the next probe.
             self.supervisor.kill(handle)
@@ -359,17 +374,20 @@ class InferenceWorkerPool(_BatchingFrontEnd):
         """The front-end snapshot plus pool-level state: replica count,
         per-replica served counters, autoscale event log."""
         snap = super().metrics_snapshot()
-        snap["replicas"] = len(self.replicas)
+        with self._scale_lock:  # the count and the events agree
+            snap["replicas"] = len(self.replicas)
+            events = (list(self.autoscaler.events)
+                      if self.autoscaler is not None else None)
         snap["outstanding"] = self.outstanding()
         try:
             snap["replica_stats"] = self.replica_stats()
         except Exception:
             snap["replica_stats"] = []
-        if self.autoscaler is not None:
+        if events is not None:
             snap["autoscale"] = {
                 "min_replicas": self.autoscale.min_replicas,
                 "max_replicas": self.autoscale.max_replicas,
-                "events": list(self.autoscaler.events),
+                "events": events,
             }
         snap["restarts"] = self.supervisor.total_restarts
         return snap

@@ -14,7 +14,13 @@ naming ops, so a new entry is exercised — or reported as lacking a case
 - every op with a C expression / ``Lowering`` lowers in a one-op plan
   and matches the interpreter; ``mod`` is not native because it has no
   entry; a matmul above the native loop limit calls BLAS from the C,
-  and stays a Python step where no GEMM symbol is found.
+  and stays a Python step where no GEMM symbol is found;
+- every ``transpose_a`` / ``transpose_b`` combination of ``matmul``,
+  forward and adjoint, at every optimize level and on the eager tape,
+  through GEMM and through the no-GEMM loop; a DQN's plans hold no
+  ``transpose`` step;
+- a bool temporary of a native chain is widened to ``int`` (so the
+  loop vectorizes), a ``uint8`` one is not (it wraps like NumPy).
 """
 
 from __future__ import annotations
@@ -22,15 +28,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.agents import DQNAgent
 from repro.backend import (
+    ETensor,
     Graph,
     Session,
     Variable,
+    backward,
+    eager_mode,
     functional as F,
+    gradients,
     native,
     symbolic_mode,
 )
 from repro.backend.ops import OPS, apply_op
+from repro.spaces import FloatBox, IntBox
 
 needs_cc = pytest.mark.skipif(not native.toolchain_available(),
                               reason="no C toolchain in environment")
@@ -395,3 +407,174 @@ class TestNativeVocabulary:
         for r, o in zip(ref, out):
             np.testing.assert_allclose(o, r, **TOL)
         assert stats.native_steps >= 1 and stats.native_py_steps == 1
+
+
+# ---------------------------------------------------------------------------
+# matmul's transpose flags: forward and adjoint everywhere
+# ---------------------------------------------------------------------------
+FLAGS = [(False, False), (False, True), (True, False), (True, True)]
+LEVELS = ("none", "basic", "fused", "native")
+
+
+def _flagged_operands(ta, tb, dtype=f32, m=3, k=4, n=5):
+    """Stored operands of ``op(x) @ op(y)`` (op(x) is m x k, op(y) is
+    k x n) and the weights ``w`` of the loss ``sum(w * op(x) @ op(y))``."""
+    rng = np.random.default_rng(8)
+    return (_rand(rng, (k, m) if ta else (m, k), dtype),
+            _rand(rng, (n, k) if tb else (k, n), dtype),
+            _rand(rng, (m, n), dtype))
+
+
+def _flagged_reference(x, y, w, ta, tb):
+    """NumPy forward and adjoints, with the transposes spelled out."""
+    ox, oy = (x.T if ta else x), (y.T if tb else y)
+    gox, goy = w @ oy.T, ox.T @ w
+    return ox @ oy, (gox.T if ta else gox), (goy.T if tb else goy)
+
+
+def _flagged_graph(x, y, w, ta, tb, optimize):
+    """Forward and both adjoints through the graph; the session too."""
+    g = Graph(name="matmul-flags", seed=5)
+    with g.as_default(), symbolic_mode():
+        px, py, pw = (g.placeholder(v.shape, v.dtype) for v in (x, y, w))
+        out = F.matmul(px, py, transpose_a=ta, transpose_b=tb)
+        gx, gy = gradients(F.reduce_sum(F.mul(out, pw)), [px, py])
+    sess = Session(g, optimize=optimize)
+    fetches = [out, gx, gy]
+    values = [sess.run(fetches, {px: x, py: y, pw: w})
+              for _ in range(2)][-1]
+    return values, sess, fetches
+
+
+def _flagged_tape(x, y, w, ta, tb):
+    with eager_mode():
+        ex, ey = ETensor(x, requires_grad=True), ETensor(y, requires_grad=True)
+        out = F.matmul(ex, ey, transpose_a=ta, transpose_b=tb)
+        backward(F.reduce_sum(F.mul(out, w)))
+        return [out.data, ex.grad, ey.grad]
+
+
+class TestMatmulFlags:
+    @pytest.mark.parametrize("ta,tb", FLAGS)
+    def test_shape_rule_follows_the_flags(self, ta, tb):
+        x, y, w = _flagged_operands(ta, tb)
+        g = Graph(name="matmul-shape")
+        with g.as_default(), symbolic_mode():
+            out = F.matmul(g.placeholder(x.shape, f32),
+                           g.placeholder(y.shape, f32),
+                           transpose_a=ta, transpose_b=tb)
+        assert out.shape == w.shape
+
+    @pytest.mark.parametrize("ta,tb", FLAGS)
+    def test_adjoint_builds_no_transpose(self, ta, tb):
+        x, y, w = _flagged_operands(ta, tb)
+        _, sess, fetches = _flagged_graph(x, y, w, ta, tb, "basic")
+        ops = [step.op for step in sess.compiled_plan(fetches).steps]
+        assert ops.count("matmul") == 3 and "transpose" not in ops
+
+    @pytest.mark.parametrize("ta,tb", FLAGS)
+    @pytest.mark.parametrize("level", ("none", "basic", "fused", "xtape"))
+    def test_interpreted_levels_match_numpy(self, level, ta, tb):
+        x, y, w = _flagged_operands(ta, tb)
+        ref = _flagged_reference(x, y, w, ta, tb)
+        out = (_flagged_tape(x, y, w, ta, tb) if level == "xtape"
+               else _flagged_graph(x, y, w, ta, tb, level)[0])
+        for r, o in zip(ref, out):
+            assert o.shape == r.shape and o.dtype == r.dtype
+            np.testing.assert_allclose(o, r, **TOL)
+
+    @needs_cc
+    @pytest.mark.native
+    @pytest.mark.parametrize("ta,tb", FLAGS)
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "loop"])
+    def test_native_matches_interpreter(self, monkeypatch, gemm, dtype,
+                                        ta, tb):
+        if not gemm:
+            monkeypatch.setattr(native, "_find_gemm", lambda ct: None)
+        x, y, w = _flagged_operands(ta, tb, dtype)
+        ref, _, _ = _flagged_graph(x, y, w, ta, tb, "none")
+        out, sess, fetches = _flagged_graph(x, y, w, ta, tb, "native")
+        for r, o in zip(ref, out):
+            assert o.shape == r.shape and o.dtype == r.dtype
+            np.testing.assert_allclose(o, r, **TOL)
+        plan = sess.compiled_plan(fetches)
+        assert plan.stats.native_py_steps == 0
+        assert plan.c_source.count("((gemm_t)") == (3 if gemm else 0)
+        if gemm and (ta or tb):
+            assert f", {native._CBLAS_TRANS}, " in plan.c_source
+
+    @needs_cc
+    @pytest.mark.native
+    def test_every_float_matmul_calls_gemm_when_one_is_found(self):
+        # 1 x 4 x 1 multiply-adds: a C loop where no GEMM is found.
+        x, y, w = _flagged_operands(False, False, m=1, k=4, n=1)
+        _, sess, fetches = _flagged_graph(x, y, w, False, False, "native")
+        assert native._find_gemm("float") is not None
+        assert sess.compiled_plan(fetches).c_source.count("((gemm_t)") == 3
+
+
+def test_dqn_plans_hold_no_transpose_step():
+    """The dueling DQN's gradient and update plans: every matmul adjoint
+    is a flagged matmul, so no plan copies a transpose."""
+    agent = DQNAgent(state_space=FloatBox(shape=(6,)), action_space=IntBox(3),
+                     network_spec=[{"type": "dense", "units": 8,
+                                    "activation": "relu"}],
+                     dueling=True, double_q=True, seed=2, optimize="fused")
+    rng = np.random.default_rng(0)
+    batch = {"states": rng.standard_normal((8, 6)).astype(f32),
+             "actions": rng.integers(0, 3, 8),
+             "rewards": rng.standard_normal(8).astype(f32),
+             "terminals": np.zeros(8, bool),
+             "next_states": rng.standard_normal((8, 6)).astype(f32)}
+    agent.get_gradients(batch)
+    agent.update(batch)
+    plans = list(agent.graph.session._compiled.values())
+    ops = [step.op for plan in plans for step in plan.steps]
+    assert ops.count("matmul") >= 10
+    assert "transpose" not in ops
+
+
+# ---------------------------------------------------------------------------
+# Chain temporaries: bool widens to int, uint8 keeps its wraparound
+# ---------------------------------------------------------------------------
+def _relu_adjoint(g):
+    """greater -> cast -> mul: the ReLU adjoint, one bool temporary."""
+    rng = np.random.default_rng(9)
+    x, up = g.placeholder((6, 8), f32), g.placeholder((6, 8), f32)
+    node = F.mul(F.cast(F.greater(x, 0.0), f32), up)
+    return node, {x: _rand(rng, (6, 8), f32),
+                  up: _rand(rng, (6, 8), f32)}, []
+
+
+def _uint8_sum(g):
+    """cast -> cast -> add in uint8: 200 + 100 wraps to 44 in NumPy."""
+    x, y = g.placeholder((2, 4), f32), g.placeholder((2, 4), f32)
+    feed = {x: np.full((2, 4), 200.0, f32),
+            y: np.asarray([[100, 50, 0, 55], [56, 1, 255, 10]], f32)}
+    return F.add(F.cast(x, np.uint8), F.cast(y, np.uint8)), feed, []
+
+
+@needs_cc
+@pytest.mark.native
+@pytest.mark.parametrize("case,temp", [(_relu_adjoint, "int"),
+                                       (_uint8_sum, "unsigned char")],
+                         ids=["bool", "uint8"])
+def test_chain_temporaries_keep_numpy_values(case, temp):
+    ref, _ = _run_case(case, "none")
+    out, stats = _run_case(case, "native")
+    np.testing.assert_array_equal(out[0], ref[0])
+    assert out[0].dtype == ref[0].dtype
+    np.testing.assert_allclose(out[1], ref[1], **TOL)
+    assert stats.native_py_steps == 0
+    if case is _uint8_sum:
+        assert 44 in ref[0] and ref[0].dtype == np.uint8
+    g = Graph(name="chain-temps", seed=5)
+    with g.as_default(), symbolic_mode():
+        node, feed, _ = case(g)
+    sess = Session(g, optimize="native")
+    sess.run(node, feed)
+    source = sess.compiled_plan(node).c_source
+    assert f"const {temp} t" in source
+    if temp == "int":
+        assert "const unsigned char t" not in source

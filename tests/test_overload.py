@@ -200,7 +200,11 @@ class TestAutoscalerDecide:
         assert scaler.decide(20, 1, now=0.0) == 0     # arming
         assert scaler.decide(20, 1, now=0.3) == 0     # not sustained yet
         assert scaler.decide(20, 1, now=0.6) == 1     # sustained: grow
-        assert scaler.events[-1]["action"] == "grow"
+        # A decision is not an event: the pool records what it applied.
+        assert scaler.events == []
+        scaler.record("grow", 20, 1, now=0.6)
+        assert scaler.events == [{"at": 0.6, "action": "grow",
+                                  "queue_depth": 20, "replicas": 1}]
 
     def test_burst_between_watermarks_resets_the_timer(self):
         scaler = QueueDepthAutoscaler(self.SPEC)
@@ -231,6 +235,8 @@ class TestAutoscalerDecide:
         assert scaler.decide(0, 3, now=0.0) == 0
         assert scaler.decide(1, 3, now=1.0) == 0
         assert scaler.decide(0, 3, now=2.1) == -1
+        assert scaler.events == []
+        scaler.record("shrink", 0, 3, now=2.1)
         assert scaler.events[-1]["action"] == "shrink"
 
 
@@ -843,6 +849,12 @@ def _tiny_dqn():
                     seed=3)
 
 
+def _scale_events(snap):
+    """(grow, shrink) event counts of a pool's metrics snapshot."""
+    actions = [e["action"] for e in snap["autoscale"]["events"]]
+    return actions.count("grow"), actions.count("shrink")
+
+
 class TestPoolAutoscaling:
     def test_grows_under_load_shrinks_idle_with_parity(self):
         pool = InferenceWorkerPool(
@@ -870,12 +882,13 @@ class TestPoolAutoscaling:
                                 range(len(refs), len(refs) + 512))
                 else:
                     time.sleep(0.001)
+            # Replicas and events from one snapshot: the collector
+            # thread may be mid-scale while this thread reads.
+            snap = pool.metrics_snapshot()
+            grows, shrinks = _scale_events(snap)
+            assert grows >= 1, "sustained backlog never grew the pool"
+            assert snap["replicas"] == 1 + grows - shrinks
             actions = [int(r.result(120.0)) for r in refs]
-            grew_to = len(pool.replicas)
-            assert grew_to > 1, "sustained backlog never grew the pool"
-            grow_events = [e for e in pool.autoscaler.events
-                           if e["action"] == "grow"]
-            assert len(grow_events) == grew_to - 1
             # Zero dropped or errored requests across the scale-up.
             assert len(actions) == len(refs) >= 512
             assert pool.stats.as_dict()["errors"] == 0
@@ -888,10 +901,12 @@ class TestPoolAutoscaling:
             while (len(pool.replicas) > 1
                    and time.perf_counter() < wait_until):
                 time.sleep(0.02)
-            assert len(pool.replicas) == 1, "idle pool never shrank"
-            shrink_events = [e for e in pool.autoscaler.events
-                             if e["action"] == "shrink"]
-            assert len(shrink_events) == grew_to - 1
+            snap = pool.metrics_snapshot()
+            assert snap["replicas"] == 1, "idle pool never shrank"
+            # One shrink event per grown replica (the backlog may have
+            # grown the pool again after the first snapshot).
+            final_grows, final_shrinks = _scale_events(snap)
+            assert final_shrinks == final_grows
             # Still serving correctly at the shrunken size.
             post = [int(pool.act(o, timeout=10.0)) for o in obs]
             assert post == expected
@@ -916,6 +931,34 @@ class TestPoolAutoscaling:
             for ref in refs:
                 ref.result(120.0)
             assert len(pool.replicas) <= 2
+        finally:
+            pool.stop()
+
+    def test_only_an_applied_scale_leaves_an_event(self, monkeypatch):
+        """A grow whose replica fails to build records nothing; one that
+        joins records the depth and the count it grew from.  The
+        collector is not started, so only these calls scale."""
+        pool = InferenceWorkerPool(
+            _tiny_dqn, FloatBox(shape=(4,)), num_replicas=1,
+            parallel_spec="thread", auto_start=False,
+            autoscale_spec={"min_replicas": 1, "max_replicas": 3})
+        try:
+            def broken(index):
+                def build():
+                    raise RuntimeError("no room for a replica")
+                return build
+            with monkeypatch.context() as patch:
+                patch.setattr(pool, "_replica_factory", broken)
+                pool._scale_up(queue_depth=99)
+            snap = pool.metrics_snapshot()
+            assert snap["replicas"] == 1 and snap["autoscale"]["events"] == []
+            pool._scale_up(queue_depth=99)
+            pool._scale_down(queue_depth=0)
+            snap = pool.metrics_snapshot()
+            assert snap["replicas"] == 1
+            assert [(e["action"], e["queue_depth"], e["replicas"])
+                    for e in snap["autoscale"]["events"]] == [
+                        ("grow", 99, 1), ("shrink", 0, 2)]
         finally:
             pool.stop()
 
