@@ -4,8 +4,9 @@ Two measurements around the data-parallel learner group:
 
 * **group update throughput** — updates/sec for one learner vs
   K ∈ {2, 4} replica groups on the same total batch (each replica
-  computes gradients on B/K rows; the flat slabs all-reduce over pooled
-  shared-memory blocks and rank 0 applies ONE fused step);
+  computes gradients on B/K rows into its pooled shared-memory block,
+  then every replica sums the K blocks in rank order and applies the
+  same fused step);
 * **time-to-sync** — wall time of one bare all-reduce round (write +
   barriered schedule) over a 1M-element float32 slab, ring vs tree.
 

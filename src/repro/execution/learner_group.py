@@ -1,40 +1,49 @@
-"""Data-parallel learner group: sharded gradients, one fused step.
+"""Data-parallel learner group: sharded gradients, one replicated step.
 
 The group replaces the executor's single learner with ``K`` replica
 actors that together behave like one learner (paper §5.2's distributed
-semantics, applied to the *update* side of the loop):
+semantics, applied to the *update* side of the loop; the synchronous
+multi-device update of the paper's Fig. 8, done the Horovod way —
+all-reduce, then the same apply on every replica):
 
 1. the driver shards each training batch deterministically through
    :func:`~repro.components.common.batch_splitter.split_batch` (the last
    shard absorbs ``B % K`` rows — nothing is dropped);
 2. every replica runs only the gradient half of the fused optimizer step
-   (``Agent.get_gradients``) and writes its flat gradient
-   slab — pre-scaled by ``n_k / B`` so the all-reduce SUM equals the
-   full-batch mean — into its persistent pooled shared-memory block;
-3. the slabs are all-reduced in place over those blocks
-   (:mod:`repro.raylite.collectives` — ring reduce-scatter/all-gather,
-   or a binomial tree for tiny groups); the driver only dispatches step
-   tokens and barriers, no gradient bytes ever cross a pipe;
-4. rank 0 applies ONE fused optimizer step to the averaged vector
-   (``Agent.apply_gradients`` — the exact lowering of the in-graph
-   step, so K=1 is bitwise-identical to a plain ``update``), publishes
-   the new flat weight vector into the weight region of its block, and
-   every other rank memcpy-scatters it back into its variables.
+   (``Agent.get_gradients``) and scales its flat gradient slab by
+   ``n_k / B`` straight into its persistent pooled shared-memory block,
+   so the SUM over blocks is the full-batch mean;
+3. every replica sums the ``K`` reduce regions in rank order
+   (``block 0 + block 1 + …``, :meth:`RingMember.sum_into`) and applies
+   ONE fused optimizer step to that sum (``Agent.apply_gradients`` — the
+   exact lowering of the in-graph step, so K=1 is bitwise-identical to a
+   plain ``update``).  Same code on the same inputs: every replica ends
+   the round with the same weights, optimizer slots and ``updates``.
+   Rank 0 also publishes its flat weights into block 0's weight region
+   for the driver and the actors.
+
+A round is therefore two driver fan-outs, ``compute_gradients`` and
+``apply_reduced``; no gradient or weight bytes cross a pipe.
 
 Block layout (float32 elements): ``[0, grad_n)`` is the reduce region,
 rewritten every round; block 0 additionally carries the last published
-weight vector at ``[grad_n, grad_n + weight_n)``.  Because collective
-steps never touch the weight region, it is *always* a valid sync source:
-a replica restarted by the supervisor mid-round rejoins by re-attaching
-the ring and loading weights straight out of block 0 — no peer needs to
-be alive to hand them over.  (A restarted rank 0 recovers its weights
-the same way but loses optimizer slot state — Adam moments restart from
-zero; checkpoints via :meth:`LearnerGroup.full_state` are the exact
-recovery path, as they snapshot rank 0's complete state.)
+weight vector at ``[grad_n, grad_n + weight_n)``.  Nothing in a round
+writes another rank's block, and only rank 0 writes the weight region.
 
-When shared memory is unavailable the group degrades to driver-mediated
-averaging over the normal pipe codec — slower, same numerics (fixed
-rank-order summation either way, so repeated runs stay reproducible).
+Exactly once: the gradient phase mutates no replica, so a death there
+re-runs the round.  Every replica that answers ``apply_reduced`` has
+applied the round, so one answer commits it; a replica lost in the
+apply phase rejoins from a live peer's ``full_state`` (weights, Adam
+slots, ``updates``) and the round is not re-run.  Each apply names its
+step, so a replica restored from a peer that already applied it does
+not apply it again.  Only with no live peer (K=1, or every replica lost
+at once) does a restarted replica fall back to block 0's weights, with
+fresh optimizer slots; :meth:`LearnerGroup.full_state` checkpoints are
+the exact recovery path there.
+
+When shared memory is unavailable the driver sums the slabs in the same
+rank order and hands the sum to every replica's ``apply_reduced`` over
+the pipe codec — slower, same numerics, same two fan-outs.
 """
 
 from __future__ import annotations
@@ -46,9 +55,9 @@ import numpy as np
 from repro import raylite
 from repro.components.common.batch_splitter import shard_sizes, split_batch
 from repro.execution.parallel import resolve_parallel_spec
-from repro.execution.supervision import ReplicaFactory, Supervisor
+from repro.execution.supervision import ReplicaFactory, Supervisor, gather
 from repro.execution.worker import build_agent
-from repro.raylite.collectives import RingMember, SlabRing, allreduce_steps
+from repro.raylite.collectives import RingMember, SlabRing
 from repro.utils.errors import RLGraphError
 from repro.utils.procutil import native_threads_among
 
@@ -104,6 +113,7 @@ class LearnerReplicaActor:
         self.rank = int(rank)
         self.world_size = int(world_size)
         self._member: Optional[RingMember] = None
+        self._reduced: Optional[np.ndarray] = None
 
     def ping(self) -> int:
         return self.rank
@@ -114,6 +124,7 @@ class LearnerReplicaActor:
             self._member.close()
         self._member = RingMember(self.rank, self.world_size, names,
                                   capacity, reduce_elements)
+        self._reduced = np.empty(reduce_elements, np.float32)
         return 0
 
     # -- state sync -----------------------------------------------------------
@@ -123,9 +134,6 @@ class LearnerReplicaActor:
 
     def full_state(self):
         return self.agent.full_state()
-
-    def get_flat_weights(self):
-        return self.agent.get_weights(flat=True)
 
     def get_weights_dict(self):
         return self.agent.get_weights(flat=False)
@@ -146,18 +154,51 @@ class LearnerReplicaActor:
         small loss/TD stats return over the pipe.  Without a ring the
         scaled slab itself rides back in the stats dict (fallback)."""
         flat, stats = self.agent.get_gradients(shard)
-        scaled = flat * np.float32(scale)
         if self._member is not None:
-            self._member.write(scaled)
+            np.multiply(flat, np.float32(scale),
+                        out=self._member.read(self.rank))
             return stats
         stats = dict(stats)
-        stats["flat_grads"] = scaled
+        stats["flat_grads"] = flat * np.float32(scale)
         return stats
 
+    def apply_reduced(self, weight_offset: int, step: int,
+                      grad=None) -> Dict:
+        """Every rank: apply the round's summed gradient — the ``K``
+        reduce regions added in rank order, or ``grad`` when the driver
+        summed them (no-shm fallback) — as the group's step ``step``.
+
+        A replica already at ``step`` (restored from a peer that applied
+        it) does not apply it twice.  Rank 0 then publishes its weights:
+        into block 0's weight region, or back over the pipe as
+        ``"weights"`` without a ring."""
+        synced = False
+        if self.agent.updates < step:
+            if grad is None:
+                grad = self._member.sum_into(self._reduced)
+            synced = self.agent.apply_gradients(grad)
+        out = {"synced": bool(synced), "updates": self.agent.updates}
+        if self.rank == 0:
+            out["weights"] = self.publish_weights(weight_offset)
+        return out
+
+    def publish_weights(self, weight_offset: int):
+        """Write the flat weights into this rank's block at
+        ``weight_offset``; without a ring, return them instead."""
+        layout = self.agent.flat_layout()
+        if self._member is None:
+            return layout.gather()
+        layout.gather(out=self._member.read(self.rank, layout.total,
+                                            weight_offset))
+        return None
+
+    # -- the earlier round: a barriered all-reduce, rank 0 applies and
+    # publishes, the others load.  perf/'s phase re-enactment drives
+    # these; load_weights is also the no-peer rejoin.
     def collective_step(self, method: str, step: int) -> int:
         """One barriered all-reduce step (``reduce_step`` /
         ``gather_step`` / ``tree_step``), named by the driver's
-        :func:`allreduce_steps` schedule."""
+        :func:`~repro.raylite.collectives.allreduce_steps` schedule."""
         getattr(self._member, method)(step)
         return 0
 
@@ -173,12 +214,6 @@ class LearnerReplicaActor:
                            offset=weight_offset)
         return {"synced": bool(synced), "updates": self.agent.updates}
 
-    def apply_direct(self, grad) -> Dict:
-        """No-shm fallback apply: gradient in, new weights out (pipe)."""
-        synced = self.agent.apply_gradients(np.asarray(grad, np.float32))
-        return {"synced": bool(synced), "updates": self.agent.updates,
-                "weights": self.agent.get_weights(flat=True)}
-
     def load_weights(self, src_rank: int, n: int, offset: int,
                      updates: int) -> int:
         """Scatter the published flat weight vector (all trainables,
@@ -187,11 +222,6 @@ class LearnerReplicaActor:
         w = np.array(self._member.read(src_rank, n, offset), copy=True)
         self.agent.set_weights(w)
         self.agent.updates = int(updates)
-        return 0
-
-    def publish_weights(self, weight_offset: int) -> int:
-        self._member.write(self.agent.get_weights(flat=True),
-                           offset=weight_offset)
         return 0
 
     def shutdown(self) -> int:
@@ -206,13 +236,13 @@ class LearnerGroup:
 
     Executors treat a group exactly like an agent: ``update(batch)``
     returns the same tuple shape the wrapped agent class returns,
-    ``get_weights(flat=True)`` is the broadcast vector (read zero-copy
-    out of rank 0's block), ``full_state``/``restore_full_state``
-    checkpoint through rank 0 (bitwise resume).  Faults compose with
-    ``supervision_spec``: any replica death aborts the round, the
-    supervisor restarts it, weights re-sync from block 0, and the whole
-    round retries on the re-formed group (gradients recompute, so a
-    half-reduced slab can never leak into a step).
+    ``get_weights(flat=True)`` is the broadcast vector (read out of
+    rank 0's block), ``full_state``/``restore_full_state`` checkpoint
+    through rank 0 (bitwise resume).  Faults compose with
+    ``supervision_spec``, and a round applies exactly once: a replica
+    death in the gradient phase re-runs the round on the re-formed
+    group; one in the apply phase is healed after it — the restarted
+    replica takes a live peer's ``full_state`` — and the round stands.
     """
 
     def __init__(self, learner_agent, agent_factory: Optional[Callable],
@@ -275,30 +305,56 @@ class LearnerGroup:
         return self.supervisor.total_restarts
 
     def _sync_restarted(self, handle) -> None:
-        """Rejoin a restarted replica: re-attach the ring, then load the
-        last published weights out of block 0 — valid even mid-round,
-        because collective steps never write the weight region."""
+        """Rejoin a restarted replica: re-attach the ring, then restore a
+        live peer's ``full_state`` — weights, optimizer slots and
+        ``updates``, which every replica holds alike — and, for rank 0,
+        republish block 0.  With no live peer (K=1, or every replica
+        lost at once) it loads the last published weights instead, with
+        fresh optimizer slots."""
+        rank = raylite.get(handle.ping.remote())
         if self.ring.available:
             raylite.get(handle.setup_ring.remote(
                 self.ring.names(), self._capacity, self._grad_n))
+        state = self._peer_state(rank)
+        if state is not None:
+            raylite.get(handle.restore_full_state.remote(state))
+            if rank == 0:
+                self._republish(handle)
+        elif self.ring.available:
             raylite.get(handle.load_weights.remote(
                 0, self._weight_n, self._weight_off, self.updates))
         else:
             raylite.get(handle.set_flat_weights.remote(
                 self._last_weights, self.updates))
 
+    def _peer_state(self, rank: int) -> Optional[Dict]:
+        """The ``full_state`` of the first live replica other than
+        ``rank`` (raw handles: asking a peer never restarts one)."""
+        for r, peer in enumerate(self.supervisor.handles()):
+            if r != rank and peer.is_alive():
+                try:
+                    return raylite.get(peer.full_state.remote())
+                except Exception:
+                    continue  # lost while answering: ask the next one
+        return None
+
     # -- the group update -----------------------------------------------------
     def update(self, batch: Dict):
-        """Shard -> gradient -> all-reduce -> ONE fused step -> re-sync.
+        """Shard -> gradients -> every replica sums and applies ONE
+        fused step.
 
         Return shape mirrors the wrapped agent's ``update``:
         ``(loss, td)`` for TD agents (TD errors concatenated back in
         original row order), else the tuple of batch-weighted mean
         losses."""
-        # A replica death aborts the round: the supervisor restarts it
-        # (SupervisionError propagates once the backoff budget is
-        # exhausted) and the whole round re-runs on the re-formed group.
-        return self.supervisor.retrying(lambda: self._round(batch))
+        # A round that raises has not been applied by any live replica:
+        # the supervisor restarts the dead (SupervisionError propagates
+        # once the backoff budget is exhausted) and the round re-runs.
+        out = self.supervisor.retrying(lambda: self._round(batch))
+        # A round that returned is applied; replicas lost in its apply
+        # phase rejoin now, from a peer that applied it.
+        self.supervisor.probe()
+        return out
 
     def _round(self, batch: Dict):
         """One round.  Thread replicas run their gradient plans — GEMMs
@@ -319,36 +375,28 @@ class LearnerGroup:
             self._shard_axes.get(first, self._shard_axis)]
         sizes = shard_sizes(total_rows, self.world_size, remainder="last")
 
+        # Gradient phase: no replica state changes, so a death here
+        # re-runs the round (update's retrying).
         stats = raylite.get([
             h.compute_gradients.remote(shard, n / total_rows)
             for h, shard, n in zip(self.replicas, shards, sizes)])
+        summed = None
+        if not self.ring.available:
+            # Pipe fallback: the same rank-order sum, made here.
+            summed = np.asarray(stats[0].pop("flat_grads"), np.float32)
+            for s in stats[1:]:
+                summed = summed + s.pop("flat_grads")
 
-        if self.ring.available:
-            # Barriered schedule: each step moves exactly one chunk (or
-            # block) per rank, in place, over the pooled blocks.
-            for method, step in allreduce_steps(self.algorithm,
-                                                self.world_size):
-                raylite.get([h.collective_step.remote(method, step)
-                             for h in self.replicas])
-            out = raylite.get(self.replicas[0].apply_and_publish.remote(
-                self._weight_off))
-            raylite.get([h.load_weights.remote(0, self._weight_n,
-                                               self._weight_off,
-                                               out["updates"])
-                         for h in self.replicas[1:]])
-        else:
-            # Pipe fallback: same numerics, fixed rank-order summation.
-            grads = [np.asarray(s.pop("flat_grads"), np.float32)
-                     for s in stats]
-            summed = grads[0].copy()
-            for g in grads[1:]:
-                summed += g
-            out = raylite.get(self.replicas[0].apply_direct.remote(summed))
-            self._last_weights = np.asarray(out["weights"], np.float32)
-            raylite.get([h.set_flat_weights.remote(self._last_weights,
-                                                   out["updates"])
-                         for h in self.replicas[1:]])
-        self.updates = int(out["updates"])
+        # Apply phase: every replica that answers has applied step
+        # updates + 1, so one answer commits the round.
+        outs = gather(self.replicas, "apply_reduced", self._weight_off,
+                      self.updates + 1, summed)
+        if not outs:
+            raise RLGraphError("every learner replica was lost mid-apply")
+        self.updates = int(outs[0]["updates"])
+        for out in outs:
+            if out.get("weights") is not None:
+                self._last_weights = np.asarray(out["weights"], np.float32)
         return self._format(stats, sizes, total_rows)
 
     @staticmethod
@@ -379,18 +427,19 @@ class LearnerGroup:
                      for h in self.replicas])
         self._republish()
 
-    def _republish(self) -> None:
-        if self.ring.available:
-            raylite.get(self.replicas[0].publish_weights.remote(
-                self._weight_off))
-        else:
-            self._last_weights = np.asarray(raylite.get(
-                self.replicas[0].get_flat_weights.remote()), np.float32)
+    def _republish(self, rank0=None) -> None:
+        """Have rank 0 (``rank0``: its fresh incarnation) publish its
+        weights: into block 0, or to the driver without a ring."""
+        rank0 = self.replicas[0] if rank0 is None else rank0
+        weights = raylite.get(rank0.publish_weights.remote(self._weight_off))
+        if weights is not None:
+            self._last_weights = np.asarray(weights, np.float32)
 
     # -- checkpoint/resume ----------------------------------------------------
     def full_state(self) -> Dict:
-        """Group checkpoints ARE rank 0's full state — the only replica
-        whose optimizer slots advance (ranks > 0 never apply)."""
+        """Group checkpoints are rank 0's full state — every replica
+        applies every step, so any one of them holds the group's
+        weights, optimizer slots and ``updates``."""
         return self.supervisor.retrying(
             lambda: raylite.get(self.replicas[0].full_state.remote()))
 

@@ -29,6 +29,12 @@ summation order — repeated runs are bitwise identical):
 Within one barriered step no two ranks touch the same chunk of the
 same block (the schedules are disjoint by construction), so the only
 synchronization required is the driver's barrier between steps.
+
+The learner group's round runs neither schedule: after one barrier,
+every rank sums all ``K`` reduce regions itself in rank order
+(:meth:`RingMember.sum_into`) — ``K - 1`` reads per rank in place of
+the schedules' extra barriers.  The schedules stay for ``perf/``'s
+phase re-enactment and the E14 time-to-sync bench.
 """
 
 from __future__ import annotations
@@ -193,6 +199,17 @@ class RingMember:
         views = self._ensure()
         n = self.reduce_elements if n is None else int(n)
         return views[rank][offset:offset + n]
+
+    def sum_into(self, out: np.ndarray) -> np.ndarray:
+        """Sum every rank's reduce region into ``out`` in rank order
+        (``block 0 + block 1 + …``): the same inputs in the same order
+        on every rank, so every rank gets the same bits."""
+        views = self._ensure()
+        n = self.reduce_elements
+        np.copyto(out, views[0][:n])
+        for view in views[1:]:
+            np.add(out, view[:n], out=out)
+        return out
 
     # -- ring schedule --------------------------------------------------------
     def reduce_step(self, step: int) -> None:

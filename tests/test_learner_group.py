@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import raylite
 from repro.agents import (
     ActorCriticAgent,
     DQNAgent,
@@ -28,10 +29,11 @@ from repro.backend import native
 from repro.components.common.batch_splitter import shard_sizes, split_batch
 from repro.execution.learner_group import (
     LearnerGroup,
+    LearnerReplicaActor,
     LearnerSpec,
     resolve_learner_spec,
 )
-from repro.raylite import collectives
+from repro.raylite import collectives, core
 from repro.raylite.shm import get_pool
 from repro.spaces import FloatBox, IntBox
 from repro.utils import procutil
@@ -459,6 +461,153 @@ class TestLearnerGroupParity:
         with pytest.raises(RLGraphError):
             LearnerGroup(make_agent("dqn", "none"), _dqn_factory, spec=2,
                          parallel_spec="thread")
+
+
+class NoShmPool:
+    """A block pool that can never provision shared memory: the group
+    takes its pipe fallback."""
+
+    def acquire(self, nbytes):
+        return None
+
+    def release(self, block):
+        pass
+
+
+def _replica_states(group):
+    return [raylite.get(h.full_state.remote()) for h in group.replicas]
+
+
+def _assert_same_state(a, b):
+    """Weights, optimizer slots (every variable) and ``updates``,
+    bitwise."""
+    assert a["updates"] == b["updates"]
+    assert sorted(a["variables"]) == sorted(b["variables"])
+    for name, value in a["variables"].items():
+        assert np.array_equal(value, b["variables"][name]), name
+
+
+class TestReplicaEquality:
+    """Every replica applies the same summed slab with the same code, so
+    after any number of rounds the replicas hold the same bits."""
+
+    @pytest.mark.mp_timeout(120)
+    @pytest.mark.parametrize("k, parallel, pool", [
+        (2, "thread", None), (3, "thread", None), (2, "process", None),
+        (2, "thread", NoShmPool())],
+        ids=["thread-k2", "thread-k3", "process-k2", "thread-k2-no-shm"])
+    def test_replicas_bitwise_equal_after_rounds(self, k, parallel, pool):
+        group = LearnerGroup(make_agent("dqn"), _dqn_factory, spec=k,
+                             parallel_spec=parallel, pool=pool)
+        try:
+            assert group.ring.available == (pool is None)
+            for batch in batches("dqn"):
+                group.update(batch)
+            states = _replica_states(group)
+            assert group.updates == states[0]["updates"] == NUM_UPDATES
+            for state in states[1:]:
+                _assert_same_state(state, states[0])
+        finally:
+            group.shutdown()
+
+    def test_no_shm_fallback_matches_the_shm_round(self):
+        finals = []
+        for pool in (None, NoShmPool()):
+            group = LearnerGroup(make_agent("dqn"), _dqn_factory, spec=2,
+                                 parallel_spec="thread", pool=pool)
+            try:
+                for batch in batches("dqn"):
+                    group.update(batch)
+                finals.append(group.get_weights(flat=True))
+            finally:
+                group.shutdown()
+        assert np.array_equal(finals[0], finals[1])
+
+
+FAULT_SUPERVISION = {"base_delay": 0.0, "max_delay": 0.0,
+                     "max_restarts": 3}
+ROUNDS, FAULT_ROUND = 5, 3
+
+
+def _stop_own_actor(instance):
+    """Mark the thread actor serving ``instance`` dead, as a crash
+    would: it answers nothing after the current call."""
+    handle = next(h for h in list(core._actors)
+                  if getattr(h, "_instance", None) is instance)
+    handle._stopped.set()
+
+
+def _inject_death(monkeypatch, method, rank, when):
+    """Replica ``rank`` dies in its ``FAULT_ROUND``-th ``method`` call:
+    ``"before"`` its work (the call fails), ``"after"`` it (the work is
+    done, the call fails) or once it ``"returned"`` (the call answers,
+    the actor is dead by the next submit)."""
+    original = getattr(LearnerReplicaActor, method)
+    calls = []
+
+    def dying(self, *args, **kwargs):
+        if self.rank != rank:
+            return original(self, *args, **kwargs)
+        calls.append(1)
+        if len(calls) != FAULT_ROUND:
+            return original(self, *args, **kwargs)
+        out = None if when == "before" else original(self, *args, **kwargs)
+        _stop_own_actor(self)
+        if when == "returned":
+            return out
+        raise RuntimeError(f"replica {rank} died in {method}")
+
+    monkeypatch.setattr(LearnerReplicaActor, method, dying)
+
+
+def _run_rounds(supervision_spec=None):
+    group = LearnerGroup(make_agent("dqn"), _dqn_factory, spec=2,
+                         parallel_spec="thread",
+                         supervision_spec=supervision_spec)
+    try:
+        losses, published = [], []
+        for batch in batches("dqn", n_updates=ROUNDS):
+            losses.append(group.update(batch)[0])
+            published.append(group.get_weights(flat=True))
+        return (group.updates, group.restarts, _replica_states(group),
+                losses, published)
+    finally:
+        group.shutdown()
+
+
+class TestExactlyOnce:
+    """Deterministic replica deaths on thread replicas, one per window
+    of the round.  A death in the gradient phase re-runs the round; one
+    in the apply phase commits it and the lost replica rejoins from a
+    live peer.  Either way ``updates`` counts the rounds driven and the
+    group ends bitwise where a run without a fault ends."""
+
+    @pytest.mark.parametrize("method, rank, when", [
+        ("compute_gradients", 1, "after"),
+        ("compute_gradients", 0, "returned"),
+        ("compute_gradients", 1, "returned"),
+        ("apply_reduced", 1, "before"),
+        ("apply_reduced", 1, "after"),
+        ("apply_reduced", 0, "before"),
+        ("apply_reduced", 0, "after"),
+    ])
+    def test_one_death_applies_every_round_once(self, monkeypatch, method,
+                                                rank, when):
+        _, _, clean_states, clean_losses, clean_published = _run_rounds()
+        _inject_death(monkeypatch, method, rank, when)
+        updates, restarts, states, losses, published = _run_rounds(
+            FAULT_SUPERVISION)
+        assert restarts == 1
+        assert updates == ROUNDS
+        # Each round reports the loss of its one gradient pass on the
+        # pre-step weights: a committed round is never recomputed.
+        assert losses == clean_losses
+        for state in states:
+            _assert_same_state(state, clean_states[0])
+        # Block 0 carries each round's weights as soon as update returns,
+        # also in the round rank 0 died in.
+        for got, want in zip(published, clean_published):
+            assert np.array_equal(got, want)
 
 
 class FakePool:
