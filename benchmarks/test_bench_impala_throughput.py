@@ -1,8 +1,9 @@
 """E7 — Fig. 9: IMPALA throughput on SeekAvoid vs actor count.
 
 RLgraph IMPALA vs the DeepMind-reference implementation (redundant
-per-step actor weight assignments) on the same substrate: shared FIFO
-queue, staging area, v-trace learner.
+per-step actor weight assignments) on the same substrate: one
+coordination loop (two rollouts in flight per actor, an update as soon
+as a batch is in hand), v-trace learner.
 
 Paper shape: RLgraph ~10-15% ahead at low actor counts; both converge
 as the learner becomes the bottleneck at scale. Actor counts {1, 2, 4}

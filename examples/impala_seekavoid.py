@@ -2,9 +2,9 @@
 """IMPALA actor-learner training on the SeekAvoid arena — the paper's
 Fig. 9 workload at laptop scale.
 
-Actors push fixed-length rollouts with behaviour log-probs into a shared
-blocking queue; the learner applies v-trace-corrected updates and
-publishes fresh weights. Compares the RLgraph implementation against the
+Actors reply with fixed-length rollouts with behaviour log-probs; the
+runner's one coordination loop trains on each batch of them as it
+arrives, applies v-trace-corrected updates and publishes fresh weights. Compares the RLgraph implementation against the
 DeepMind-reference actor (redundant per-step weight assignments).
 
 Run:  python examples/impala_seekavoid.py [num_actors]
@@ -52,7 +52,7 @@ def run(runner_cls, label, num_actors):
 
 def main(num_actors: int = 2):
     print(f"IMPALA on SeekAvoid ({WIDTH}x{HEIGHT} RGB), "
-          f"{num_actors} actors, shared FIFO queue")
+          f"{num_actors} actors, one coordination loop")
     rlgraph = run(IMPALARunner, "RLgraph", num_actors)
     reference = run(DMReferenceIMPALARunner, "DM reference", num_actors)
     speedup = (rlgraph["env_frames_per_second"]

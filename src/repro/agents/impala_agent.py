@@ -1,10 +1,11 @@
 """IMPALA agent (Espeholt et al. 2018; paper §5.1, Fig. 9).
 
-Actors run the policy and enqueue fixed-length rollouts with behaviour
-log-probs; the learner dequeues time-major (T, B, ...) batches, computes
-v-trace corrected targets and applies one optimizer step. The shared
-FIFO queue and the staging area live in the execution layer
-(:mod:`repro.execution.impala_runner`); this module is the model graph.
+Actors run the policy and reply with fixed-length rollouts with
+behaviour log-probs; the learner trains on time-major (T, B, ...)
+batches of them, computes v-trace corrected targets and applies one
+optimizer step. The coordination loop that gathers the batches lives in
+the execution layer (:mod:`repro.execution.impala_runner`); this module
+is the model graph.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The paper's Fig. 9 gap (10–15 %) traces to two reference-code artifacts:
 redundant per-step actor variable assignments and preprocessing placed
-after unstaging (higher variance). This wrapper pins the shared runner to
-that configuration; removing the assignments is exactly bench E8.
+after unstaging (higher variance). This wrapper reproduces only the
+first: it pins the shared runner to the reference actor's redundant
+assignments, and removing them is exactly bench E8.
 """
 
 from __future__ import annotations

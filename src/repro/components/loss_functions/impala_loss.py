@@ -1,8 +1,8 @@
 """IMPALA V-trace loss (Espeholt et al. 2018, paper §5.1 Fig. 9).
 
 Operates on time-major rollouts: the learner consumes (T, B, ...) batches
-dequeued from the shared FIFO queue, computes v-trace corrected targets
-off-policy, and applies policy-gradient + baseline + entropy terms.
+of the actors' rollouts, computes v-trace corrected targets off-policy,
+and applies policy-gradient + baseline + entropy terms.
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
 """IMPALA actor-learner runner (paper §5.1, Fig. 9).
 
-Actors roll the policy for ``rollout_length`` steps; a feeder thread
-moves their time-major rollouts into a globally shared blocking FIFO
-queue; the learner dequeues a batch of rollouts, passes it through a
-one-slot staging area (to hide "device transfer" latency) and applies a
-v-trace update.  Actors act with the newest weights the feeder pushed
-them — the weight lag is what v-trace's importance correction absorbs.
+Actors roll the policy for ``rollout_length`` steps and reply with
+time-major rollouts.  One coordination loop (:meth:`IMPALARunner._run`)
+keeps :data:`ROLLOUTS_IN_FLIGHT` rollouts armed per actor, pushes the
+newest weight version to each actor that replies, and applies a v-trace
+update as soon as ``batch_size`` rollouts are in hand.  The weight lag
+v-trace corrects for is bounded: after every turn, rollouts in flight
+plus in hand are at most ``batch_size - 1 + ROLLOUTS_IN_FLIGHT × actors``.
 
-``redundant_assignments=True`` reproduces the inefficiency the paper
-found in DeepMind's reference actor ("unneeded variable assignments in
-the actor", §5.1): every acting step re-assigns the full policy weight
-set, exactly the memcpy the reference implementation wasted. Removing it
-"yielded 20% improvement in a single-worker setting" — bench E8.
+``redundant_assignments=True`` reproduces the DeepMind reference actor's
+"unneeded variable assignments" (§5.1): every acting step re-assigns the
+full policy weight set.  Removing them "yielded 20% improvement in a
+single-worker setting" — bench E8.
 
 Every actor is an :class:`IMPALAActorCore` on a raylite actor of the
-backend ``parallel_spec`` selects; both backends run the same feeder
-(:meth:`IMPALARunner._feed_from_handles`: two rollouts in flight per
-actor, the newest weight version pushed at each reply).  Every rollout
+backend ``parallel_spec`` selects (process actors decode their
+shared-memory rollouts on raylite's reader thread).  Every rollout
 carries the version its actor acted with; ``run()`` reports the policy
 lag, the versions the learner published between acting and the update
 that trains on it.  With process actors ``run()`` sizes the driver's
@@ -27,10 +26,7 @@ BLAS/OpenMP pools to the cores they leave free
 from __future__ import annotations
 
 import contextlib
-import queue
-import threading
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -40,10 +36,10 @@ from repro.execution.worker import PolicyActor
 from repro.utils.errors import RLGraphError
 from repro.utils.procutil import native_threads_beside
 
-#: ``rollout()`` tasks the feeder keeps armed per actor.  Two, so the
+#: ``rollout()`` tasks the loop keeps armed per actor.  Two, so the
 #: next task already sits in the actor's mailbox when it replies and the
-#: actor never idles through the reply, the feeder's GIL hand-off and
-#: the re-arm; one more would only add weight lag.
+#: actor keeps acting while the learner updates; one more would only add
+#: weight lag.
 ROLLOUTS_IN_FLIGHT = 2
 
 
@@ -102,8 +98,7 @@ class IMPALARunner(Executor):
     def __init__(self, learner_agent, agent_factory: Callable,
                  env_factory: Callable, num_actors: int = 2,
                  envs_per_actor: int = 1, rollout_length: int = 20,
-                 batch_size: int = 2, queue_capacity: int = 64,
-                 redundant_assignments: bool = False,
+                 batch_size: int = 2, redundant_assignments: bool = False,
                  vector_env_spec=None, parallel_spec=None,
                  weight_listeners=None, supervision_spec=None,
                  checkpoint_spec=None):
@@ -111,10 +106,6 @@ class IMPALARunner(Executor):
                          weight_listeners, supervision_spec,
                          checkpoint_spec)
         self.batch_size = int(batch_size)
-        self.rollout_queue: "queue.Queue" = queue.Queue(maxsize=queue_capacity)
-        self.stop_event = threading.Event()
-        self._staged: Optional[List[Dict]] = None  # one-slot staging area
-        self.supervision_failures: List[str] = []
         self.actor_handles: List = self.supervisor.spawn({
             f"impala-actor-{i}": ReplicaFactory(
                 self.parallel, IMPALAActorCore, i, agent_factory, env_factory,
@@ -123,58 +114,6 @@ class IMPALARunner(Executor):
                 vector_env_spec=vector_env_spec, parallel_spec=self.parallel)
             for i in range(num_actors)
         }, on_restart=self._sync_restarted)
-        self.episode_returns: List[float] = []
-
-    # -- the feeder -----------------------------------------------------------
-    def _feed_from_handles(self):
-        """Keep :data:`ROLLOUTS_IN_FLIGHT` rollout tasks armed per actor;
-        drain completed rollouts (for process actors: shared-memory
-        transport, zero-copy decode) into the learner queue; at each
-        reply push the newest weight version (latest wins), then re-arm.
-        With FIFO mailboxes the push lands behind the one rollout still
-        queued, never further.  With supervision enabled a crashed
-        actor is restarted and both its tasks are re-armed in place
-        (their rollouts are lost); an actor lost for good —
-        unsupervised, or its restart budget spent — is dropped and the
-        feeder carries on with the others."""
-        synced: Dict = {}
-        pump = Pump()
-        unarmed = list(self.actor_handles) * ROLLOUTS_IN_FLIGHT
-        while (unarmed or pump) and not self.stop_event.is_set():
-            try:
-                while unarmed:
-                    pump.arm(unarmed.pop(), "rollout")
-                for handle, item in pump.reap(timeout=0.1):
-                    while not self.stop_event.is_set():
-                        try:
-                            self.rollout_queue.put(item, timeout=0.2)
-                            break
-                        except queue.Full:
-                            continue  # back-pressure: learner is saturated
-                    else:
-                        return  # stopping: the rollout is dropped
-                    weights, version = self.published()
-                    if version > synced.get(handle, 0):
-                        handle.set_weights.remote(weights, version)
-                        synced[handle] = version
-                    pump.arm(handle, "rollout")
-            except SupervisionError as exc:
-                self.supervision_failures.append(str(exc))
-            except Exception:
-                # The failing actor is already disarmed: an unsupervised
-                # death (or deliberate shutdown) stops re-arming it.
-                pass
-
-    def _dequeue_batch(self) -> Optional[List[Dict]]:
-        items = []
-        deadline = time.monotonic() + 5.0
-        while len(items) < self.batch_size:
-            try:
-                items.append(self.rollout_queue.get(timeout=0.2))
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    return items if items else None
-        return items
 
     def run(self, duration: float = 5.0,
             updates_enabled: bool = True) -> RunResult:
@@ -183,44 +122,58 @@ class IMPALARunner(Executor):
         they leave free for this call only (restored however it ends)."""
         pools = (native_threads_beside(len(self.actor_handles))
                  if self.parallel.is_process else contextlib.nullcontext())
-        try:
-            with pools:
-                return self._run(duration, updates_enabled)
-        finally:
-            self.stop_event.set()
+        with pools:
+            return self._run(duration, updates_enabled)
 
     def _run(self, duration: float, updates_enabled: bool) -> RunResult:
-        feeder = threading.Thread(target=self._feed_from_handles,
-                                  daemon=True, name="impala-feeder")
-        feeder.start()
+        """The coordination loop: each turn blocks once, in ``reap``.  A
+        reply's rollout goes in hand, its actor gets the newest version
+        if it is behind (with FIFO mailboxes the push lands behind the
+        one rollout still queued) and is re-armed; then the oldest
+        ``batch_size`` rollouts in hand train while there are that many.
+        A crashed supervised actor restarts with its tasks re-armed (its
+        rollouts are lost); one lost for good is dropped, and the loop
+        ends early once none is left."""
         result = RunResult()
-        while result.elapsed() < duration:
-            batch = self._dequeue_batch()
-            if batch is None:
-                continue
-            # Staging area: the fresh batch waits in the one slot while
-            # the previously staged one trains (the first batch only
-            # primes the slot).
-            train_batch, self._staged = self._staged, batch
-            if train_batch is None:
-                continue
-            for item in train_batch:
-                self.episode_returns.extend(item.pop("episode_returns", []))
-            if updates_enabled:
+        pump = Pump()
+        for handle in self.actor_handles * ROLLOUTS_IN_FLIGHT:
+            pump.arm(handle, "rollout")
+        synced: Dict = {}
+        in_hand: List[Dict] = []
+        returns: List[float] = []
+        while pump and result.elapsed() < duration:
+            try:
+                for handle, item in pump.reap(duration - result.elapsed()):
+                    in_hand.append(item)
+                    weights, version = self.published()
+                    if version > synced.get(handle, 0):
+                        handle.set_weights.remote(weights, version)
+                        synced[handle] = version
+                    pump.arm(handle, "rollout")
+            except SupervisionError as exc:
+                result.supervision_failures.append(str(exc))
+            except Exception:
+                # The failing actor is already disarmed: an unsupervised
+                # death (or deliberate shutdown) stops re-arming it.
+                pass
+            while len(in_hand) >= self.batch_size:
+                batch = in_hand[:self.batch_size]
+                del in_hand[:self.batch_size]
+                for item in batch:
+                    returns.extend(item.pop("episode_returns", []))
+                if not updates_enabled:
+                    continue
                 result.policy_lags.extend(self._weights_version
                                           - item["weights_version"]
-                                          for item in train_batch)
-                loss, _, _ = self.learner.update(_merge_rollouts(train_batch))
+                                          for item in batch)
+                loss, _, _ = self.learner.update(_merge_rollouts(batch))
                 self.publish()
                 self.count_update(result, loss)
-                mean = recent_mean(self.episode_returns)
+                mean = recent_mean(returns)
                 result.reward_timeline.append(
                     (result.elapsed(), float("nan") if mean is None else mean))
-        self.stop_event.set()
-        feeder.join(timeout=5.0)
         self.finish(result, retire=True)
-        result.mean_return = recent_mean(self.episode_returns)
-        result.supervision_failures = list(self.supervision_failures)
+        result.mean_return = recent_mean(returns)
         return result
 
 
@@ -228,13 +181,9 @@ def _merge_rollouts(items: List[Dict]) -> Dict:
     """Stack a list of (T, E, ...) rollouts into one (T, B, ...) batch."""
     if not items:
         raise RLGraphError("Cannot merge an empty rollout list")
-    return {
-        "states": np.concatenate([i["states"] for i in items], axis=1),
-        "actions": np.concatenate([i["actions"] for i in items], axis=1),
-        "behaviour_log_probs": np.concatenate(
-            [i["behaviour_log_probs"] for i in items], axis=1),
-        "rewards": np.concatenate([i["rewards"] for i in items], axis=1),
-        "terminals": np.concatenate([i["terminals"] for i in items], axis=1),
-        "bootstrap_states": np.concatenate(
-            [i["bootstrap_states"] for i in items], axis=0),
-    }
+    batch = {key: np.concatenate([i[key] for i in items], axis=1)
+             for key in ("states", "actions", "behaviour_log_probs",
+                         "rewards", "terminals")}
+    batch["bootstrap_states"] = np.concatenate(
+        [i["bootstrap_states"] for i in items], axis=0)
+    return batch

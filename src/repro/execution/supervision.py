@@ -554,16 +554,6 @@ class Pump:
                 continue
             yield handle, result
 
-    def drain(self, timeout: float) -> Iterator[Tuple]:
-        """:meth:`reap` until nothing is armed — tasks armed while
-        draining included — or ``timeout`` seconds have passed."""
-        deadline = time.monotonic() + timeout
-        while self._tasks:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            yield from self.reap(remaining)
-
 
 def broadcast(handles, method: str, *args) -> List[Tuple]:
     """Submit ``method(*args)`` to every handle without waiting;

@@ -1,12 +1,13 @@
-"""IMPALA feeder, staging area and driver pool width, on fake actors.
+"""IMPALA's coordination loop and driver pool width, on fake actors.
 
-The feeder (``IMPALARunner._feed_from_handles``) is driven against
-in-memory stand-ins for raylite actors: a FIFO mailbox the test (or a
-worker thread) runs one task at a time, so mailbox order, weight pushes
-and versions are observable without spawning a process; or a raylite
-thread actor around a core that rolls out instantly.  A runner built
-with ``num_actors=0`` spawns nothing; the fakes are installed as its
-``actor_handles``.
+``IMPALARunner.run`` is driven against in-memory stand-ins for raylite
+actors: a FIFO mailbox the test (or a worker thread) runs one task at a
+time, so mailbox order, weight pushes and versions are observable
+without spawning a process; a scripted actor whose replies are settled
+the moment they are submitted, so every turn of the loop is
+deterministic; or a raylite thread actor around a core that rolls out
+instantly.  A runner built with ``num_actors=0`` spawns nothing; the
+fakes are installed as its ``actor_handles``.
 """
 
 import collections
@@ -19,6 +20,7 @@ import pytest
 from repro import raylite
 from repro.execution import impala_runner
 from repro.execution.impala_runner import ROLLOUTS_IN_FLIGHT, IMPALARunner
+from repro.execution.supervision import Pump
 from repro.utils.procutil import native_thread_pools, usable_cores
 
 
@@ -135,6 +137,15 @@ class MailboxActor:
             self.stopped = True
             self.cond.notify_all()
 
+    def die(self):
+        """Crash: every queued task fails."""
+        with self.cond:
+            self.stopped = True
+            dead, self.mailbox = self.mailbox, collections.deque()
+            self.cond.notify_all()
+        for _, _, ref in dead:
+            ref._fail(raylite.RayliteError("actor died"))
+
 
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
@@ -155,15 +166,18 @@ class TestFeederMailbox:
 
     @staticmethod
     def _drive(replies, publish_before=()):
-        """Run the feeder against one mailbox actor for ``replies``
-        rollouts; ``publish_before`` lists, per publish, the reply it
-        precedes."""
+        """Run the loop on a thread against one mailbox actor for
+        ``replies`` rollouts, with updates off so only the test
+        publishes; ``publish_before`` lists, per publish, the reply it
+        precedes.  The actor then crashes, which ends the run."""
         runner = _runner()
         actor = MailboxActor()
         runner.actor_handles = [actor]
-        feeder = threading.Thread(target=runner._feed_from_handles,
-                                  daemon=True)
-        feeder.start()
+        loop = threading.Thread(
+            target=runner.run, kwargs={"duration": 60.0,
+                                       "updates_enabled": False},
+            daemon=True)
+        loop.start()
         try:
             wait_until(lambda: actor.queued("rollout") == ROLLOUTS_IN_FLIGHT)
             for k in range(replies):
@@ -171,13 +185,13 @@ class TestFeederMailbox:
                     runner.publish()
                 while actor.step() != "rollout":
                     pass  # weight pushes queued ahead of the rollout
-                wait_until(lambda: runner.rollout_queue.qsize() == k + 1
-                           and actor.queued("rollout")
+                # The loop took the reply: it re-armed the actor.
+                wait_until(lambda: actor.queued("rollout")
                            == ROLLOUTS_IN_FLIGHT)
         finally:
-            runner.stop_event.set()
-            feeder.join(timeout=5.0)
-        assert not feeder.is_alive()
+            actor.die()
+            loop.join(timeout=5.0)
+        assert not loop.is_alive()
         return runner, actor
 
     def test_every_reply_finds_the_next_rollout_queued(self):
@@ -232,7 +246,7 @@ class _InstantCore:
 
 
 def _thread_actor():
-    """A raylite thread actor on the feeder path, as thread mode runs."""
+    """A raylite thread actor, as thread mode runs."""
     return raylite.remote(_InstantCore).options(backend="thread").remote()
 
 
@@ -301,59 +315,86 @@ class TestDriverPoolWidth:
         assert all(seen == pools for seen in learner.widths_seen)
 
 
+class ScriptedActor:
+    """An actor whose every reply is settled the moment it is submitted:
+    the ``rollout`` replies follow ``script`` (the versions acted with),
+    then the actor either dies (every later task fails) or stalls (its
+    rollouts never reply).  ``rollout_ids`` stamp each rollout's
+    rewards so a test can tell which ones trained."""
+
+    def __init__(self, script, then="die", rollout_ids=None):
+        self.script = list(script)
+        self.ids = list(rollout_ids or range(1, len(self.script) + 1))
+        self.then = then
+        self.served = 0
+
+    def is_alive(self):
+        return self.served < len(self.script) or self.then == "stall"
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return _Method(self, name)
+
+    def submit(self, method, args):
+        ref = raylite.ObjectRef()
+        if method == "set_weights":
+            ref._resolve(0)
+        elif method == "get_stats":
+            ref._resolve({"env_frames": 2 * self.served})
+        elif self.served < len(self.script):
+            item = _rollout(self.script[self.served])
+            item["rewards"][:] = self.ids[self.served]
+            self.served += 1
+            ref._resolve(item)
+        elif self.then == "die":
+            ref._fail(raylite.RayliteError("actor died"))
+        return ref  # a stalled rollout never settles
+
+    def _stop(self):  # raylite.kill
+        pass
+
+
+def _recording(learner):
+    """Wrap ``learner.update`` to record which rollouts each batch held
+    (by their reward stamp)."""
+    trained, update = [], learner.update
+
+    def recording_update(batch):
+        trained.append([int(r) for r in batch["rewards"][0]])
+        return update(batch)
+
+    learner.update = recording_update
+    return trained
+
+
 class TestPolicyLag:
     def test_lag_counts_versions_between_acting_and_training(self):
-        runner = _runner(StubLearner(), parallel_spec=None, batch_size=2)
-        for version in (0, 0, 1, 0):   # the versions actors acted with
-            runner.rollout_queue.put(_rollout(version))
-        dequeue, batches = runner._dequeue_batch, []
-
-        def two_batches():
-            if len(batches) == 2:
-                return None
-            batches.append(dequeue())
-            return batches[-1]
-
-        runner._dequeue_batch = two_batches
-        result = runner.run(duration=0.2)
-        assert result["learner_updates"] == 1
-        # The first batch primes the staging area; the update (learner
-        # at version 0) trains it when the second arrives: lags 0, 0.
-        # The second batch stays staged.
-        assert result["policy_lag_mean"] == pytest.approx(0.0)
-        assert result["policy_lag_max"] == 0
-
-    def test_every_batch_but_the_last_trains_once(self):
         learner = StubLearner()
-        runner = _runner(learner, parallel_spec=None)
-        for batch_id, version in ((1, 0), (2, 0), (3, 1), (4, 1)):
-            item = _rollout(version)
-            item["rewards"][:] = batch_id
-            runner.rollout_queue.put(item)
-        trained = []
-        update = learner.update
-
-        def recording_update(batch):
-            trained.append(int(batch["rewards"][0, 0]))
-            return update(batch)
-
-        learner.update = recording_update
-        dequeue, dequeued = runner._dequeue_batch, []
-
-        def four_batches():
-            if len(dequeued) == 4:
-                return None
-            dequeued.append(dequeue())
-            return dequeued[-1]
-
-        runner._dequeue_batch = four_batches
-        result = runner.run(duration=0.2)
-        assert trained == [1, 2, 3]
-        assert result["learner_updates"] == 3
-        # Updates run at learner versions 0, 1, 2 on rollouts acted
-        # with versions 0, 0, 1: lags 0, 1, 1.
-        assert result["policy_lag_mean"] == pytest.approx(2 / 3)
+        trained = _recording(learner)
+        runner = _runner(learner, parallel_spec=None, batch_size=2)
+        runner.actor_handles = [ScriptedActor([0, 0, 1, 0])]
+        result = runner.run(duration=60.0)
+        assert trained == [[1, 2], [3, 4]]
+        assert result["learner_updates"] == 2
+        # The first batch (acted with 0, 0) trains at learner version
+        # 0: lags 0, 0.  The second (acted with 1, 0) at version 1:
+        # lags 0, 1.
+        assert result["policy_lag_mean"] == pytest.approx(0.25)
         assert result["policy_lag_max"] == 1
+
+    def test_every_batch_trains_once_the_last_included(self):
+        learner = StubLearner()
+        trained = _recording(learner)
+        runner = _runner(learner, parallel_spec=None)
+        runner.actor_handles = [ScriptedActor([0, 0, 1, 1])]
+        result = runner.run(duration=60.0)
+        assert trained == [[1], [2], [3], [4]]
+        assert result["learner_updates"] == 4
+        # Updates run at learner versions 0, 1, 2, 3 on rollouts acted
+        # with versions 0, 0, 1, 1: lags 0, 1, 1, 2.
+        assert result["policy_lag_mean"] == pytest.approx(1.0)
+        assert result["policy_lag_max"] == 2
 
     def test_no_training_no_lag(self):
         runner = _runner(StubLearner(), parallel_spec=None)
@@ -361,3 +402,76 @@ class TestPolicyLag:
         result = runner.run(duration=0.2, updates_enabled=False)
         assert result["policy_lag_mean"] is None
         assert result["policy_lag_max"] is None
+
+
+class TestOneLoop:
+    """The loop blocks once per turn, in ``reap``, and ends on
+    ``duration`` or when no actor is left."""
+
+    def test_stalled_actors_return_within_one_reap_of_duration(
+            self, monkeypatch):
+        waits, wait = [], raylite.wait
+
+        def recording_wait(refs, num_returns=1, timeout=None):
+            waits.append(timeout)
+            return wait(refs, num_returns=num_returns, timeout=timeout)
+
+        monkeypatch.setattr(raylite, "wait", recording_wait)
+        runner = _runner(parallel_spec=None)
+        runner.actor_handles = [ScriptedActor([], then="stall")
+                                for _ in range(2)]
+        start = time.perf_counter()
+        result = runner.run(duration=0.3)
+        # One wait, for the whole duration: no poll.
+        assert len(waits) == 1
+        assert 0.25 < waits[0] <= 0.3
+        assert time.perf_counter() - start < 0.3 + 0.25
+        assert result["learner_updates"] == 0
+
+    def test_only_actor_dying_ends_the_run_early(self):
+        learner = StubLearner()
+        trained = _recording(learner)
+        runner = _runner(learner, parallel_spec=None, batch_size=2)
+        runner.actor_handles = [ScriptedActor([0] * 5)]
+        result = runner.run(duration=60.0)
+        assert result["wall_time"] < 5.0
+        # Five rollouts: two batches train, the fifth stays in hand.
+        assert trained == [[1, 2], [3, 4]]
+        assert result["learner_updates"] == 2
+        assert result["supervision_failures"] == []
+
+    def test_in_hand_and_armed_after_every_turn(self, monkeypatch):
+        learner = StubLearner()
+        trained = _recording(learner)
+        turns, yielded = [], []
+
+        class RecordingPump(Pump):
+            def reap(self, timeout):
+                # A turn has ended when the next one starts to wait.
+                turns.append((len(self), len(yielded), len(trained)))
+                for pair in super().reap(timeout):
+                    yielded.append(pair)
+                    yield pair
+
+        monkeypatch.setattr(impala_runner, "Pump", RecordingPump)
+        batch_size = 3
+        runner = _runner(learner, parallel_spec=None, batch_size=batch_size)
+        actors = [ScriptedActor([0] * 9, then="stall",
+                                rollout_ids=range(10 * i + 1, 10 * i + 10))
+                  for i in range(2)]
+        runner.actor_handles = list(actors)
+        result = runner.run(duration=0.3)
+        turns.append((None, len(yielded), len(trained)))  # the last turn
+        # All 18 rollouts arrive, 4 per turn (both actors' two in
+        # flight), and 6 batches of 3 train; the last turn waits out
+        # the duration on the stalled rollouts.
+        assert len(yielded) == 18
+        assert result["learner_updates"] == 6
+        assert [armed for armed, _, _ in turns[:-1]] == [
+            ROLLOUTS_IN_FLIGHT * len(actors)] * (len(turns) - 1)
+        in_hand = [got - batch_size * updates for _, got, updates in turns]
+        assert all(0 <= n < batch_size for n in in_hand)
+        assert in_hand[1:] == [1, 2, 0, 1, 0, 0]
+        # Oldest first: a batch never trains a rollout that arrived
+        # after one left in hand.
+        assert trained[:2] == [[1, 11, 2], [12, 3, 13]]
