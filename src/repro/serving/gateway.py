@@ -13,9 +13,12 @@ its connection is closed.
 Each keep-alive connection is one :class:`asyncio.Protocol` with one
 request in flight, served straight from ``data_received`` once its head
 and body are buffered (no coroutine, no task); bytes pipelined behind
-it wait unread until its answer is written.  ``/act`` submits
-synchronously, the ref's done-callback hops onto the loop with one
-``call_soon_threadsafe``, and the answer leaves in one
+it wait unread until its answer is written.  The ``/act`` requests
+parsed in one loop pass go to the target in one ``submit_pass`` call.
+An idle server with no batch window runs them right there, on the
+loop, and each answer is written at once; otherwise they queue, and a
+ref's done-callback hops back onto the loop with one
+``call_soon_threadsafe``.  Either way the answer leaves in one
 ``transport.write``.  :class:`HttpPolicyClient` sends each request with
 one ``sendall`` on one keep-alive socket.
 """
@@ -155,7 +158,8 @@ class _Connection(asyncio.Protocol):
         return parts[0], parts[1].split("?", 1)[0], headers, body
 
     def await_ref(self, ref, budget: float) -> None:
-        """Answer when ``ref`` settles, or with a 504 after the grace."""
+        """Answer when ``ref`` settles (at once if it has), or with a 504
+        after the grace."""
         loop = self.loop
 
         def settle(expired: bool = False) -> None:
@@ -178,8 +182,11 @@ class _Connection(asyncio.Protocol):
                 pass  # the gateway's loop is closed: nobody left to answer
 
         self.ref = ref
-        self.timer = loop.call_later(budget + _GRACE, settle, True)
-        ref.add_done_callback(on_done)
+        if ref.ready():  # it ran on this loop pass: no timer, no hop
+            settle()
+        else:
+            self.timer = loop.call_later(budget + _GRACE, settle, True)
+            ref.add_done_callback(on_done)
 
     def answer(self, status: int, payload: Dict[str, Any],
                extra: Optional[Dict[str, str]] = None) -> None:
@@ -225,6 +232,7 @@ class HttpGateway:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._connections: set = set()  # live; touched on the loop only
+        self._pending: list = []  # this pass's /act requests (loop only)
 
     def start(self) -> "HttpGateway":
         if self._thread is not None and self._thread.is_alive():
@@ -239,7 +247,7 @@ class HttpGateway:
             raise RLGraphError(
                 f"{self.name}: startup failed: {exc!r}") from exc
         self._port = server.sockets[0].getsockname()[1]
-        self._loop = loop
+        self._loop, self._pending = loop, []
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         args=(loop, server), name=self.name)
         self._thread.start()
@@ -288,7 +296,9 @@ class HttpGateway:
     def _dispatch(self, conn: _Connection, method, path, headers, body):
         try:
             if path == "/act" and method == "POST":
-                conn.await_ref(*self._submit_act(headers, body))
+                self._pending.append((conn, *self._parse_act(headers, body)))
+                if len(self._pending) == 1:
+                    conn.loop.call_soon(self._flush)
             elif path == "/act":
                 conn.answer(405, {"error": "method_not_allowed"})
             elif path == "/metrics":
@@ -309,8 +319,26 @@ class HttpGateway:
             pass
         return 503, {"status": "stopped"}
 
-    def _submit_act(self, headers: Dict[str, str], body: bytes):
-        """Validate an /act request and submit it: ``(ref, budget)``."""
+    def _flush(self) -> None:
+        """Submit this loop pass's /act requests in one call; answer each
+        at once if it failed or already ran, else when it settles."""
+        pending, self._pending = self._pending, []
+        try:
+            results = self.target.submit_pass([p[1:] for p in pending])
+        except Exception as exc:  # noqa: BLE001 - must answer the sockets
+            results = [exc] * len(pending)
+        for (conn, _, budget), result in zip(pending, results):
+            if not isinstance(result, Exception):
+                conn.await_ref(result, budget)
+                continue
+            if isinstance(result, RLGraphError) and not isinstance(
+                    result, (OverloadError, ServerClosedError)):
+                result = _BadRequest(str(result))  # submit's shape check
+            conn.answer(*_error_answer(result))
+            conn.serve()
+
+    def _parse_act(self, headers: Dict[str, str], body: bytes):
+        """Validate an /act request: ``(obs, budget)``."""
         try:  # JSON and Unicode decode errors are ValueErrors
             obs = np.asarray(json.loads(body or b"{}")["obs"],
                              dtype=self.target.state_space.dtype)
@@ -326,12 +354,7 @@ class HttpGateway:
                 f"X-Deadline-Ms is not a number: {raw!r}") from exc
         if not 0 < budget < float("inf"):
             raise _BadRequest("X-Deadline-Ms must be finite and > 0")
-        try:
-            return self.target.submit(obs, deadline=budget), budget
-        except RLGraphError as exc:
-            if isinstance(exc, (OverloadError, ServerClosedError)):
-                raise
-            raise _BadRequest(str(exc)) from exc
+        return obs, budget
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         snap: Dict[str, Any] = {"gateway": {

@@ -230,6 +230,8 @@ class _BatchingFrontEnd:
         # A block that did not fit the batch being assembled: it heads
         # the next one (collector-thread private, still counted queued).
         self._carry: Optional[_Request] = None
+        # Held by whoever runs a batch: the collector or an idle pass.
+        self._run_lock = threading.Lock()
         # Collector wake-up period with an empty mailbox: None blocks
         # forever (the plain-server default); the pool sets it so the
         # autoscaler can act on *silence* (shrink-when-idle).
@@ -371,13 +373,17 @@ class _BatchingFrontEnd:
         bounded queue raises :class:`OverloadError` here (``reject``
         policy) or sheds the oldest queued request (``drop-oldest``).
         """
+        return self._enqueue(self._request(obs, deadline))
+
+    def _request(self, obs, deadline: Optional[float]) -> _Request:
+        """``submit``'s checks: the admitted request, counted queued."""
         obs = np.asarray(obs)
         if obs.shape != self.state_space.shape:
             raise RLGraphError(
                 f"{self.name}: observation of shape {obs.shape} does not "
                 f"match the state space shape {self.state_space.shape} — "
                 f"submit exactly one unbatched observation per request")
-        return self._enqueue(obs[None], deadline, single=True)
+        return self._admitted(obs[None], deadline, single=True)
 
     def submit_block(self, rows, deadline: Optional[float] = None
                      ) -> ObjectRef:
@@ -399,9 +405,9 @@ class _BatchingFrontEnd:
                 f"{self.name}: a block holds 1..{self.max_batch_size} "
                 f"(max_batch_size) rows, got {len(rows)} — slice it "
                 f"(PolicyClient.act_many does)")
-        return self._enqueue(rows, deadline, single=False)
+        return self._enqueue(self._admitted(rows, deadline, single=False))
 
-    def _enqueue(self, rows, deadline, single: bool) -> ObjectRef:
+    def _admitted(self, rows, deadline, single: bool) -> _Request:
         if self._stopped.is_set() or self._thread is None:
             raise ServerClosedError(f"{self.name}: server is not running")
         self._admit(len(rows))
@@ -411,6 +417,9 @@ class _BatchingFrontEnd:
         req = _Request(rows, ObjectRef(), now,
                        deadline_from_budget(deadline, now), single)
         self.stats.count("requests", req.rows)
+        return req
+
+    def _enqueue(self, req: _Request) -> ObjectRef:
         self._mailbox.put(req)
         # Re-check after the put: a stop() racing this submit may have
         # already drained the mailbox, leaving the request unread.
@@ -419,6 +428,40 @@ class _BatchingFrontEnd:
                                        or not thread.is_alive()):
             self._close_mailbox()
         return req.ref
+
+    def submit_pass(self, items) -> list:
+        """``submit`` each ``(obs, deadline)``: a ref or the error per
+        item.  If :meth:`_claim_idle`, the first batch runs here and its
+        rows are running, not queued; the rest queue as by ``submit``."""
+        idle, batch, out = self._claim_idle(), [], []
+        try:
+            for obs, deadline in items:
+                try:
+                    req = self._request(obs, deadline)
+                except Exception as exc:  # noqa: BLE001 - one per item
+                    out.append(exc)
+                    continue
+                if idle and len(batch) < self.max_batch_size:
+                    self._depth_add(-req.rows)
+                    batch.append(req)
+                else:
+                    self._enqueue(req)
+                out.append(req.ref)
+            self._run_batch(batch)
+        finally:
+            if idle:
+                self._run_lock.release()
+        return out
+
+    def _claim_idle(self) -> bool:
+        """Take ``_run_lock`` if no window, batch or queue (the depth
+        counts the carry and a request taken but not yet started)."""
+        if self.batch_window or not self._run_lock.acquire(blocking=False):
+            return False
+        if self.queue_depth() or not self._mailbox.empty():
+            self._run_lock.release()
+            return False
+        return True
 
     def act(self, obs, timeout: Optional[float] = None,
             deadline: Optional[float] = None):
@@ -456,71 +499,81 @@ class _BatchingFrontEnd:
                     continue
             if item is _STOP:
                 return
-            requests: List[_Request] = []
-            controls: List[_Control] = []
-            if isinstance(item, _Control):
-                controls.append(item)
-            else:
-                self._depth_add(-item.rows)
-                requests.append(item)
-                rows = item.rows
-                deadline = time.perf_counter() + self.batch_window
-                while rows < self.max_batch_size:
-                    remaining = deadline - time.perf_counter()
-                    try:
-                        if remaining > 0:
-                            nxt = self._mailbox.get(timeout=remaining)
-                        else:
-                            # Window closed: opportunistically drain what
-                            # is already queued, never wait further.
-                            nxt = self._mailbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt is _STOP:
-                        # Serve this batch, then re-see the sentinel.
-                        self._mailbox.put(_STOP)
-                        break
-                    if isinstance(nxt, _Control):
-                        controls.append(nxt)
-                    elif rows + nxt.rows > self.max_batch_size:
-                        # Whole blocks only: never split (a swap must
-                        # not land inside a request), never reordered.
-                        self._carry = nxt
-                        break
+            with self._run_lock:  # until its rows and swaps are done
+                self._serve(item)
+
+    def _serve(self, item) -> None:
+        """Assemble a batch headed by ``item``, run it, then apply the
+        swaps collected with it."""
+        requests: List[_Request] = []
+        controls: List[_Control] = []
+        if isinstance(item, _Control):
+            controls.append(item)
+        else:
+            self._depth_add(-item.rows)
+            requests.append(item)
+            rows = item.rows
+            deadline = time.perf_counter() + self.batch_window
+            while rows < self.max_batch_size:
+                remaining = deadline - time.perf_counter()
+                try:
+                    if remaining > 0:
+                        nxt = self._mailbox.get(timeout=remaining)
                     else:
-                        self._depth_add(-nxt.rows)
-                        requests.append(nxt)
-                        rows += nxt.rows
-            requests = self._filter_admitted(requests)
-            if requests:
-                try:
-                    self._dispatch(requests)
-                except BaseException as exc:
-                    for req in requests:
-                        self._settle(req, "errors", exc)
-            # Controls apply BETWEEN batches: the swap never tears a
-            # batch that was already being assembled.
-            for control in controls:
-                try:
-                    self._apply_weights(control.value)
-                    self.stats.count("weight_swaps")
-                    control.ref._resolve(True)
-                except BaseException as exc:
-                    # Most swap callers are fire-and-forget (executor
-                    # weight_listeners): failing only the ref would be
-                    # silent, leaving the server on stale weights with
-                    # no trace — count it and warn loudly as well.
-                    self.stats.count("weight_swap_failures")
-                    logger.warning("%s: weight hot-swap FAILED, still "
-                                   "serving previous weights: %s",
-                                   self.name, exc)
-                    control.ref._fail(exc)
+                        # Window closed: opportunistically drain what
+                        # is already queued, never wait further.
+                        nxt = self._mailbox.get_nowait()
+                except queue.Empty:
+                    break
+                if nxt is _STOP:
+                    # Serve this batch, then re-see the sentinel.
+                    self._mailbox.put(_STOP)
+                    break
+                if isinstance(nxt, _Control):
+                    controls.append(nxt)
+                elif rows + nxt.rows > self.max_batch_size:
+                    # Whole blocks only: never split (a swap must
+                    # not land inside a request), never reordered.
+                    self._carry = nxt
+                    break
+                else:
+                    self._depth_add(-nxt.rows)
+                    requests.append(nxt)
+                    rows += nxt.rows
+        self._run_batch(requests)
+        # Controls apply BETWEEN batches: the swap never tears a
+        # batch that was already being assembled.
+        for control in controls:
+            try:
+                self._apply_weights(control.value)
+                self.stats.count("weight_swaps")
+                control.ref._resolve(True)
+            except BaseException as exc:
+                # Most swap callers are fire-and-forget (executor
+                # weight_listeners): failing only the ref would be
+                # silent, leaving the server on stale weights with
+                # no trace — count it and warn loudly as well.
+                self.stats.count("weight_swap_failures")
+                logger.warning("%s: weight hot-swap FAILED, still "
+                               "serving previous weights: %s",
+                               self.name, exc)
+                control.ref._fail(exc)
+
+    def _run_batch(self, requests: List[_Request]) -> None:
+        """Filter, dispatch and error-settle a batch (under _run_lock)."""
+        requests = self._filter_admitted(requests)
+        if requests:
+            try:
+                self._dispatch(requests)
+            except BaseException as exc:
+                for req in requests:
+                    self._settle(req, "errors", exc)
 
     def _filter_admitted(self, requests: List[_Request]) -> List[_Request]:
         """Drop expired and CoDel-shed requests from a collected batch.
 
-        Runs on the collector thread just before dispatch.  An expired
-        request is *never executed* — its slot is simply not wasted —
+        Runs just before dispatch, on the thread that runs the batch.  An
+        expired request is *never executed* — its slot is not wasted —
         and its future fails with the typed deadline error.  When CoDel
         detects a standing queue (sojourn above target for a full
         interval), requests shed here fail with :class:`OverloadError`

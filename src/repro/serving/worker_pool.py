@@ -271,6 +271,9 @@ class InferenceWorkerPool(_BatchingFrontEnd):
     def _on_idle_tick(self) -> None:
         self._maybe_autoscale()
 
+    def _claim_idle(self) -> bool:
+        return False  # routing may restart or grow replicas: queue all
+
     def _dispatch(self, requests: List[_Request]) -> None:
         """Route to the least-loaded LIVE replica; scatter on completion.
 

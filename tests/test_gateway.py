@@ -31,6 +31,7 @@ from repro.serving import gateway as gateway_module
 from repro.serving.overload import (
     DeadlineExceededError,
     OverloadError,
+    ServerClosedError,
 )
 from repro.serving.policy_server import _BatchingFrontEnd, num_rows
 from repro.spaces import FloatBox, IntBox
@@ -67,6 +68,20 @@ class _SleepServer(_BatchingFrontEnd):
 
     def _apply_weights(self, weights):
         pass
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads():
+    """Every thread a test starts is gone after it (a short join grace
+    covers threads that were told to stop).  Defined before the raylite
+    cleanup, so it checks after that cleanup has run."""
+    before = set(threading.enumerate())
+    yield
+    until = time.perf_counter() + 2.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=max(0.0, until - time.perf_counter()))
+    leaked = [t.name for t in set(threading.enumerate()) - before]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture(autouse=True)
@@ -526,6 +541,277 @@ class TestGatewayStop:
             gateway.stop()
             server.stop()
         assert server.stats.as_dict()["errors"] == 0
+
+
+class _TracingServer(_SleepServer):
+    """Answers each row with its observation's first value plus the
+    last swapped-in offset; records each batch's thread and rows, and
+    holds a batch while ``release`` is clear."""
+
+    def __init__(self, **kwargs):
+        self.batches, self.offset = [], 0
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.release.set()
+        super().__init__(service_time=0.0, **kwargs)
+
+    def _dispatch(self, requests):
+        ids = [int(r.obs[0, 0]) for r in requests]
+        self.batches.append((threading.get_ident(), ids))
+        self.entered.set()
+        assert self.release.wait(10.0)
+        self._scatter(requests, np.asarray(ids) + self.offset)
+
+    def _apply_weights(self, weights):
+        self.offset = weights
+
+
+def _obs(i):
+    return np.full(STATE_DIM, i, dtype=np.float32)
+
+
+def _outcomes(results, timeout=10.0):
+    """Each pass result as its action, or the type of its error."""
+    out = []
+    for result in results:
+        try:
+            out.append(type(result) if isinstance(result, Exception)
+                       else int(result.result(timeout)))
+        except Exception as exc:  # noqa: BLE001 - recorded
+            out.append(type(exc))
+    return out
+
+
+class TestLoopPass:
+    """The gateway's per-pass entry (``submit_pass``): an idle server
+    with no batch window runs the pass on the caller's thread; in every
+    other case the pass queues behind what is there, in FIFO order."""
+
+    def test_idle_server_runs_http_act_on_the_gateway_loop(
+            self, monkeypatch):
+        agent = _dqn()
+        server = PolicyServer(agent, max_batch_size=8, batch_window=0.0)
+        threads, timers = [], []
+        original = server._dispatch
+        original_await = gateway_module._Connection.await_ref
+
+        def recording(requests):
+            threads.append(threading.get_ident())
+            original(requests)
+
+        def recording_await(conn, ref, budget):
+            original_await(conn, ref, budget)
+            timers.append(conn.timer)
+
+        server._dispatch = recording
+        monkeypatch.setattr(gateway_module._Connection, "await_ref",
+                            recording_await)
+        obs = np.random.default_rng(5).standard_normal(
+            (6, STATE_DIM)).astype(np.float32)
+        try:
+            with HttpGateway(server, default_deadline=5.0) as gateway:
+                with HttpPolicyClient.for_gateway(gateway) as client:
+                    served = [int(client.act(o)) for o in obs]
+                loop_thread = gateway._thread.ident
+        finally:
+            collector = server._thread.ident
+            server.stop()
+        assert served == [int(agent.get_actions(o, explore=False)[0])
+                          for o in obs]
+        assert threads == [loop_thread] * len(obs)
+        assert collector not in threads       # the collector ran nothing
+        assert timers == [None] * len(obs)    # answered at once, no timer
+        assert server.stats.batches == len(obs)
+
+    def test_windowed_server_runs_the_pass_on_the_collector(self):
+        server = _TracingServer(batch_window=0.001)
+        try:
+            results = server.submit_pass([(_obs(i), None) for i in (1, 2)])
+            assert _outcomes(results) == [1, 2]
+            assert {ident for ident, _ in server.batches} == {
+                server._thread.ident}
+        finally:
+            server.stop()
+
+    def test_pool_runs_the_pass_on_the_collector(self):
+        pool = InferenceWorkerPool(
+            _dqn_factory, FloatBox(shape=(STATE_DIM,)), num_replicas=1,
+            parallel_spec="thread", max_batch_size=8, batch_window=0.0)
+        threads = []
+        original = pool._dispatch
+
+        def recording(requests):
+            threads.append(threading.get_ident())
+            original(requests)
+
+        pool._dispatch = recording
+        try:
+            obs = np.zeros(STATE_DIM, dtype=np.float32)
+            results = pool.submit_pass([(obs, None), (obs, None)])
+            expected = int(_dqn().get_actions(obs, explore=False)[0])
+            assert _outcomes(results) == [expected, expected]
+            assert threads and set(threads) == {pool._thread.ident}
+        finally:
+            pool.stop()
+
+    def test_pass_queues_behind_a_running_batch_in_fifo_order(self):
+        server = _TracingServer(batch_window=0.0)
+        try:
+            server.release.clear()
+            blocker = server.submit(_obs(0))
+            assert server.entered.wait(10.0)
+            results = server.submit_pass([(_obs(i), None) for i in (1, 2, 3)])
+            assert not any(ref.ready() for ref in results)
+            server.release.set()
+            assert int(blocker.result(10.0)) == 0
+            assert _outcomes(results) == [1, 2, 3]
+            collector = server._thread.ident
+            assert [ident for ident, _ in server.batches] == [collector] * \
+                len(server.batches)
+            assert [i for _, ids in server.batches for i in ids] == [
+                0, 1, 2, 3]
+        finally:
+            server.stop()
+
+    def test_pass_behind_a_queued_swap_sees_the_new_weights(self):
+        server = _TracingServer(batch_window=0.0)
+        try:
+            server.release.clear()
+            blocker = server.submit(_obs(0))
+            assert server.entered.wait(10.0)
+            swap = server.set_weights(100)
+            results = server.submit_pass([(_obs(1), None)])
+            server.release.set()
+            assert int(blocker.result(10.0)) == 0
+            swap.result(10.0)
+            assert _outcomes(results) == [101]
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("head", ["request", "swaps"])
+    def test_pass_queues_behind_an_item_the_collector_has_taken(self, head):
+        """The collector holds an item it took off the mailbox but has
+        not yet locked ``_run_lock`` for: a pass behind a taken request
+        (still in the queue depth), or behind a swap left in the
+        mailbox, queues instead of overtaking it."""
+        server = _TracingServer(batch_window=0.0)
+        lock, gate, waiting = (server._run_lock, threading.Event(),
+                               threading.Event())
+
+        class Gated:  # the collector's ``with`` waits for the gate
+            acquire, release = lock.acquire, lock.release
+
+            def __enter__(self):
+                waiting.set()
+                assert gate.wait(10.0)
+                lock.acquire()
+
+            def __exit__(self, *exc):
+                lock.release()
+
+        server._run_lock = Gated()
+        try:
+            if head == "request":
+                first, expected = server.submit(_obs(0)), 1
+            else:
+                first, expected = server.set_weights(100), 201
+            assert waiting.wait(10.0)
+            if head == "swaps":
+                server.set_weights(200)
+            results = server.submit_pass([(_obs(1), None)])
+            assert not results[0].ready()
+            gate.set()
+            first.result(10.0)
+            assert _outcomes(results) == [expected]
+            assert server._thread.ident in {i for i, _ in server.batches}
+        finally:
+            gate.set()
+            server.stop()
+
+    @pytest.mark.parametrize("n, batch, queue", [
+        (3, 4, 2), (6, 4, 2), (10, 4, 2), (7, 1, 1), (9, 2, 5)])
+    def test_pass_admission_counts_only_rows_behind_the_first_batch(
+            self, n, batch, queue):
+        server = _TracingServer(
+            batch_window=0.0, max_batch_size=batch,
+            admission_spec={"max_queue": queue, "policy": "reject"})
+        try:
+            results = server.submit_pass([(_obs(i), None) for i in range(n)])
+            outcomes = _outcomes(results)
+        finally:
+            server.stop()
+        refused = max(0, n - batch - queue)
+        assert outcomes.count(OverloadError) == refused
+        assert [o for o in outcomes if o is not OverloadError] == list(
+            range(n - refused))
+        # The first batch ran on this (the calling) thread.
+        assert server.batches[0] == (threading.get_ident(),
+                                     list(range(min(n, batch))))
+        stats = server.stats
+        served = sum(k * v for k, v in stats.batch_size_histogram.items())
+        assert stats.rejected == refused
+        assert stats.requests == n - refused == (
+            served + stats.errors + stats.shed + stats.expired
+            + stats.closed)
+
+    def test_passes_and_submits_race_without_overlap_or_loss(self):
+        """Four threads mix passes and submits against the collector
+        under a 1 us switch interval: no two batches ever overlap, every
+        admitted request gets its own answer, and the row counters
+        balance."""
+        server = _TracingServer(batch_window=0.0, max_batch_size=4,
+                                admission_spec={"max_queue": 8})
+        running, seen, wrong = [0], [], []
+        original = server._dispatch
+
+        def guarded(requests):
+            running[0] += 1
+            seen.append(running[0])
+            original(requests)
+            running[0] -= 1
+
+        def client(k):
+            for i in range(100):
+                ids = [k * 1000 + i * 10 + j for j in range(3)]
+                items = [(_obs(x), None) for x in ids]
+                if i % 2:
+                    results = server.submit_pass(items)
+                else:
+                    results = []
+                    for obs, deadline in items:
+                        try:
+                            results.append(server.submit(obs, deadline))
+                        except OverloadError as exc:
+                            results.append(exc)
+                wrong.extend((x, got) for x, got in zip(
+                    ids, _outcomes(results)) if got not in (x, OverloadError))
+
+        server._dispatch = guarded
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            server.stop()
+        assert wrong == [] and seen and max(seen) == 1
+        stats = server.stats
+        served = sum(k * v for k, v in stats.batch_size_histogram.items())
+        assert stats.requests + stats.rejected == 4 * 100 * 3
+        assert stats.requests == (served + stats.errors + stats.shed
+                                  + stats.expired + stats.closed)
+
+    def test_pass_after_stop_is_refused_item_by_item(self):
+        server = _TracingServer(batch_window=0.0)
+        server.stop()
+        results = server.submit_pass([(_obs(i), None) for i in range(3)])
+        assert [type(r) for r in results] == [ServerClosedError] * 3
+        assert server.batches == []
 
 
 def _answer_once_then_close(conn, reader):
