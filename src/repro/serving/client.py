@@ -261,13 +261,18 @@ class PolicyClient:
 
         ``timeout`` is a single deadline shared across ALL pending
         futures: total wall time is bounded by it, not by
-        ``N x timeout`` (each gather waits only for what is left of the
-        shared budget).  Records one latency sample per call: the mean
+        ``N x timeout``: each slice is submitted with, and each gather
+        waits for, what is left of it (a full slice may run here before
+        the next is submitted).  One latency sample per call: the mean
         per observation.
         """
         budget = timeout if timeout is not None else self.timeout
         t0 = time.perf_counter()
         deadline = None if budget is None else t0 + budget
+
+        def left():
+            return None if deadline is None \
+                else max(deadline - time.perf_counter(), 0.0)
         rows = np.asarray(observations)
         if not len(rows):
             return []
@@ -276,13 +281,9 @@ class PolicyClient:
         else:
             step = self.target.max_batch_size
             refs = [self.target.submit_block(rows[lo:lo + step],
-                                             deadline=budget)
+                                             deadline=left())
                     for lo in range(0, len(rows), step)]
-        parts = []
-        for ref in refs:
-            rem = None if deadline is None \
-                else max(deadline - time.perf_counter(), 0.0)
-            parts.append(np.asarray(ref.result(rem)))
+        parts = [np.asarray(ref.result(left())) for ref in refs]
         self._latency.add((time.perf_counter() - t0) / len(rows))
         return list(np.concatenate(parts))
 

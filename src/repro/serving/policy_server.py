@@ -230,8 +230,10 @@ class _BatchingFrontEnd:
         # A block that did not fit the batch being assembled: it heads
         # the next one (collector-thread private, still counted queued).
         self._carry: Optional[_Request] = None
-        # Held by whoever runs a batch: the collector or an idle pass.
+        # Held by whoever runs a batch: the collector or an idle caller.
         self._run_lock = threading.Lock()
+        # Swaps issued, not yet applied or failed (see _claim_idle).
+        self._swaps = 0
         # Collector wake-up period with an empty mailbox: None blocks
         # forever (the plain-server default); the pool sets it so the
         # autoscaler can act on *silence* (shrink-when-idle).
@@ -278,6 +280,7 @@ class _BatchingFrontEnd:
                 self._depth_add(-item.rows)
                 self._settle(item, "closed", closed)
             elif isinstance(item, _Control):
+                self._swaps_add(-1)
                 item.ref._fail(closed)
 
     def __enter__(self):
@@ -307,6 +310,10 @@ class _BatchingFrontEnd:
     def _depth_add(self, rows: int) -> None:
         with self._depth_lock:
             self._depth += rows
+
+    def _swaps_add(self, n: int) -> None:
+        with self._depth_lock:
+            self._swaps += n
 
     def queue_depth(self) -> int:
         """Observation rows currently waiting in the mailbox (the
@@ -394,6 +401,8 @@ class _BatchingFrontEnd:
         across two batches, so all its rows run under one weight
         version.  ``submit`` is this with ``k = 1`` and the row's action
         as the result; the array is read at batch time, not copied here.
+        A full block (nothing could join its batch) runs on this thread
+        if :meth:`_claim_idle`, its future settled on return.
         """
         rows = np.asarray(rows)
         if rows.ndim == 0 or rows.shape[1:] != self.state_space.shape:
@@ -405,7 +414,11 @@ class _BatchingFrontEnd:
                 f"{self.name}: a block holds 1..{self.max_batch_size} "
                 f"(max_batch_size) rows, got {len(rows)} — slice it "
                 f"(PolicyClient.act_many does)")
-        return self._enqueue(self._admitted(rows, deadline, single=False))
+        ref, = self._run_idle(self._admitted, [(rows, deadline, False)],
+                              claim=len(rows) == self.max_batch_size)
+        if isinstance(ref, Exception):
+            raise ref
+        return ref
 
     def _admitted(self, rows, deadline, single: bool) -> _Request:
         if self._stopped.is_set() or self._thread is None:
@@ -431,17 +444,25 @@ class _BatchingFrontEnd:
 
     def submit_pass(self, items) -> list:
         """``submit`` each ``(obs, deadline)``: a ref or the error per
-        item.  If :meth:`_claim_idle`, the first batch runs here and its
-        rows are running, not queued; the rest queue as by ``submit``."""
-        idle, batch, out = self._claim_idle(), [], []
+        item; the first batch may run here (see :meth:`_run_idle`)."""
+        return self._run_idle(self._request, items)
+
+    def _run_idle(self, admitted, items, claim: bool = True) -> list:
+        """Admit each item with ``admitted(*item)``: a ref or the error
+        per item.  If ``claim`` and :meth:`_claim_idle`, the first
+        ``max_batch_size`` rows run here and are running, not queued
+        (they leave the depth after admission); the rest queue."""
+        idle, batch, out = claim and self._claim_idle(), [], []
+        room = self.max_batch_size if idle else 0
         try:
-            for obs, deadline in items:
+            for item in items:
                 try:
-                    req = self._request(obs, deadline)
+                    req = admitted(*item)
                 except Exception as exc:  # noqa: BLE001 - one per item
                     out.append(exc)
                     continue
-                if idle and len(batch) < self.max_batch_size:
+                if req.rows <= room:
+                    room -= req.rows
                     self._depth_add(-req.rows)
                     batch.append(req)
                 else:
@@ -454,11 +475,11 @@ class _BatchingFrontEnd:
         return out
 
     def _claim_idle(self) -> bool:
-        """Take ``_run_lock`` if no window, batch or queue (the depth
-        counts the carry and a request taken but not yet started)."""
+        """Take ``_run_lock`` if no window, batch, queue or swap is
+        pending (the depth and ``_swaps`` also count what was taken)."""
         if self.batch_window or not self._run_lock.acquire(blocking=False):
             return False
-        if self.queue_depth() or not self._mailbox.empty():
+        if self.queue_depth() or self._swaps or not self._mailbox.empty():
             self._run_lock.release()
             return False
         return True
@@ -480,6 +501,7 @@ class _BatchingFrontEnd:
         if self._thread is None or not self._thread.is_alive():
             raise RLGraphError(f"{self.name}: server is not running")
         ref = ObjectRef()
+        self._swaps_add(1)
         self._mailbox.put(_Control("weights", weights, ref))
         if wait:
             ref.result(timeout=30.0)
@@ -544,6 +566,7 @@ class _BatchingFrontEnd:
         # Controls apply BETWEEN batches: the swap never tears a
         # batch that was already being assembled.
         for control in controls:
+            self._swaps_add(-1)  # settled below, before _run_lock frees
             try:
                 self._apply_weights(control.value)
                 self.stats.count("weight_swaps")

@@ -10,6 +10,7 @@ core-count luck."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -526,6 +527,291 @@ class TestBlockRequests:
             assert srv.stats.requests == 100
             assert client.act_many(obs[:0]) == []
             assert client.num_requests == 1
+
+
+# ---------------------------------------------------------------------------
+# Inline blocks: an idle server runs a full block on the caller's thread
+# ---------------------------------------------------------------------------
+class _InlineServer(_SleepServer):
+    """``_SleepServer`` that also records each batch's thread, answers
+    each row with its first feature plus the last swapped-in offset,
+    and holds a batch while ``release`` is clear."""
+
+    def __init__(self, **kwargs):
+        self.threads, self.offset = [], 0
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.release.set()
+        kwargs.setdefault("service_time", 0.0)
+        super().__init__(**kwargs)
+
+    def _dispatch(self, requests):
+        self.threads.append(threading.get_ident())
+        self.entered.set()
+        assert self.release.wait(10.0)
+        time.sleep(self.service_time)
+        obs = self._stack(requests)
+        self.batches.append(obs)
+        self._scatter(requests, obs[:, 0].astype(np.int64) + self.offset)
+
+    def _apply_weights(self, weights):
+        self.offset = weights
+
+
+class _RecordingShedder:
+    """Stands in for CoDel: logs every ``on_dequeue`` call (and the
+    thread it came from) and sheds when ``shed`` is set."""
+
+    target = 0.005
+
+    def __init__(self, shed: bool = False):
+        self.shed, self.calls = shed, []
+
+    def on_dequeue(self, sojourn, now=None, queue_depth=0):
+        self.calls.append((threading.get_ident(), queue_depth))
+        return self.shed
+
+
+def _balanced(stats) -> bool:
+    served = sum(k * v for k, v in stats.batch_size_histogram.items())
+    return stats.requests == (served + stats.errors + stats.shed
+                              + stats.expired + stats.closed)
+
+
+#: Rows per request in the inline-path tests, by entry point.
+_ROWS = {"block": 2, "pass": 1}
+
+
+class TestInlineBlocks:
+    """A full block (``max_batch_size`` rows) on an idle server with no
+    batch window runs on the caller's thread; every other request
+    queues for the collector, and nothing overtakes a queued request or
+    a weight swap."""
+
+    def test_idle_full_block_runs_on_the_callers_thread(self):
+        with _InlineServer(max_batch_size=4, batch_window=0.0) as srv:
+            ref = srv.submit_block(_block(4, 3))
+            assert ref.ready()                 # settled on return
+            assert ref.result(0).tolist() == [3] * 4
+            assert srv.threads == [threading.get_ident()]
+            assert srv._thread.ident not in srv.threads
+            assert srv.stats.batches == 1 and srv.queue_depth() == 0
+        assert _balanced(srv.stats)
+
+    @pytest.mark.parametrize("case", ["partial", "single", "windowed"])
+    def test_everything_else_runs_on_the_collector(self, case):
+        window = 0.001 if case == "windowed" else 0.0
+        with _InlineServer(max_batch_size=4, batch_window=window) as srv:
+            if case == "single":
+                assert int(srv.submit(_block(1, 5)[0]).result(5.0)) == 5
+            else:
+                rows = 3 if case == "partial" else 4
+                ref = srv.submit_block(_block(rows, 5))
+                assert ref.result(5.0).tolist() == [5] * rows
+            assert srv.threads == [srv._thread.ident]
+
+    def test_pool_runs_a_full_block_on_the_collector(self):
+        pool = InferenceWorkerPool(
+            _tiny_dqn, FloatBox(shape=(4,)), num_replicas=1,
+            parallel_spec="thread", max_batch_size=4, batch_window=0.0)
+        threads = []
+        original = pool._dispatch
+
+        def recording(requests):
+            threads.append(threading.get_ident())
+            original(requests)
+
+        pool._dispatch = recording
+        try:
+            rows = np.random.default_rng(1).standard_normal(
+                (4, 4)).astype(np.float32)
+            actions = pool.submit_block(rows).result(10.0)
+            agent = _tiny_dqn()
+            assert actions.tolist() == [
+                int(agent.get_actions(row, explore=False)[0]) for row in rows]
+            assert threads == [pool._thread.ident]
+        finally:
+            pool.stop()
+
+    def test_full_block_queues_behind_a_running_batch_in_fifo_order(self):
+        with _InlineServer(max_batch_size=2, batch_window=0.0) as srv:
+            srv.release.clear()
+            blocker = srv.submit(_block(1, 1)[0])
+            assert srv.entered.wait(10.0)
+            first = srv.submit_block(_block(2, 2))
+            second = srv.submit_block(_block(2, 3))
+            assert not first.ready() and not second.ready()
+            assert srv.queue_depth() == 4
+            srv.release.set()
+            assert int(blocker.result(10.0)) == 1
+            assert first.result(10.0).tolist() == [2, 2]
+            assert second.result(10.0).tolist() == [3, 3]
+            assert srv.threads == [srv._thread.ident] * 3
+            assert [int(b[0, 0]) for b in srv.batches] == [1, 2, 3]
+
+    def test_pass_and_full_block_queue_behind_a_taken_swap(self):
+        """The collector has taken the only swap off the mailbox but not
+        yet locked ``_run_lock`` for it: the mailbox is empty and the
+        depth is 0, yet a pass and a full block must queue and see the
+        new weights."""
+        srv = _InlineServer(max_batch_size=2, batch_window=0.0)
+        lock, gate, waiting = (srv._run_lock, threading.Event(),
+                               threading.Event())
+
+        class Gated:  # the collector's ``with`` waits for the gate
+            acquire, release = lock.acquire, lock.release
+
+            def __enter__(self):
+                waiting.set()
+                assert gate.wait(10.0)
+                lock.acquire()
+
+            def __exit__(self, *exc):
+                lock.release()
+
+        srv._run_lock = Gated()
+        try:
+            swap = srv.set_weights(100)
+            assert waiting.wait(10.0)
+            assert srv._mailbox.empty() and srv.queue_depth() == 0
+            passed = srv.submit_pass([(_block(1, 1)[0], None)])[0]
+            block = srv.submit_block(_block(2, 2))
+            assert not passed.ready() and not block.ready()
+            gate.set()
+            swap.result(10.0)
+            assert int(passed.result(10.0)) == 101
+            assert block.result(10.0).tolist() == [102, 102]
+            assert srv.threads == [srv._thread.ident] * len(srv.threads)
+        finally:
+            gate.set()
+            srv.stop()
+        assert srv._swaps == 0
+
+    def test_swap_failed_at_stop_leaves_the_pending_count(self):
+        """A swap that lands behind the stop sentinel fails with
+        ``ServerClosedError`` and leaves the pending-swap count."""
+        srv = _InlineServer(max_batch_size=2, batch_window=0.0)
+        srv.release.clear()
+        blocker = srv.submit(_block(1, 1)[0])
+        assert srv.entered.wait(10.0)
+        stopper = threading.Thread(target=srv.stop)
+        stopper.start()
+        until = time.perf_counter() + 10.0
+        while srv._mailbox.empty() and time.perf_counter() < until:
+            time.sleep(0.001)                  # the sentinel is queued
+        swap = srv.set_weights(100)
+        assert srv._swaps == 1
+        srv.release.set()
+        stopper.join(10.0)
+        assert int(blocker.result(10.0)) == 1
+        with pytest.raises(ServerClosedError):
+            swap.result(10.0)
+        assert srv._swaps == 0
+
+    def test_act_many_budget_runs_out_between_inline_slices(self):
+        """Each slice gets what is left of the call's budget: the first
+        two full slices run inline, the third is submitted with a budget
+        of 0 (not a negative one), expires unexecuted, and the call
+        raises the typed deadline error."""
+        with _SleepServer(service_time=0.05, max_batch_size=2,
+                          batch_window=0.0) as srv:
+            with pytest.raises(DeadlineExceededError):
+                PolicyClient(srv).act_many(_block(6), timeout=0.09)
+            assert srv.requests_executed == 4
+            assert srv.stats.requests == 6 and srv.stats.expired == 2
+        assert _balanced(srv.stats)
+
+    @pytest.mark.parametrize("route", ["block", "pass"])
+    def test_expired_inline_request_is_never_executed(self, route):
+        with _InlineServer(max_batch_size=2, batch_window=0.0) as srv:
+            if route == "block":
+                ref = srv.submit_block(_block(2), deadline=0.0)
+            else:
+                ref = srv.submit_pass([(OBS, 0.0)])[0]
+            assert ref.ready()
+            with pytest.raises(DeadlineExceededError):
+                ref.result(0)
+            assert srv.threads == [] and srv.stats.expired == _ROWS[route]
+        assert _balanced(srv.stats)
+
+    @pytest.mark.parametrize("shed", [False, True])
+    @pytest.mark.parametrize("route", ["block", "pass"])
+    def test_codel_sees_the_inline_batch(self, route, shed):
+        with _InlineServer(max_batch_size=2, batch_window=0.0) as srv:
+            srv._shedder = shedder = _RecordingShedder(shed)
+            if route == "block":
+                ref = srv.submit_block(_block(2, 4))
+            else:
+                ref = srv.submit_pass([(_block(1, 4)[0], None)])[0]
+            assert ref.ready()
+            # One decision per request, on this thread, with the batch's
+            # own rows as the backlog (nothing else is queued).
+            assert shedder.calls == [(threading.get_ident(),
+                                      _ROWS[route])]
+            if shed:
+                with pytest.raises(OverloadError) as info:
+                    ref.result(0)
+                assert info.value.reason == "shed"
+                assert srv.threads == []
+                assert srv.stats.shed == _ROWS[route]
+            else:
+                assert np.asarray(ref.result(0)).ravel().tolist() == [
+                    4] * _ROWS[route]
+                assert srv.threads == [threading.get_ident()]
+        assert _balanced(srv.stats)
+
+    def test_act_many_submits_and_swaps_race_without_overlap_or_loss(self):
+        """Four threads mix ``act_many``, ``submit`` and ``set_weights``
+        under a 1 us switch interval: no two batches overlap, every
+        request gets its own answer, every swap applies, and the row
+        counters balance."""
+        srv = _InlineServer(max_batch_size=4, batch_window=0.0,
+                            admission_spec={"max_queue": 16})
+        running, seen, wrong, swaps = [0], [], [], []
+        original = srv._dispatch
+
+        def guarded(requests):
+            running[0] += 1
+            seen.append(running[0])
+            original(requests)
+            running[0] -= 1
+
+        def worker(k):
+            client = PolicyClient(srv)
+            for i in range(60):
+                tags = k * 1000 + i * 10 + np.arange(6)
+                rows = np.stack([tags, tags], axis=1).astype(np.float32)
+                try:
+                    if i % 3 == 0:
+                        got = client.act_many(rows, timeout=10.0)
+                    elif i % 3 == 1:
+                        got = [srv.submit(row).result(10.0) for row in rows]
+                    else:
+                        swaps.append(srv.set_weights(0))
+                        continue
+                except OverloadError:
+                    continue
+                wrong.extend((int(t), int(g)) for t, g in zip(tags, got)
+                             if int(t) != int(g))
+
+        srv._dispatch = guarded
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            for swap in swaps:
+                assert swap.result(10.0) is True
+        finally:
+            sys.setswitchinterval(previous)
+            srv.stop()
+        assert wrong == [] and seen and max(seen) == 1
+        assert srv.stats.weight_swaps == len(swaps) and srv._swaps == 0
+        assert srv.queue_depth() == 0 and _balanced(srv.stats)
 
 
 # ---------------------------------------------------------------------------
